@@ -33,7 +33,8 @@ type SMConfig struct {
 	// Revalidate walks the rebuilt tables before the swap (reachability
 	// accounting, loop-freedom, per-VL deadlock-freedom). Deadlock-prone
 	// tables are rejected and the old ones kept — the invariant an SM must
-	// never break. Costs a full table walk per sweep.
+	// never break. Costs one LFT walk per (source switch, destination LID)
+	// and one SL lookup per terminal pair each sweep (route.Validate).
 	Revalidate bool
 	// MarginSamples, when positive, additionally scores the rebuilt tables'
 	// deadlock-freedom margin (route.DeadlockMargin with this sample cap)

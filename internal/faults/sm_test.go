@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/hpcsim/t2hx/internal/fabric"
@@ -233,6 +234,44 @@ func TestSMSwitchOutageAndRepair(t *testing.T) {
 	}
 	if r.f.GiveUps != 0 {
 		t.Errorf("%d messages lost despite repair within retry patience", r.f.GiveUps)
+	}
+}
+
+// Revalidation must reject a rebuild that returns deadlock-prone tables —
+// lane-less SSSP on a HyperX — and the fabric must keep its old tables.
+func TestSMRejectsDeadlockProneSweep(t *testing.T) {
+	r := newRig(t)
+	old := r.f.Tables
+	m, err := NewManager(r.f, SMConfig{
+		DetectionDelay: 50 * sim.Microsecond,
+		SweepLatency:   100 * sim.Microsecond,
+		Rebuild:        func() (*route.Tables, error) { return route.SSSP(r.hx.Graph, 0) },
+		Revalidate:     true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := PlanLinkFailures(r.hx.Graph, 1, sim.Millisecond, sim.Millisecond, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Inject(sched); err != nil {
+		t.Fatal(err)
+	}
+	r.f.Eng.Run()
+
+	if len(m.Sweeps) != 1 {
+		t.Fatalf("%d sweeps, want 1", len(m.Sweeps))
+	}
+	s := m.Sweeps[0]
+	if s.Rejected == nil || !strings.Contains(s.Rejected.Error(), "deadlock-prone") {
+		t.Errorf("sweep rejection = %v, want deadlock-prone tables", s.Rejected)
+	}
+	if !s.Validated || s.DeadlockFree {
+		t.Errorf("sweep Validated=%v DeadlockFree=%v, want true/false", s.Validated, s.DeadlockFree)
+	}
+	if r.f.Tables != old {
+		t.Error("a rejected sweep replaced the fabric's tables")
 	}
 }
 

@@ -1,7 +1,8 @@
 package route
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/hpcsim/t2hx/internal/topo"
 )
@@ -35,6 +36,10 @@ type CDG struct {
 	seen  []uint64
 	epoch uint64
 	stack []topo.ChannelID
+
+	// AddEdge scratch: the affected regions and the order slots they share.
+	deltaF, deltaB []topo.ChannelID
+	slots          []int32
 
 	// AddPath scratch.
 	fabric []topo.ChannelID
@@ -109,33 +114,31 @@ func (g *CDG) AddEdge(u, v topo.ChannelID) bool {
 	}
 	// Discover the affected region: forward from v within (lb..ub],
 	// backward from u within [lb..ub).
-	deltaF, cyclic := g.dfsF(v, ub)
-	if cyclic {
+	if g.dfsF(v, ub) {
 		return false
 	}
-	deltaB := g.dfsB(u, lb)
-	g.reorder(deltaF, deltaB)
+	g.dfsB(u, lb)
+	g.reorder()
 	g.succ[u] = append(g.succ[u], v)
 	g.pred[v] = append(g.pred[v], u)
 	return true
 }
 
-// dfsF collects nodes reachable from v with order <= ub. Reaching order ==
-// ub means reaching u: a cycle. The returned slice aliases nothing and is
-// freshly built per call (it feeds reorder, which sorts it in place).
-func (g *CDG) dfsF(v topo.ChannelID, ub int32) ([]topo.ChannelID, bool) {
+// dfsF collects into deltaF the nodes reachable from v with order <= ub.
+// Reaching order == ub means reaching u: a cycle, reported as true.
+func (g *CDG) dfsF(v topo.ChannelID, ub int32) bool {
 	g.epoch++
 	g.seen[v] = g.epoch
 	g.stack = append(g.stack[:0], v)
-	var out []topo.ChannelID
+	g.deltaF = g.deltaF[:0]
 	for len(g.stack) > 0 {
 		n := g.stack[len(g.stack)-1]
 		g.stack = g.stack[:len(g.stack)-1]
-		out = append(out, n)
+		g.deltaF = append(g.deltaF, n)
 		for _, m := range g.succ[n] {
 			o := g.ord[m]
 			if o == ub {
-				return nil, true // found u: cycle
+				return true // found u: cycle
 			}
 			if o < ub && g.seen[m] != g.epoch {
 				g.seen[m] = g.epoch
@@ -143,19 +146,19 @@ func (g *CDG) dfsF(v topo.ChannelID, ub int32) ([]topo.ChannelID, bool) {
 			}
 		}
 	}
-	return out, false
+	return false
 }
 
-// dfsB collects nodes reaching u with order >= lb.
-func (g *CDG) dfsB(u topo.ChannelID, lb int32) []topo.ChannelID {
+// dfsB collects into deltaB the nodes reaching u with order >= lb.
+func (g *CDG) dfsB(u topo.ChannelID, lb int32) {
 	g.epoch++
 	g.seen[u] = g.epoch
 	g.stack = append(g.stack[:0], u)
-	var out []topo.ChannelID
+	g.deltaB = g.deltaB[:0]
 	for len(g.stack) > 0 {
 		n := g.stack[len(g.stack)-1]
 		g.stack = g.stack[:len(g.stack)-1]
-		out = append(out, n)
+		g.deltaB = append(g.deltaB, n)
 		for _, m := range g.pred[n] {
 			if g.ord[m] > lb && g.seen[m] != g.epoch {
 				g.seen[m] = g.epoch
@@ -163,23 +166,30 @@ func (g *CDG) dfsB(u topo.ChannelID, lb int32) []topo.ChannelID {
 			}
 		}
 	}
-	return out
 }
 
 // reorder merges the affected regions so that every deltaB node precedes
-// every deltaF node, reusing the union of their order slots.
-func (g *CDG) reorder(deltaF, deltaB []topo.ChannelID) {
-	sort.Slice(deltaB, func(i, j int) bool { return g.ord[deltaB[i]] < g.ord[deltaB[j]] })
-	sort.Slice(deltaF, func(i, j int) bool { return g.ord[deltaF[i]] < g.ord[deltaF[j]] })
-	nodes := append(append([]topo.ChannelID{}, deltaB...), deltaF...)
-	slots := make([]int32, 0, len(nodes))
-	for _, n := range nodes {
+// every deltaF node, reusing the union of their order slots. Order values
+// are unique, so every sort here has exactly one result.
+func (g *CDG) reorder() {
+	byOrd := func(a, b topo.ChannelID) int { return cmp.Compare(g.ord[a], g.ord[b]) }
+	slices.SortFunc(g.deltaB, byOrd)
+	slices.SortFunc(g.deltaF, byOrd)
+	slots := g.slots[:0]
+	for _, n := range g.deltaB {
 		slots = append(slots, g.ord[n])
 	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	for i, n := range nodes {
+	for _, n := range g.deltaF {
+		slots = append(slots, g.ord[n])
+	}
+	slices.Sort(slots)
+	for i, n := range g.deltaB {
 		g.ord[n] = slots[i]
 	}
+	for i, n := range g.deltaF {
+		g.ord[n] = slots[len(g.deltaB)+i]
+	}
+	g.slots = slots
 }
 
 // AddPath inserts all consecutive dependencies of a channel sequence,
@@ -232,8 +242,8 @@ func removeChan(s []topo.ChannelID, c topo.ChannelID) []topo.ChannelID {
 	return s
 }
 
-// Acyclic exhaustively re-verifies acyclicity (used by tests and the
-// validator; the incremental structure maintains it by construction).
+// Acyclic exhaustively re-verifies acyclicity (used by tests; the
+// incremental structure maintains it by construction).
 func (g *CDG) Acyclic() bool {
 	const (
 		white = int8(0)
@@ -317,32 +327,49 @@ func SwitchChannelPred(g *topo.Graph) func(topo.ChannelID) bool {
 // number of lanes used, or an error-index >= 0 of the first path that could
 // not be placed within maxVL lanes (-1 on success).
 func AssignLayers(g *topo.Graph, paths [][]topo.ChannelID, maxVL int, assign func(i, vl int)) (lanes int, failed int) {
-	isSwitch := SwitchChannelPred(g)
-	layers := []*CDG{NewCDG()}
+	l := newLayering(g, maxVL)
 	for i, p := range paths {
 		if p == nil {
 			continue
 		}
-		placed := false
-		for vl := 0; vl < len(layers); vl++ {
-			if layers[vl].AddPath(p, isSwitch) {
-				assign(i, vl)
-				placed = true
-				break
-			}
+		vl := l.place(p)
+		if vl < 0 {
+			return len(l.lanes), i
 		}
-		if !placed {
-			if len(layers) >= maxVL {
-				return len(layers), i
-			}
-			layers = append(layers, NewCDG())
-			if !layers[len(layers)-1].AddPath(p, isSwitch) {
-				// A single path can never self-deadlock unless it repeats
-				// channels; treat as failure.
-				return len(layers), i
-			}
-			assign(i, len(layers)-1)
+		assign(i, vl)
+	}
+	return len(l.lanes), -1
+}
+
+// layering is AssignLayers one path at a time: each path joins the lowest
+// lane whose CDG stays acyclic with it, and a new lane opens while fewer
+// than maxVL exist.
+type layering struct {
+	lanes    []*CDG
+	maxVL    int
+	isSwitch func(topo.ChannelID) bool
+}
+
+func newLayering(g *topo.Graph, maxVL int) *layering {
+	return &layering{lanes: []*CDG{NewCDG()}, maxVL: maxVL, isSwitch: SwitchChannelPred(g)}
+}
+
+// place returns the lane p joins, or -1 when no lane within maxVL can take
+// it.
+func (l *layering) place(p []topo.ChannelID) int {
+	for vl, lane := range l.lanes {
+		if lane.AddPath(p, l.isSwitch) {
+			return vl
 		}
 	}
-	return len(layers), -1
+	if len(l.lanes) >= l.maxVL {
+		return -1
+	}
+	l.lanes = append(l.lanes, NewCDG())
+	if !l.lanes[len(l.lanes)-1].AddPath(p, l.isSwitch) {
+		// A single path can never self-deadlock unless it repeats
+		// channels; treat as failure.
+		return -1
+	}
+	return len(l.lanes) - 1
 }

@@ -200,3 +200,32 @@ func TestAssignLayersSplitsCyclicPathSets(t *testing.T) {
 		t.Error("maxVL=1 should fail on a cyclic path set")
 	}
 }
+
+// Inserting an edge against the current topological order searches and
+// re-orders the affected regions; that must run on the CDG's reused
+// scratch, not allocate per insert.
+func TestCDGReorderingInsertsDoNotAllocate(t *testing.T) {
+	g := NewCDG()
+	for c := topo.ChannelID(0); c < 3; c++ {
+		g.AddEdge(c, c+1)
+		g.AddEdge(10+c, 11+c)
+	}
+	// Each insert below joins the chains 0..3 and 10..13 against the order
+	// the previous one left, so every call re-orders both chains.
+	allocs := testing.AllocsPerRun(100, func() {
+		if !g.AddEdge(13, 0) {
+			t.Fatal("AddEdge(13, 0) rejected")
+		}
+		g.removeEdge(13, 0)
+		if !g.AddEdge(3, 10) {
+			t.Fatal("AddEdge(3, 10) rejected")
+		}
+		g.removeEdge(3, 10)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per pair of re-ordering inserts, want 0", allocs)
+	}
+	if g.ord[3] >= g.ord[10] {
+		t.Error("the last insert did not re-order chain 0..3 before chain 10..13")
+	}
+}

@@ -25,6 +25,9 @@ var routeHotPathFiles = []string{
 	"updown.go",
 	"lash.go",
 	"hyperx_ft.go",
+	"validate.go",
+	"cdg.go",
+	"walk.go",
 }
 
 func TestNoNodeIDMapsInHotPaths(t *testing.T) {

@@ -48,6 +48,32 @@ func TestSSSPOnHyperXIsMinimal(t *testing.T) {
 	}
 }
 
+// SSSP has no virtual lanes, and on a HyperX its minimal paths close
+// channel dependency cycles on the single lane: Validate must report the
+// tables deadlock-prone, in agreement with an independent check.
+func TestValidateFlagsSSSPDeadlockOnHyperX(t *testing.T) {
+	hxs := []*topo.HyperX{smallHX(t)}
+	if !testing.Short() {
+		hxs = append(hxs, topo.NewPaperHyperX(false, 0))
+	}
+	for _, hx := range hxs {
+		tb, err := SSSP(hx.Graph, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Validate(tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.DeadlockFree {
+			t.Errorf("%v HyperX: SSSP reported deadlock-free", hx.Cfg.S)
+		}
+		if singleLaneAcyclic(tb) {
+			t.Errorf("%v HyperX: independent check finds SSSP's lane acyclic", hx.Cfg.S)
+		}
+	}
+}
+
 func TestDFSSSPDeadlockFreeOnHyperX(t *testing.T) {
 	hx := smallHX(t)
 	tb, err := DFSSSP(hx.Graph, 0, 8)

@@ -1,7 +1,6 @@
 package route
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/hpcsim/t2hx/internal/topo"
@@ -70,7 +69,7 @@ func HXMin(hx *topo.HyperX, lmc uint8) (*Tables, error) {
 			}
 		}
 	}
-	if _, err := assignLanesTolerant(t, 1); err != nil {
+	if err := assignLanes(t, 1, true); err != nil {
 		return nil, fmt.Errorf("route: hxmin deadlock restriction violated: %w", err)
 	}
 	t.Freeze()
@@ -169,7 +168,7 @@ func HXNonMin(hx *topo.HyperX, lmc uint8, maxVL int) (*Tables, error) {
 			}
 		}
 	}
-	if _, err := assignLanesTolerant(t, maxVL); err != nil {
+	if err := assignLanes(t, maxVL, true); err != nil {
 		return nil, err
 	}
 	t.Freeze()
@@ -274,81 +273,4 @@ func bestLiveChannel(g *topo.Graph, cw *ChannelWeights, a, b topo.NodeID) topo.C
 		}
 	}
 	return best
-}
-
-// assignLanesTolerant is AssignVLs for engines that intentionally leave
-// pairs unprogrammed: ErrNoRoute path failures are skipped and counted
-// instead of failing the pass, while structural anomalies (loops, down-link
-// use, misdelivery) still abort. It returns the number of skipped
-// (src, dst-LID) pairs.
-func assignLanesTolerant(t *Tables, maxVL int) (int, error) {
-	g := t.G
-	terms := g.Terminals()
-	span := 1 << t.LMC
-	// Every terminal on a switch shares its fabric path to a given
-	// destination LID — injection and delivery channels are not CDG
-	// participants — so lane assignment only needs one representative
-	// source per (switch, LID) pair; the lane is then recorded for the
-	// whole group. The former walk over all terminal pairs was quadratic
-	// in terminals: at 32832 terminals it enumerated over a billion paths
-	// for a set with |switches| x |LIDs| distinct members.
-	bySwitch := make([][]topo.NodeID, g.NumSwitches())
-	for _, tm := range terms {
-		if sw := g.SwitchOf(tm); sw >= 0 {
-			si := g.SwitchIndex(sw)
-			bySwitch[si] = append(bySwitch[si], tm)
-		}
-	}
-	type key struct {
-		sw  int // switch index of the source group
-		lid LID
-	}
-	var keys []key
-	var paths [][]topo.ChannelID
-	unreachable := 0
-	for si, group := range bySwitch {
-		if len(group) == 0 {
-			continue
-		}
-		src := group[0]
-		for di, dst := range terms {
-			if g.SwitchOf(dst) < 0 {
-				continue
-			}
-			for off := 0; off < span; off++ {
-				lid := t.BaseLID[di] + LID(off)
-				if dst == src {
-					continue
-				}
-				p, err := t.Path(src, lid)
-				if err != nil {
-					if errors.Is(err, ErrNoRoute) {
-						// Count what the terminal-pair walk would have:
-						// every source terminal of the group misses dst.
-						unreachable += len(group)
-						continue
-					}
-					return unreachable, fmt.Errorf("route: %s lane assignment: %w", t.Engine, err)
-				}
-				keys = append(keys, key{si, lid})
-				paths = append(paths, p)
-			}
-		}
-	}
-	lanes, failed := AssignLayers(g, paths, maxVL, func(i, vl int) {
-		if vl == 0 {
-			// SL defaults to 0; skipping the write keeps single-lane
-			// engines from materializing the O(terminals^2) SL table.
-			return
-		}
-		for _, src := range bySwitch[keys[i].sw] {
-			t.SetSL(src, keys[i].lid, uint8(vl))
-		}
-	})
-	if failed >= 0 {
-		return unreachable, fmt.Errorf("route: %s needs more than %d virtual lanes (failed at path %d of %d)",
-			t.Engine, maxVL, failed, len(paths))
-	}
-	t.NumVL = lanes
-	return unreachable, nil
 }

@@ -86,15 +86,6 @@ func nueTree(g *topo.Graph, root topo.NodeID, cdg *CDG) (map[topo.NodeID]topo.Ch
 		}
 		return a < b
 	})
-	// outDep returns the dependency successor for adopting parent v: the
-	// channel v forwards on, or none when v is the root (delivery hop).
-	outDep := func(v topo.NodeID) (topo.ChannelID, bool) {
-		if v == root {
-			return 0, false
-		}
-		c, ok := next[v]
-		return c, ok
-	}
 	var pending []topo.NodeID
 	for _, u := range order {
 		if u == root {
@@ -103,14 +94,14 @@ func nueTree(g *topo.Graph, root topo.NodeID, cdg *CDG) (map[topo.NodeID]topo.Ch
 		if dist[u] < 0 {
 			return nil, fmt.Errorf("switch %s unreachable", g.Nodes[u].Label)
 		}
-		if !nueAdopt(g, u, root, dist, next, cdg, outDep, true) {
+		if !nueAdopt(g, u, root, dist, next, cdg, true) {
 			pending = append(pending, u)
 		}
 	}
 	// Second chance: switches whose minimal parents were all blocked may
 	// now adopt detour parents routed meanwhile.
 	for _, u := range pending {
-		if nueAdopt(g, u, root, dist, next, cdg, outDep, false) {
+		if nueAdopt(g, u, root, dist, next, cdg, false) {
 			continue
 		}
 		return nil, fmt.Errorf("no cycle-free parent for switch %s", g.Nodes[u].Label)
@@ -122,8 +113,7 @@ func nueTree(g *topo.Graph, root topo.NodeID, cdg *CDG) (map[topo.NodeID]topo.Ch
 // strictly-closer neighbors; otherwise any already-routed neighbor whose
 // forwarding chain avoids u qualifies (a detour).
 func nueAdopt(g *topo.Graph, u, root topo.NodeID, dist map[topo.NodeID]int,
-	next map[topo.NodeID]topo.ChannelID, cdg *CDG,
-	outDep func(topo.NodeID) (topo.ChannelID, bool), minimalOnly bool) bool {
+	next map[topo.NodeID]topo.ChannelID, cdg *CDG, minimalOnly bool) bool {
 
 	type cand struct {
 		v topo.NodeID
@@ -146,10 +136,14 @@ func nueAdopt(g *topo.Graph, u, root topo.NodeID, dist map[topo.NodeID]int,
 	try := func(cs []cand) bool {
 		sort.Slice(cs, func(i, j int) bool { return cs[i].c < cs[j].c })
 		for _, cd := range cs {
-			dep, need := outDep(cd.v)
-			if need {
-				if _, routed := next[cd.v]; !routed {
-					continue // parent not yet routed
+			// Adopting v adds the dependency from cd.c to the channel v
+			// forwards on; the root forwards to the terminal, which adds
+			// none. An unrouted v has no channel yet, so the dependency
+			// could not be checked: skip it.
+			if cd.v != root {
+				dep, routed := next[cd.v]
+				if !routed {
+					continue
 				}
 				if !cdg.AddEdge(cd.c, dep) {
 					continue // would close a dependency cycle

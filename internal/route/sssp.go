@@ -1,8 +1,6 @@
 package route
 
 import (
-	"fmt"
-
 	"github.com/hpcsim/t2hx/internal/topo"
 )
 
@@ -145,47 +143,10 @@ func installLFT(t *Tables, lid LID, dstSw, dst topo.NodeID, sp *SPTree) {
 	}
 }
 
-// AssignVLs walks every (src, dst-LID) path and distributes them over
-// virtual lanes with acyclic per-lane CDGs (the DFSSSP deadlock-avoidance
-// pass, reused by PARX).
+// AssignVLs distributes every (src, dst-LID) path over virtual lanes with
+// acyclic per-lane CDGs (the DFSSSP deadlock-avoidance pass, reused by LASH
+// and PARX), walking each (source switch, destination LID) key once; see
+// assignLanes.
 func AssignVLs(t *Tables, maxVL int) error {
-	g := t.G
-	terms := g.Terminals()
-	span := 1 << t.LMC
-	type key struct {
-		src topo.NodeID
-		lid LID
-	}
-	var keys []key
-	var paths [][]topo.ChannelID
-	for _, src := range terms {
-		if g.SwitchOf(src) < 0 {
-			continue // detached source cannot inject traffic
-		}
-		for di, dst := range terms {
-			if src == dst || g.SwitchOf(dst) < 0 {
-				// Detached destinations have no LFT entries; their LIDs are
-				// unreachable, not deadlock-relevant.
-				continue
-			}
-			for off := 0; off < span; off++ {
-				lid := t.BaseLID[di] + LID(off)
-				p, err := t.Path(src, lid)
-				if err != nil {
-					return fmt.Errorf("route: VL assignment: %w", err)
-				}
-				keys = append(keys, key{src, lid})
-				paths = append(paths, p)
-			}
-		}
-	}
-	lanes, failed := AssignLayers(g, paths, maxVL, func(i, vl int) {
-		t.SetSL(keys[i].src, keys[i].lid, uint8(vl))
-	})
-	if failed >= 0 {
-		return fmt.Errorf("route: %s needs more than %d virtual lanes (failed at path %d of %d)",
-			t.Engine, maxVL, failed, len(paths))
-	}
-	t.NumVL = lanes
-	return nil
+	return assignLanes(t, maxVL, false)
 }

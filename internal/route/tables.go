@@ -259,6 +259,12 @@ const MaxHops = 64
 // returns the channel sequence, including the injection and delivery
 // channels. It returns an error on unreachable LIDs or forwarding loops.
 func (t *Tables) Path(src topo.NodeID, lid LID) ([]topo.ChannelID, error) {
+	return t.appendPath(nil, src, lid)
+}
+
+// appendPath is Path appending into buf[:0], so walks over many pairs can
+// reuse one buffer. On error it returns nil.
+func (t *Tables) appendPath(buf []topo.ChannelID, src topo.NodeID, lid LID) ([]topo.ChannelID, error) {
 	ownerIdx := t.OwnerOf(lid)
 	if ownerIdx < 0 {
 		return nil, fmt.Errorf("route: LID %d unassigned", lid)
@@ -268,7 +274,7 @@ func (t *Tables) Path(src topo.NodeID, lid LID) ([]topo.ChannelID, error) {
 		return nil, nil
 	}
 	g := t.G
-	var path []topo.ChannelID
+	path := buf[:0]
 	// Injection.
 	sw := g.SwitchOf(src)
 	if sw < 0 {

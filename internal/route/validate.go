@@ -24,49 +24,44 @@ type Report struct {
 
 // Validate walks every (src terminal, dst LID) pair through the forwarding
 // tables, checking reachability and loop-freedom, accumulating hop and
-// channel-load statistics, and re-verifying per-VL CDG acyclicity.
+// channel-load statistics, and checking that every virtual lane's CDG is
+// acyclic. Each (source switch, destination LID) key is walked once and
+// counted for each of its source terminals; SLs are checked per pair, and
+// each key's path is offered once to each lane its pairs use (see
+// laneCDGs), so the report is the pair walk's. On error the report is
+// incomplete.
 func Validate(t *Tables) (Report, error) {
 	g := t.G
-	terms := g.Terminals()
-	span := 1 << t.LMC
 	rep := Report{Engine: t.Engine, VLs: max(t.NumVL, 1)}
 	load := make([]int, 2*len(g.Links))
-	isSwitch := SwitchChannelPred(g)
-	layers := make([]*CDG, rep.VLs)
-	for i := range layers {
-		layers[i] = NewCDG()
-	}
+	lanes := newLaneCDGs(g, rep.VLs)
+	w := newKeyWalk(t, 1<<t.LMC, false)
+	// A detached source terminal reaches none of the other terminals' LIDs.
+	rep.Unreachable = (len(t.BaseLID) - w.attached) * (len(t.BaseLID) - 1) << t.LMC
 	totalHops := 0
-	for _, src := range terms {
-		for di, dst := range terms {
-			if src == dst {
-				continue
-			}
-			for off := 0; off < span; off++ {
-				lid := t.BaseLID[di] + LID(off)
-				p, err := t.Path(src, lid)
-				if err != nil {
-					rep.Unreachable++
-					continue
-				}
-				rep.Paths++
-				h := SwitchHops(p)
-				totalHops += h
-				if h > rep.MaxSwitchHops {
-					rep.MaxSwitchHops = h
-				}
-				for _, c := range p {
-					if isSwitch(c) {
-						load[c]++
-					}
-				}
-				vl := t.SL(src, lid)
-				if int(vl) >= len(layers) {
-					return rep, fmt.Errorf("route: SL %d beyond NumVL %d", vl, rep.VLs)
-				}
-				layers[vl].AddPath(p, isSwitch)
+	badPos, badSL := -1, uint8(0)
+	w.each(func(k *pathKey) {
+		if k.err != nil {
+			rep.Unreachable += k.pairs
+			return
+		}
+		rep.Paths += k.pairs
+		h := SwitchHops(k.path)
+		totalHops += h * k.pairs
+		if h > rep.MaxSwitchHops {
+			rep.MaxSwitchHops = h
+		}
+		for _, c := range k.path {
+			if lanes.isSwitch(c) {
+				load[c] += k.pairs
 			}
 		}
+		if pos, sl := lanes.add(w, k); pos >= 0 && (badPos < 0 || pos < badPos) {
+			badPos, badSL = pos, sl
+		}
+	})
+	if badPos >= 0 {
+		return rep, fmt.Errorf("route: SL %d beyond NumVL %d", badSL, rep.VLs)
 	}
 	for _, l := range load {
 		if l > rep.MaxChannelLoad {
@@ -76,12 +71,7 @@ func Validate(t *Tables) (Report, error) {
 	if rep.Paths > 0 {
 		rep.AvgSwitchHops = float64(totalHops) / float64(rep.Paths)
 	}
-	rep.DeadlockFree = true
-	for _, layer := range layers {
-		if !layer.Acyclic() {
-			rep.DeadlockFree = false
-		}
-	}
+	rep.DeadlockFree = !lanes.cyclic
 	return rep, nil
 }
 
@@ -91,22 +81,16 @@ func ChannelLoads(t *Tables) []int {
 	g := t.G
 	load := make([]int, 2*len(g.Links))
 	isSwitch := SwitchChannelPred(g)
-	for _, src := range g.Terminals() {
-		for di, dst := range g.Terminals() {
-			if src == dst {
-				continue
-			}
-			p, err := t.Path(src, t.BaseLID[di])
-			if err != nil {
-				continue
-			}
-			for _, c := range p {
-				if isSwitch(c) {
-					load[c]++
-				}
+	newKeyWalk(t, 1, false).each(func(k *pathKey) {
+		if k.err != nil {
+			return
+		}
+		for _, c := range k.path {
+			if isSwitch(c) {
+				load[c] += k.pairs
 			}
 		}
-	}
+	})
 	return load
 }
 
@@ -132,32 +116,15 @@ func DeadlockMargin(t *Tables, maxSamples int) float64 {
 		maxSamples = DefaultMarginSamples
 	}
 	g := t.G
-	terms := g.Terminals()
-	span := 1 << t.LMC
-	isSwitch := SwitchChannelPred(g)
-	layers := make([]*CDG, max(t.NumVL, 1))
-	for i := range layers {
-		layers[i] = NewCDG()
-	}
-	for _, src := range terms {
-		for di := range terms {
-			for off := 0; off < span; off++ {
-				lid := t.BaseLID[di] + LID(off)
-				if t.OwnerOf(lid) < 0 || terms[di] == src {
-					continue
-				}
-				p, err := t.Path(src, lid)
-				if err != nil {
-					continue // unreachable pairs contribute no dependencies
-				}
-				vl := int(t.SL(src, lid))
-				if vl >= len(layers) {
-					continue // Validate flags this; the margin just skips it
-				}
-				layers[vl].AddPath(p, isSwitch)
-			}
+	lanes := newLaneCDGs(g, max(t.NumVL, 1))
+	w := newKeyWalk(t, 1<<t.LMC, false)
+	w.each(func(k *pathKey) {
+		// Unreachable pairs contribute no dependencies. Pairs whose SL lies
+		// beyond NumVL are skipped: Validate flags them.
+		if k.err == nil {
+			lanes.add(w, k)
 		}
-	}
+	})
 	var cands [][2]topo.ChannelID
 	for _, b := range g.Switches() {
 		var ins, outs []topo.ChannelID
@@ -192,7 +159,7 @@ func DeadlockMargin(t *Tables, maxSamples int) float64 {
 		}
 	}
 	margin := 1.0
-	for _, lane := range layers {
+	for _, lane := range lanes.lanes {
 		absent, addable := 0, 0
 		for _, p := range sample {
 			if lane.HasEdge(p[0], p[1]) {
