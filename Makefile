@@ -2,7 +2,7 @@
 
 DATE := $(shell date +%F)
 
-.PHONY: all build test race vet check bench bench-check bench-solver bench-sweep bench-sweep-check bench-degraded bench-degraded-check bench-telemetry bench-telemetry-check bench-scale bench-scale-check bench-shard bench-shard-check bench-events bench-events-check
+.PHONY: all build test race vet fmt hxbench-test check bench bench-check bench-solver bench-sweep bench-sweep-check bench-degraded bench-degraded-check bench-telemetry bench-telemetry-check bench-scale bench-scale-check bench-shard bench-shard-check bench-events bench-events-check
 
 # BASELINE is the committed bench document bench-check compares against;
 # override with `make bench-check BASELINE=BENCH_....json`. The sweep-
@@ -51,11 +51,18 @@ test:
 vet:
 	go vet ./...
 
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+
+# hxbench is a nested module: the root ./... patterns do not reach it.
+hxbench-test:
+	cd hxbench && go vet ./... && go test ./...
+
 race:
 	go test -race ./internal/...
 	go test -race -tags flowref ./internal/flow/ ./internal/fabric/ ./internal/telemetry/
 
-check: vet build test race
+check: fmt vet build test hxbench-test race
 	go run ./cmd/topocheck -degrade -1 -seed 42
 
 # bench regenerates every figure/ablation benchmark once and records the

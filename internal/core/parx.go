@@ -66,7 +66,10 @@ func PARX(hx *topo.HyperX, cfg Config) (*route.Tables, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := route.NewTables(hx.Graph, "parx", LMC, policy)
+	t, err := route.NewTables(hx.Graph, "parx", LMC, policy)
+	if err != nil {
+		return nil, err
+	}
 
 	terms := hx.Terminals()
 	// Destination order: demand destinations first (Algorithm 1 optimizes

@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"errors"
 	"os"
 	"testing"
 
+	"github.com/hpcsim/t2hx/internal/route"
 	"github.com/hpcsim/t2hx/internal/sim"
 )
 
@@ -163,6 +165,14 @@ func TestRunScaleDeterministicAcrossSolverWorkers(t *testing.T) {
 func TestRunScaleRejectsUnknownRouting(t *testing.T) {
 	if _, err := RunScale(ScaleSpec{S: []int{2, 2}, T: 2, Routing: "parx", Messages: 1}); err == nil {
 		t.Fatal("unknown routing accepted")
+	}
+}
+
+// The default 12x8 lattice at T=683 has 65,568 terminals, more than the
+// 65,535 that LMC 0 can address: the run reports the LID-space error.
+func TestRunScaleRejectsLIDSpaceOverflow(t *testing.T) {
+	if _, err := RunScale(ScaleSpec{T: 683, Messages: 1}); !errors.Is(err, route.ErrLIDSpace) {
+		t.Fatalf("RunScale at T=683: %v, want route.ErrLIDSpace", err)
 	}
 }
 

@@ -28,6 +28,7 @@ var routeHotPathFiles = []string{
 	"validate.go",
 	"cdg.go",
 	"walk.go",
+	"livelinks.go",
 }
 
 func TestNoNodeIDMapsInHotPaths(t *testing.T) {

@@ -49,7 +49,6 @@ type spEntry struct {
 // kept by value in a manual binary heap — no per-item allocation, no
 // interface boxing — with lazy deletion via the done[] bitmap.
 type heapItem struct {
-	sw     topo.NodeID
 	swIdx  int32
 	hops   int32
 	seq    int32
@@ -144,22 +143,24 @@ func (t *SPTree) pop() heapItem {
 	return top
 }
 
-// ShortestPathsTo computes, for every switch, the next-hop channel toward
+// shortestPathsTo computes, for every switch, the next-hop channel toward
 // dstSwitch, minimizing (hop count, accumulated channel weight) with
-// deterministic tie-breaking. Links failing mask (or Down) are ignored.
-// Unreachable switches have hops < 0 in the result.
+// deterministic tie-breaking. It expands switches over the live-link index
+// ll, which must describe g's current Down flags; links failing mask are
+// ignored. Unreachable switches have hops < 0 in the result.
 //
 // This is the modified Dijkstra at the heart of (DF)SSSP and PARX: traffic
 // from switch u toward the destination uses channel u->parent(u), and the
-// weight consulted is that of the channel in travel direction. The caller
+// weight consulted is that of the channel in travel direction. Heap ties
+// break on push order, which follows the index's port order. The caller
 // owns the returned tree and must Release it.
-func ShortestPathsTo(g *topo.Graph, dstSwitch topo.NodeID, cw *ChannelWeights, mask LinkMask) *SPTree {
+func shortestPathsTo(g *topo.Graph, ll *liveLinks, dstSwitch topo.NodeID, cw *ChannelWeights, mask LinkMask) *SPTree {
 	t := newSPTree(g.NumSwitches())
 	var seq int32
 	dstIdx := int32(g.SwitchIndex(dstSwitch))
 	t.entries[dstIdx] = spEntry{hops: 0, weight: 0, next: NoChannel}
 	t.reached++
-	t.push(heapItem{sw: dstSwitch, swIdx: dstIdx})
+	t.push(heapItem{swIdx: dstIdx})
 	seq++
 	for len(t.heap) > 0 {
 		cur := t.pop()
@@ -167,20 +168,17 @@ func ShortestPathsTo(g *topo.Graph, dstSwitch topo.NodeID, cw *ChannelWeights, m
 			continue // lazy deletion: a better entry was already finalized
 		}
 		t.done[cur.swIdx] = true
-		// Expand neighbors u of cur: u would travel u->cur.sw.
-		for _, l := range g.Nodes[cur.sw].Ports {
-			if l == nil || l.Down {
+		// Expand neighbors u of cur: u would travel u->cur.
+		chs, tos := ll.of(int(cur.swIdx))
+		for i, c := range chs {
+			ui := tos[i]
+			if t.done[ui] {
 				continue
 			}
-			u := l.Other(cur.sw)
-			ui := g.SwitchIndex(u)
-			if ui < 0 || t.done[ui] {
+			if mask != nil && !mask(g.Link(c)) {
 				continue
 			}
-			if mask != nil && !mask(l) {
-				continue
-			}
-			ch := l.Channel(u) // channel in travel direction u -> cur.sw
+			ch := c ^ 1 // channel in travel direction u -> cur
 			nh := cur.hops + 1
 			nw := cur.weight + cw.Get(ch)
 			old := t.entries[ui]
@@ -189,7 +187,7 @@ func ShortestPathsTo(g *topo.Graph, dstSwitch topo.NodeID, cw *ChannelWeights, m
 					t.reached++
 				}
 				t.entries[ui] = spEntry{hops: nh, weight: nw, next: ch}
-				t.push(heapItem{sw: u, swIdx: int32(ui), hops: nh, weight: nw, seq: seq})
+				t.push(heapItem{swIdx: ui, hops: nh, weight: nw, seq: seq})
 				seq++
 			}
 		}

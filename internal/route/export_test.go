@@ -11,3 +11,14 @@ func (t *Tables) WithoutLanes() *Tables {
 	c.sl, c.NumVL = nil, 0
 	return c
 }
+
+// The engines before the live-link index (scan_ref_test.go), for the
+// equivalence tests of the external test package.
+var (
+	RefHXMin    = refHXMin
+	RefHXNonMin = refHXNonMin
+	RefSSSP     = refSSSP
+	RefDFSSSP   = refDFSSSP
+	RefLASH     = refLASH
+	RefSSSPCore = refSSSPCore
+)

@@ -15,7 +15,10 @@ import (
 // stays loop- and deadlock-free on degraded fabrics — though, as the paper
 // observes, less balanced than SSSP there.
 func FTree(ft *topo.FatTree, lmc uint8) (*Tables, error) {
-	t := newTables(ft.Graph, "ftree", lmc, nil)
+	t, err := newTables(ft.Graph, "ftree", lmc, nil)
+	if err != nil {
+		return nil, err
+	}
 	g := ft.Graph
 	span := 1 << lmc
 	terms := g.Terminals()

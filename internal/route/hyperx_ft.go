@@ -34,9 +34,14 @@ import (
 // result uses one virtual lane; the in-engine lane pass re-verifies the
 // deadlock argument and errors instead of returning an unsafe table.
 func HXMin(hx *topo.HyperX, lmc uint8) (*Tables, error) {
-	t := newTables(hx.Graph, "hxmin", lmc, nil)
+	t, err := newTables(hx.Graph, "hxmin", lmc, nil)
+	if err != nil {
+		return nil, err
+	}
 	g := hx.Graph
+	ll := newLiveLinks(g)
 	cw := NewChannelWeights(g)
+	buf := make([]int, hx.Dims())
 	span := 1 << lmc
 	for di, dst := range g.Terminals() {
 		dstSw := g.SwitchOf(dst)
@@ -47,19 +52,19 @@ func HXMin(hx *topo.HyperX, lmc uint8) (*Tables, error) {
 		for off := 0; off < span; off++ {
 			lid := t.BaseLID[di] + LID(off)
 			installHyperXDelivery(t, lid, dstSw, dst)
-			for _, s := range g.Switches() {
+			for si, s := range g.Switches() {
 				if s == dstSw {
 					continue
 				}
 				sc := hx.Coord(s)
 				d := lowestDiffDim(sc, dc)
-				v := lineNeighbor(hx, sc, d, dc[d])
-				if c := bestLiveChannel(g, cw, s, v); c != NoChannel {
+				vi := lineNeighbor(hx, buf, sc, d, dc[d])
+				if c := bestLiveChannel(ll, cw, si, vi); c != NoChannel {
 					t.SetNextHop(s, lid, c)
 					cw.Add(c, 1)
 					continue
 				}
-				if c, c2 := hxminEscape(hx, cw, s, v, sc[d], dc[d], d); c != NoChannel {
+				if c, c2 := hxminEscape(hx, ll, cw, buf, si, vi, sc, dc[d], d); c != NoChannel {
 					t.SetNextHop(s, lid, c)
 					cw.Add(c, 1)
 					cw.Add(c2, 1)
@@ -77,7 +82,9 @@ func HXMin(hx *topo.HyperX, lmc uint8) (*Tables, error) {
 }
 
 // hxminEscape picks the two-hop in-line detour s -> m -> v with the
-// low-coordinate restriction coord(m) < min(coord(s), coord(v)).
+// low-coordinate restriction coord(m) < min(coord(s), coord(v)), for
+// switch indexes si and vi, s's coordinates sc and v's coordinate dCoord
+// in dimension d.
 //
 // Deadlock argument: within one line, every dependency this rule creates
 // between channels (x->y) and (y->z) has coord(y) < coord(x). A dependency
@@ -90,19 +97,14 @@ func HXMin(hx *topo.HyperX, lmc uint8) (*Tables, error) {
 // It returns the first hop's channel and the second hop's channel (for
 // weight accounting), or NoChannel when no restricted intermediate has both
 // links live.
-func hxminEscape(hx *topo.HyperX, cw *ChannelWeights, s, v topo.NodeID, sCoord, dCoord, d int) (topo.ChannelID, topo.ChannelID) {
-	low := sCoord
-	if dCoord < low {
-		low = dCoord
-	}
-	sc := hx.Coord(s)
-	for m := low - 1; m >= 0; m-- {
-		mSw := lineNeighbor(hx, sc, d, m)
-		c1 := bestLiveChannel(hx.Graph, cw, s, mSw)
+func hxminEscape(hx *topo.HyperX, ll *liveLinks, cw *ChannelWeights, buf []int, si, vi int, sc []int, dCoord, d int) (topo.ChannelID, topo.ChannelID) {
+	for m := min(sc[d], dCoord) - 1; m >= 0; m-- {
+		mi := lineNeighbor(hx, buf, sc, d, m)
+		c1 := bestLiveChannel(ll, cw, si, mi)
 		if c1 == NoChannel {
 			continue
 		}
-		c2 := bestLiveChannel(hx.Graph, cw, mSw, v)
+		c2 := bestLiveChannel(ll, cw, mi, vi)
 		if c2 == NoChannel {
 			continue
 		}
@@ -119,48 +121,53 @@ func hxminEscape(hx *topo.HyperX, cw *ChannelWeights, s, v topo.NodeID, sCoord, 
 // per-lane CDGs; exceeding the budget is an error (the SM keeps the old
 // tables rather than accept a deadlock-prone sweep).
 func HXNonMin(hx *topo.HyperX, lmc uint8, maxVL int) (*Tables, error) {
-	t := newTables(hx.Graph, "hxnm", lmc, nil)
+	t, err := newTables(hx.Graph, "hxnm", lmc, nil)
+	if err != nil {
+		return nil, err
+	}
 	g := hx.Graph
+	ll := newLiveLinks(g)
 	cw := NewChannelWeights(g)
 	span := 1 << lmc
 	dist := make([]int32, g.NumSwitches())
-	queue := make([]topo.NodeID, 0, g.NumSwitches())
+	queue := make([]int32, 0, g.NumSwitches())
+	distOf := -1 // the destination switch index dist holds
 	for di, dst := range g.Terminals() {
 		dstSw := g.SwitchOf(dst)
 		if dstSw < 0 {
 			continue
 		}
 		dc := hx.Coord(dstSw)
-		// BFS hop distances toward dstSw over live switch links.
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[g.SwitchIndex(dstSw)] = 0
-		queue = append(queue[:0], dstSw)
-		for head := 0; head < len(queue); head++ {
-			cur := queue[head]
-			for _, l := range g.Nodes[cur].Ports {
-				if l == nil || l.Down {
-					continue
+		// BFS hop distances toward dstSw over live switch links. They
+		// depend on the destination switch alone, so consecutive
+		// terminals on one switch (all of a HyperX switch's terminals)
+		// share one BFS.
+		if dstIdx := g.SwitchIndex(dstSw); dstIdx != distOf {
+			distOf = dstIdx
+			for i := range dist {
+				dist[i] = -1
+			}
+			dist[dstIdx] = 0
+			queue = append(queue[:0], int32(dstIdx))
+			for head := 0; head < len(queue); head++ {
+				cur := queue[head]
+				_, tos := ll.of(int(cur))
+				for _, oi := range tos {
+					if dist[oi] < 0 {
+						dist[oi] = dist[cur] + 1
+						queue = append(queue, oi)
+					}
 				}
-				o := l.Other(cur)
-				oi := g.SwitchIndex(o)
-				if oi < 0 || dist[oi] >= 0 {
-					continue
-				}
-				dist[oi] = dist[g.SwitchIndex(cur)] + 1
-				queue = append(queue, o)
 			}
 		}
 		for off := 0; off < span; off++ {
 			lid := t.BaseLID[di] + LID(off)
 			installHyperXDelivery(t, lid, dstSw, dst)
-			for _, s := range g.Switches() {
-				si := g.SwitchIndex(s)
+			for si, s := range g.Switches() {
 				if s == dstSw || dist[si] < 0 {
 					continue // the destination, or a switch the fabric lost
 				}
-				c := hxnmNextHop(hx, cw, dist, s, dc)
+				c := hxnmNextHop(hx, ll, cw, dist, si, dc)
 				if c != NoChannel {
 					t.SetNextHop(s, lid, c)
 					cw.Add(c, 1)
@@ -175,32 +182,28 @@ func HXNonMin(hx *topo.HyperX, lmc uint8, maxVL int) (*Tables, error) {
 	return t, nil
 }
 
-// hxnmNextHop ranks s's live strictly-closer neighbors toward the
+// hxnmNextHop ranks switch si's live strictly-closer neighbors toward the
 // destination coordinates and returns the channel of the best one. Ranks,
 // best first: the minimal hop of the lowest uncorrected dimension; a
 // restricted low-coordinate escape in that dimension; any other hop in that
 // dimension; a minimal hop of a later dimension; anything else. Ties break
-// on channel weight, then channel ID — deterministic for a given build
-// order. Distance strictly decreases every hop, so the tables are loop-free
-// by construction.
-func hxnmNextHop(hx *topo.HyperX, cw *ChannelWeights, dist []int32, s topo.NodeID, dc []int) topo.ChannelID {
-	g := hx.Graph
-	si := g.SwitchIndex(s)
-	sc := hx.Coord(s)
+// on channel weight, then channel ID: a total order, so the pick does not
+// depend on the order the neighbors are visited in. Distance strictly
+// decreases every hop, so the tables are loop-free by construction.
+func hxnmNextHop(hx *topo.HyperX, ll *liveLinks, cw *ChannelWeights, dist []int32, si int, dc []int) topo.ChannelID {
+	sws := hx.Switches()
+	sc := hx.Coord(sws[si])
 	d := lowestDiffDim(sc, dc)
 	best := NoChannel
 	bestRank := 0
 	bestWeight := 0.0
-	for _, l := range g.Nodes[s].Ports {
-		if l == nil || l.Down {
+	chs, tos := ll.of(si)
+	for i, c := range chs {
+		wi := tos[i]
+		if dist[wi] != dist[si]-1 {
 			continue
 		}
-		w := l.Other(s)
-		wi := g.SwitchIndex(w)
-		if wi < 0 || dist[wi] != dist[si]-1 {
-			continue
-		}
-		wc := hx.Coord(w)
+		wc := hx.Coord(sws[wi])
 		dd := lowestDiffDim(sc, wc) // the single dimension the hop moves in
 		var rank int
 		switch {
@@ -215,7 +218,6 @@ func hxnmNextHop(hx *topo.HyperX, cw *ChannelWeights, dist []int32, s topo.NodeI
 		default:
 			rank = 4
 		}
-		c := l.Channel(s)
 		weight := cw.Get(c)
 		if best == NoChannel || rank < bestRank ||
 			(rank == bestRank && (weight < bestWeight || (weight == bestWeight && c < best))) {
@@ -247,26 +249,27 @@ func lowestDiffDim(a, b []int) int {
 	panic("route: identical coordinates")
 }
 
-// lineNeighbor returns the switch matching sc except for coordinate v in
-// dimension d.
-func lineNeighbor(hx *topo.HyperX, sc []int, d, v int) topo.NodeID {
-	c := make([]int, len(sc))
-	copy(c, sc)
-	c[d] = v
-	return hx.SwitchAt(c...)
+// lineNeighbor returns the switch index of the switch matching sc except
+// for coordinate v in dimension d, assembling the coordinates in buf.
+func lineNeighbor(hx *topo.HyperX, buf, sc []int, d, v int) int {
+	copy(buf, sc)
+	buf[d] = v
+	return hx.SwitchIndex(hx.SwitchAt(buf...))
 }
 
-// bestLiveChannel returns the lowest-(weight, ID) live channel from a to b,
-// or NoChannel. With K parallel links per dimension this is what spreads
-// destinations across the parallels.
-func bestLiveChannel(g *topo.Graph, cw *ChannelWeights, a, b topo.NodeID) topo.ChannelID {
+// bestLiveChannel returns the lowest-(weight, ID) live channel from switch
+// index a to switch index b, or NoChannel. With K parallel links per
+// dimension this is what spreads destinations across the parallels. It
+// reads a's live links from the index; (weight, ID) is a total order, so
+// the pick does not depend on the order they come in.
+func bestLiveChannel(ll *liveLinks, cw *ChannelWeights, a, b int) topo.ChannelID {
 	best := NoChannel
 	bestWeight := 0.0
-	for _, l := range g.Nodes[a].Ports {
-		if l == nil || l.Down || l.Other(a) != b {
+	chs, tos := ll.of(a)
+	for i, c := range chs {
+		if int(tos[i]) != b {
 			continue
 		}
-		c := l.Channel(a)
 		w := cw.Get(c)
 		if best == NoChannel || w < bestWeight || (w == bestWeight && c < best) {
 			best, bestWeight = c, w

@@ -157,7 +157,10 @@ func TestHXNonMinSurvivesHeavyDegradation(t *testing.T) {
 // routing saturates more of the dependency space.
 func TestDeadlockMarginOrdering(t *testing.T) {
 	hx := smallHX(t)
-	empty := newTables(hx.Graph, "none", 0, nil)
+	empty, err := newTables(hx.Graph, "none", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	empty.Freeze()
 	if m := DeadlockMargin(empty, 0); m != 1 {
 		t.Fatalf("empty routing margin %g, want 1", m)

@@ -12,20 +12,35 @@ import (
 // skips the edge-weight balancing, so it tends to pile paths onto few
 // channels — useful as a baseline for the balancing ablation.
 func LASH(g *topo.Graph, lmc uint8, maxVL int) (*Tables, error) {
-	t := newTables(g, "lash", lmc, nil)
-	// Static unit weights: pure min-hop with deterministic tie-breaks.
+	t, err := newTables(g, "lash", lmc, nil)
+	if err != nil {
+		return nil, err
+	}
+	// Static unit weights: pure min-hop with deterministic tie-breaks. The
+	// weights never change, so a shortest-path tree depends on the
+	// destination switch alone, and consecutive terminals on one switch
+	// share it.
+	ll := newLiveLinks(g)
 	cw := NewChannelWeights(g)
 	span := 1 << t.LMC
-	terms := g.Terminals()
-	for di, dst := range terms {
+	var sp *SPTree
+	spSw := topo.NodeID(-1)
+	for di, dst := range g.Terminals() {
 		dstSw := g.SwitchOf(dst)
 		if dstSw < 0 {
 			continue
 		}
-		sp := ShortestPathsTo(g, dstSw, cw, nil)
+		if dstSw != spSw {
+			if sp != nil {
+				sp.Release()
+			}
+			sp, spSw = shortestPathsTo(g, ll, dstSw, cw, nil), dstSw
+		}
 		for off := 0; off < span; off++ {
 			installLFT(t, t.BaseLID[di]+LID(off), dstSw, dst, sp)
 		}
+	}
+	if sp != nil {
 		sp.Release()
 	}
 	if err := AssignVLs(t, maxVL); err != nil {

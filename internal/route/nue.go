@@ -27,7 +27,10 @@ func Nue(g *topo.Graph, lmc uint8, nVL int) (*Tables, error) {
 	if nVL < 1 {
 		return nil, fmt.Errorf("route: Nue needs >= 1 virtual lane")
 	}
-	t := newTables(g, "nue", lmc, nil)
+	t, err := newTables(g, "nue", lmc, nil)
+	if err != nil {
+		return nil, err
+	}
 	span := 1 << t.LMC
 	terms := g.Terminals()
 	layers := make([]*CDG, nVL)

@@ -28,7 +28,10 @@ type SSSPOptions struct {
 // SSSP is oblivious to deadlocks (no virtual lanes) — fine on trees, unsafe
 // on a HyperX, which is exactly why the paper had to use DFSSSP there.
 func SSSP(g *topo.Graph, lmc uint8) (*Tables, error) {
-	t := newTables(g, "sssp", lmc, nil)
+	t, err := newTables(g, "sssp", lmc, nil)
+	if err != nil {
+		return nil, err
+	}
 	if err := SSSPCore(t, SSSPOptions{}); err != nil {
 		return nil, err
 	}
@@ -42,7 +45,10 @@ func SSSP(g *topo.Graph, lmc uint8) (*Tables, error) {
 // The paper's HyperX needs 3 VLs under DFSSSP (Sec. 4.4.3); maxVL bounds
 // the hardware limit (8 on their QDR gear).
 func DFSSSP(g *topo.Graph, lmc uint8, maxVL int) (*Tables, error) {
-	t := newTables(g, "dfsssp", lmc, nil)
+	t, err := newTables(g, "dfsssp", lmc, nil)
+	if err != nil {
+		return nil, err
+	}
 	if err := SSSPCore(t, SSSPOptions{}); err != nil {
 		return nil, err
 	}
@@ -53,8 +59,10 @@ func DFSSSP(g *topo.Graph, lmc uint8, maxVL int) (*Tables, error) {
 	return t, nil
 }
 
-// NewTables exposes table allocation for external engines (PARX).
-func NewTables(g *topo.Graph, engine string, lmc uint8, policy LIDPolicy) *Tables {
+// NewTables exposes table allocation for external engines (PARX). Like
+// every engine, it returns an error wrapping ErrLIDSpace when g has more
+// terminals than LMC lmc can address.
+func NewTables(g *topo.Graph, engine string, lmc uint8, policy LIDPolicy) (*Tables, error) {
 	return newTables(g, engine, lmc, policy)
 }
 
@@ -64,6 +72,7 @@ func NewTables(g *topo.Graph, engine string, lmc uint8, policy LIDPolicy) *Table
 // behaviour: "as if each virtual LID would be a physical endpoint").
 func SSSPCore(t *Tables, opts SSSPOptions) error {
 	g := t.G
+	ll := newLiveLinks(g)
 	cw := NewChannelWeights(g)
 	span := 1 << t.LMC
 	terms := g.Terminals()
@@ -89,13 +98,13 @@ func SSSPCore(t *Tables, opts SSSPOptions) error {
 			if opts.MaskFor != nil {
 				mask = opts.MaskFor(dst, uint8(off))
 			}
-			sp := ShortestPathsTo(g, dstSw, cw, mask)
+			sp := shortestPathsTo(g, ll, dstSw, cw, mask)
 			if mask != nil && sp.Reached() < g.NumSwitches() {
 				// The mask disconnected part of the fabric (PARX
 				// footnote 7); fall back to the unmasked graph for this
 				// LID to stay fault-tolerant.
 				sp.Release()
-				sp = ShortestPathsTo(g, dstSw, cw, nil)
+				sp = shortestPathsTo(g, ll, dstSw, cw, nil)
 			}
 			installLFT(t, lid, dstSw, dst, sp)
 			// Balancing: weight update per source path.

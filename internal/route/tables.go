@@ -21,6 +21,11 @@ import (
 // wrap it.
 var ErrNoRoute = errors.New("no route")
 
+// ErrLIDSpace marks table builds refused because the fabric has more
+// terminals than 16-bit LIDs can address at the requested LMC: at most
+// 65536>>lmc - 1 aligned, non-zero blocks of 2^lmc LIDs fit.
+var ErrLIDSpace = errors.New("LID space exhausted")
+
 // LID is an InfiniBand local identifier: the destination address forwarding
 // tables are keyed by. With LMC = l, a terminal port owns 2^l consecutive
 // LIDs, each routed independently by the subnet manager.
@@ -39,7 +44,8 @@ const MaxLMC = 4
 type LIDPolicy func(termIdx int, term topo.NodeID) LID
 
 // SequentialLIDs is the default policy: terminal i gets base LID
-// 1 + i*2^lmc... rounded up to alignment.
+// (i+1)*2^lmc. Tables refuse more terminals than fit below 65536
+// (ErrLIDSpace), so the base LIDs never wrap.
 func SequentialLIDs(lmc uint8) LIDPolicy {
 	span := LID(1) << lmc
 	return func(termIdx int, _ topo.NodeID) LID {
@@ -84,15 +90,21 @@ type Tables struct {
 	frozen bool
 }
 
-// newTables allocates tables for g with the given LID policy.
-func newTables(g *topo.Graph, engine string, lmc uint8, policy LIDPolicy) *Tables {
+// newTables allocates tables for g with the given LID policy. It returns an
+// error wrapping ErrLIDSpace when g has more terminals than the LID space
+// holds at lmc; a policy returning unaligned or duplicate LIDs panics.
+func newTables(g *topo.Graph, engine string, lmc uint8, policy LIDPolicy) (*Tables, error) {
 	if lmc > MaxLMC {
 		panic("route: LMC too large")
+	}
+	terms := g.Terminals()
+	if most := 65536>>lmc - 1; len(terms) > most {
+		return nil, fmt.Errorf("route: %s: %d terminals exceed the %d that LMC %d can address: %w",
+			engine, len(terms), most, lmc, ErrLIDSpace)
 	}
 	if policy == nil {
 		policy = SequentialLIDs(lmc)
 	}
-	terms := g.Terminals()
 	t := &Tables{
 		G:       g,
 		Engine:  engine,
@@ -130,7 +142,7 @@ func newTables(g *topo.Graph, engine string, lmc uint8, policy LIDPolicy) *Table
 		}
 		t.lft[i] = row
 	}
-	return t
+	return t, nil
 }
 
 // TermIndex returns the terminal index of a terminal node.

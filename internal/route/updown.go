@@ -16,7 +16,10 @@ import (
 // root. The paper cites it as the classic topology-agnostic deadlock-free
 // option next to DFSSSP, LASH and Nue.
 func UpDown(g *topo.Graph, lmc uint8) (*Tables, error) {
-	t := newTables(g, "updown", lmc, nil)
+	t, err := newTables(g, "updown", lmc, nil)
+	if err != nil {
+		return nil, err
+	}
 	switches := g.Switches()
 	if len(switches) == 0 {
 		return nil, fmt.Errorf("route: no switches")

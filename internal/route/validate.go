@@ -125,26 +125,18 @@ func DeadlockMargin(t *Tables, maxSamples int) float64 {
 			lanes.add(w, k)
 		}
 	})
+	// A switch's incoming live switch channels are its outgoing ones
+	// reversed, in the same port order.
+	ll := newLiveLinks(g)
 	var cands [][2]topo.ChannelID
-	for _, b := range g.Switches() {
-		var ins, outs []topo.ChannelID
-		for _, l := range g.Nodes[b].Ports {
-			if l == nil || l.Down {
-				continue
-			}
-			o := l.Other(b)
-			if g.Nodes[o].Kind != topo.Switch {
-				continue
-			}
-			ins = append(ins, l.Channel(o))
-			outs = append(outs, l.Channel(b))
-		}
-		for _, c1 := range ins {
+	for si := range g.Switches() {
+		outs, _ := ll.of(si)
+		for _, c1 := range outs {
 			for _, c2 := range outs {
-				if c1/2 == c2/2 {
+				if c1 == c2 {
 					continue // U-turn back over the same link
 				}
-				cands = append(cands, [2]topo.ChannelID{c1, c2})
+				cands = append(cands, [2]topo.ChannelID{c1 ^ 1, c2})
 			}
 		}
 	}

@@ -42,7 +42,7 @@ const (
 	// HistSubBits fixes the resolution: 2^6 = 64 sub-buckets per power of
 	// two, so any recorded tick is reproduced within a relative error of
 	// 2^-6 (plus at most half a tick of quantization).
-	HistSubBits = 6
+	HistSubBits  = 6
 	histSubCount = 1 << HistSubBits
 )
 

@@ -287,7 +287,7 @@ func TestStreamingMatchesBufferedSummary(t *testing.T) {
 		if d < 0 {
 			d = -d
 		}
-		return d/b <= 0.02 + 1e-9 // 2^-6 bucket + interpolation-vs-rank slack
+		return d/b <= 0.02+1e-9 // 2^-6 bucket + interpolation-vs-rank slack
 	}
 	if !relOK(float64(s.P50), float64(b.P50)) || !relOK(float64(s.P99), float64(b.P99)) {
 		t.Fatalf("percentiles outside bound: buffered p50=%v p99=%v, streaming p50=%v p99=%v",
