@@ -2,19 +2,18 @@
 
 DATE := $(shell date +%F)
 
-.PHONY: all build test race vet fmt hxbench-test check bench bench-check bench-solver bench-sweep bench-sweep-check bench-degraded bench-degraded-check bench-telemetry bench-telemetry-check bench-scale bench-scale-check bench-shard bench-shard-check bench-events bench-events-check
+.PHONY: all build test race vet fmt hxbench-test check bench bench-check bench-sweep bench-sweep-check bench-degraded bench-degraded-check bench-telemetry bench-telemetry-check bench-scale bench-scale-check bench-events bench-events-check
 
 # BASELINE is the committed bench document bench-check compares against;
 # override with `make bench-check BASELINE=BENCH_....json`. The sweep-
 # engine and degraded-sweep baselines live in their own BENCH_sweep_* /
 # BENCH_degraded_* documents (more iterations, different cadence) and must
 # not be picked up here.
-BASELINE := $(lastword $(sort $(filter-out BENCH_sweep_% BENCH_degraded_% BENCH_telemetry_% BENCH_scale_% BENCH_shard_% BENCH_events_%,$(wildcard BENCH_*.json))))
+BASELINE := $(lastword $(sort $(filter-out BENCH_sweep_% BENCH_degraded_% BENCH_telemetry_% BENCH_scale_% BENCH_events_%,$(wildcard BENCH_*.json))))
 SWEEPBASELINE := $(lastword $(sort $(wildcard BENCH_sweep_*.json)))
 DEGBASELINE := $(lastword $(sort $(wildcard BENCH_degraded_*.json)))
 TELBASELINE := $(lastword $(sort $(wildcard BENCH_telemetry_*.json)))
 SCALEBASELINE := $(lastword $(sort $(wildcard BENCH_scale_*.json)))
-SHARDBASELINE := $(lastword $(sort $(wildcard BENCH_shard_*.json)))
 EVENTSBASELINE := $(lastword $(sort $(wildcard BENCH_events_*.json)))
 
 # The sweep-engine benchmarks (parallel runner + table cache).
@@ -30,10 +29,6 @@ TELBENCH := BenchmarkExportStreaming
 # The flow-core scale benchmarks: lifecycle-churn allocation cost over the
 # arena/SoA flow table, and the windowed endurance loop end to end.
 SCALEBENCH := BenchmarkFlowChurn|BenchmarkScaleRun
-
-# The sharded-solver benchmark: component re-solve flows/s at 1/2/4/8
-# workers over the 100k-flow churn workload.
-SHARDBENCH := BenchmarkSolverShard
 
 # The event-core benchmarks: steady-state arena churn (the 0 allocs/op
 # contract) and the instrumented-vs-detached endurance loop.
@@ -60,10 +55,10 @@ hxbench-test:
 
 race:
 	go test -race ./internal/...
-	go test -race -tags flowref ./internal/flow/ ./internal/fabric/ ./internal/telemetry/
 
 check: fmt vet build test hxbench-test race
 	go run ./cmd/topocheck -degrade -1 -seed 42
+	go run ./cmd/topocheck -planes ft:ftree,hyperx:parx
 
 # bench regenerates every figure/ablation benchmark once and records the
 # machine-readable baseline as BENCH_<date>.json (committed per PR so
@@ -77,12 +72,6 @@ bench:
 # (not failing) on >10% regressions.
 bench-check:
 	go test -run xxx -bench . -benchtime 1x . | go run ./cmd/benchjson -baseline $(BASELINE) > /dev/null
-
-# bench-solver reruns only the flow-solver churn microbench with enough
-# iterations for stable flows/s numbers — the 1x figures from bench are
-# too noisy to compare solvers on. Use this when touching internal/flow.
-bench-solver:
-	go test -run xxx -bench BenchmarkSolverChurn -benchtime 100x .
 
 # bench-sweep records the sweep-engine baseline: parallel-runner cells/s
 # at -j1 vs -j8 and table builds/s cold vs cached, with enough iterations
@@ -149,26 +138,6 @@ bench-scale:
 bench-scale-check:
 	go test -run xxx -bench '$(SCALEBENCH)' -benchtime 50x -benchmem . \
 		| go run ./cmd/benchjson -filter 'FlowChurn|ScaleRun' -baseline $(SCALEBASELINE) > /dev/null
-
-# bench-shard records the sharded-solver baseline: component re-solve
-# flows/s at -solver-j 1/2/4/8 on the 100k-flow churn workload, for the
-# multi-component "local" shape (what sharding parallelizes) and the
-# one-spanning-component "uniform" degenerate case (which must read flat
-# at every j). Committed as BENCH_shard_<date>.json.
-# NOTE: like bench-sweep, the j>1 speedup scales with host cores; on a
-# 1-CPU runner every j reads ~1x by construction, so compare speedups only
-# across same-shaped machines.
-bench-shard:
-	go test -run xxx -bench '$(SHARDBENCH)' -benchtime 20x . \
-		| go run ./cmd/benchjson -filter 'SolverShard' -out BENCH_shard_$(DATE).json
-	@echo "shard baseline written to BENCH_shard_$(DATE).json"
-
-# bench-shard-check reruns the sharded-solver benchmark and compares its
-# flows/s metrics against the newest committed shard baseline (warn-only,
-# like bench-check).
-bench-shard-check:
-	go test -run xxx -bench '$(SHARDBENCH)' -benchtime 20x . \
-		| go run ./cmd/benchjson -filter 'SolverShard' -baseline $(SHARDBASELINE) > /dev/null
 
 # bench-events records the event-core baseline: steady-state event churn
 # (the allocs/op column MUST read 0 — the generation-tagged arena contract)

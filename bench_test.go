@@ -593,10 +593,10 @@ func BenchmarkDegradedTables(b *testing.B) {
 //     adjacent-switch pairs (3-channel paths: inject, direct link,
 //     deliver), so the contention graph splits into 12 independent
 //     components and a churned flow dirties only its own — the shape the
-//     incremental solver's region recompute is built for.
+//     solver's dirty-region recompute is built for.
 //   - "uniform": DFSSSP-routed paths between scattered terminal pairs,
-//     one network-spanning component — the incremental solver's worst
-//     case, degenerating into a heap-driven full solve.
+//     one network-spanning component — the solver's worst case,
+//     degenerating into a heap-driven full solve.
 func solverChurnPaths(b *testing.B, hx *topo.HyperX, pattern string, nflows int) [][]topo.ChannelID {
 	b.Helper()
 	g := hx.Graph
@@ -652,121 +652,16 @@ func solverChurnPaths(b *testing.B, hx *topo.HyperX, pattern string, nflows int)
 	return paths
 }
 
-// BenchmarkSolverChurn measures steady-state solver throughput: with N
-// long-lived concurrent flows, each op cancels one flow, starts a
-// replacement on the same path, and settles the rates. The flows/s metric
-// is the churn events absorbed per second. The reference solver is
-// skipped at 100k flows: its per-Start advanceAll makes even the harness
-// setup quadratic there, which is the point of the incremental solver.
-func BenchmarkSolverChurn(b *testing.B) {
-	for _, pattern := range []string{"local", "uniform"} {
-		pattern := pattern
-		b.Run(pattern, func(b *testing.B) {
-			for _, nflows := range []int{1000, 10000, 100000} {
-				nflows := nflows
-				b.Run(fmt.Sprintf("flows=%d", nflows), func(b *testing.B) {
-					solvers := []struct {
-						name string
-						s    flow.Solver
-					}{{"incremental", flow.SolverIncremental}}
-					if nflows <= 10000 {
-						solvers = append(solvers, struct {
-							name string
-							s    flow.Solver
-						}{"reference", flow.SolverReference})
-					}
-					for _, sv := range solvers {
-						sv := sv
-						b.Run(sv.name, func(b *testing.B) {
-							hx := benchHX()
-							paths := solverChurnPaths(b, hx, pattern, nflows)
-							eng := sim.NewEngine()
-							net := flow.NewNetwork(eng, hx.Graph)
-							net.SetSolver(sv.s)
-							ids := make([]flow.FlowID, nflows)
-							for i, p := range paths {
-								// Effectively-infinite sizes: nothing
-								// completes, so every op measures pure
-								// cancel+start+settle churn.
-								ids[i] = net.Start(p, 1e15, func(sim.Time) {})
-							}
-							eng.RunUntil(0)
-							b.ResetTimer()
-							for i := 0; i < b.N; i++ {
-								k := i % nflows
-								net.Cancel(ids[k])
-								ids[k] = net.Start(paths[k], 1e15, func(sim.Time) {})
-								eng.RunUntil(0)
-							}
-							b.StopTimer()
-							b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "flows/s")
-						})
-					}
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkSolverShard measures the sharded component re-solve (DESIGN.md
-// §12) at the 100k-flow churn workload across worker counts. The "local"
-// pattern is the shard-friendly shape: its flows split across 12 disjoint
-// switch-pair contention components, and each op churns one flow in every
-// component before a single settle, so the settle re-solves 12 independent
-// components — exactly what SetWorkers parallelizes. The "uniform" pattern
-// is the documented degenerate case: DFSSSP all-to-all traffic couples the
-// whole network into one spanning component, so worker counts cannot
-// change anything there (the pool is never even invoked) and its j-variants
-// should read flat. flows/s counts churned flows. Note 1-CPU runners read
-// ~1x at every j by construction, like bench-sweep.
-func BenchmarkSolverShard(b *testing.B) {
-	const nflows = 100000
-	for _, pattern := range []string{"local", "uniform"} {
-		pattern := pattern
-		b.Run(pattern, func(b *testing.B) {
-			for _, workers := range []int{1, 2, 4, 8} {
-				workers := workers
-				b.Run(fmt.Sprintf("flows=%d/j=%d", nflows, workers), func(b *testing.B) {
-					hx := benchHX()
-					paths := solverChurnPaths(b, hx, pattern, nflows)
-					eng := sim.NewEngine()
-					net := flow.NewNetwork(eng, hx.Graph)
-					net.SetWorkers(workers)
-					ids := make([]flow.FlowID, nflows)
-					for i, p := range paths {
-						ids[i] = net.Start(p, 1e15, func(sim.Time) {})
-					}
-					eng.RunUntil(0)
-					// Churn one flow per local component per op: paths cycle
-					// through the 12 pairs, so 12 consecutive indices touch 12
-					// distinct components.
-					const batch = 12
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						for k := 0; k < batch; k++ {
-							f := (i*batch + k) % nflows
-							net.Cancel(ids[f])
-							ids[f] = net.Start(paths[f], 1e15, func(sim.Time) {})
-						}
-						eng.RunUntil(0)
-					}
-					b.StopTimer()
-					b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "flows/s")
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkFlowChurn measures the allocation cost of flow lifecycle churn:
-// with N long-lived concurrent flows resident, each op cancels one flow and
-// starts a replacement on the same path. Unlike BenchmarkSolverChurn (which
-// reports solver throughput), this bench runs with -benchmem semantics
-// (ReportAllocs) so B/op and allocs/op expose the per-flow storage layout:
-// the arena/SoA flow table must hold steady-state churn near zero
-// allocations per op, where the pointer-per-flow layout paid a *Flow box
-// plus Path/pos slice headers for every Start. Peak RSS and heap/GC
-// metrics ride along in the bench JSON via prof.ReportRuntimeMetrics.
+// BenchmarkFlowChurn measures steady-state solver throughput and the
+// allocation cost of flow lifecycle churn: with N long-lived concurrent
+// flows resident, each op cancels one flow, starts a replacement on the
+// same path and settles the rates. flows/s is the churn events absorbed
+// per second; ReportAllocs makes B/op and allocs/op expose the per-flow
+// storage layout: the arena/SoA flow table must hold steady-state churn
+// near zero allocations per op, where the pointer-per-flow layout paid a
+// *Flow box plus Path/pos slice headers for every Start. Peak RSS and
+// heap/GC metrics ride along in the bench JSON via
+// prof.ReportRuntimeMetrics.
 func BenchmarkFlowChurn(b *testing.B) {
 	for _, pattern := range []string{"local", "uniform"} {
 		pattern := pattern
@@ -778,7 +673,6 @@ func BenchmarkFlowChurn(b *testing.B) {
 					paths := solverChurnPaths(b, hx, pattern, nflows)
 					eng := sim.NewEngine()
 					net := flow.NewNetwork(eng, hx.Graph)
-					net.SetSolver(flow.SolverIncremental)
 					ids := make([]flow.FlowID, nflows)
 					for i, p := range paths {
 						ids[i] = net.Start(p, 1e15, func(sim.Time) {})

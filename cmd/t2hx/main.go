@@ -119,7 +119,6 @@ func main() {
 	scaleT := flag.Int("scale-t", 0, "with -scale: terminals per switch (0 = 342)")
 	scaleMsgs := flag.Uint64("scale-msgs", 0, "with -scale: delivered-message budget (0 = 1e6)")
 	scaleWindow := flag.Int("scale-window", 0, "with -scale: in-flight message window (0 = 256)")
-	solverJ := flag.Int("solver-j", 0, "with -scale: flow-solver shard workers (0 = sequential, -1 = GOMAXPROCS); results are bit-identical at any setting")
 	enginesF := flag.String("engines", "hxmin,hxnm", "with -degraded: comma-separated HyperX routing engines to compare")
 	countsF := flag.String("counts", "", "with -degraded: comma-separated failure counts (default 0,15,30,60,90; small planes 0,3,6,9,12)")
 	variants := flag.Int("variants", 25, "with -degraded: seeded degradation variants per cell")
@@ -187,7 +186,6 @@ func main() {
 		runScale(scaleCLI{
 			t: *scaleT, msgs: *scaleMsgs, window: *scaleWindow,
 			size: msgBytes, routing: *routing, seed: *seed,
-			solverJ: *solverJ,
 		})
 		return
 	}
@@ -948,7 +946,6 @@ type scaleCLI struct {
 	size    int64
 	routing string
 	seed    uint64
-	solverJ int
 }
 
 // runScale is the -scale mode: the 32k-terminal endurance configuration
@@ -959,7 +956,6 @@ func runScale(cli scaleCLI) {
 	spec := exp.ScaleSpec{
 		T: cli.t, Messages: cli.msgs, Window: cli.window,
 		MsgBytes: cli.size, Routing: cli.routing, Seed: cli.seed,
-		SolverWorkers: cli.solverJ,
 		Progress: func(delivered uint64, now sim.Time, events uint64) {
 			wall := time.Since(start)
 			evps := 0.0
@@ -978,10 +974,10 @@ func runScale(cli scaleCLI) {
 	fmt.Printf("scale run: %d terminals over %d switches\n", res.Terminals, res.Switches)
 	fmt.Printf("delivered %d messages (%.2f GiB) in %.3f simulated s\n",
 		res.Delivered, res.DeliveredBytes/(1<<30), float64(res.SimElapsed))
-	fmt.Printf("build %s | run %s (%.0f msgs/s, %.0f events/s) | %d events | %d flow recomputes | solver-j %d\n",
+	fmt.Printf("build %s | run %s (%.0f msgs/s, %.0f events/s) | %d events | %d flow recomputes\n",
 		res.BuildWall.Round(time.Millisecond), res.RunWall.Round(time.Millisecond),
 		float64(res.Delivered)/res.RunWall.Seconds(), float64(res.Events)/res.RunWall.Seconds(),
-		res.Events, res.Recomputes, res.SolverWorkers)
+		res.Events, res.Recomputes)
 	if res.PeakRSSBytes > 0 {
 		fmt.Printf("peak RSS %.1f MiB\n", float64(res.PeakRSSBytes)/(1<<20))
 	}

@@ -29,12 +29,14 @@ type ScaleSpec struct {
 	// minimal HyperX engine keeps table-build time linear in terminals.
 	Routing string
 	// Window is the number of concurrently in-flight messages; 0 selects
-	// 256. Each delivery immediately launches the next message, so the
-	// window stays full until the budget runs out.
+	// 256 and a negative window is an error. Each delivery immediately
+	// launches the next message, so the window stays full until the budget
+	// runs out.
 	Window int
 	// Messages is the delivered-message budget; 0 selects 1_000_000.
 	Messages uint64
-	// MsgBytes is the payload per message; 0 selects 64 KiB.
+	// MsgBytes is the payload per message; 0 selects 64 KiB and a
+	// negative size is an error.
 	MsgBytes int64
 	// Strides is the number of distinct source-to-destination index
 	// offsets the generator cycles through; 0 selects 8. Bounding the
@@ -44,11 +46,6 @@ type ScaleSpec struct {
 	// Seed drives nothing today (the generator is fully deterministic) but
 	// is threaded into the fabric's PML randomness.
 	Seed uint64
-	// SolverWorkers bounds the flow solver's per-component shard
-	// parallelism (flow.Network.SetWorkers, DESIGN.md §12). 0 keeps the
-	// solver sequential; negative selects GOMAXPROCS. The run's results
-	// are bit-identical at every setting — only wall time changes.
-	SolverWorkers int
 	// Instrumented attaches the full observability stack — IB-style
 	// channel counters, per-message FCT records, the engine queue-depth
 	// probe and a streaming sink — exactly as a counter-reading experiment
@@ -82,9 +79,6 @@ type ScaleResult struct {
 	// Events is the engine's executed-event count — with RunWall, the
 	// events/s throughput of the event core itself.
 	Events uint64
-	// SolverWorkers is the effective flow-solver shard parallelism the run
-	// used (after GOMAXPROCS resolution); 1 means fully sequential.
-	SolverWorkers int
 	// PeakRSSBytes is the process high-water RSS after the run (0 where
 	// the platform cannot report it). Note it is process-wide: under `go
 	// test` it includes whatever earlier tests peaked at.
@@ -121,6 +115,12 @@ func scaleStrides(n, count int) ([]int, error) {
 // RunScale builds the lattice and runs the windowed message loop until the
 // delivery budget is met.
 func RunScale(spec ScaleSpec) (*ScaleResult, error) {
+	if spec.Window < 0 {
+		return nil, fmt.Errorf("exp: scale run Window must not be negative, got %d", spec.Window)
+	}
+	if spec.MsgBytes < 0 {
+		return nil, fmt.Errorf("exp: scale run MsgBytes must not be negative, got %d", spec.MsgBytes)
+	}
 	if spec.S == nil {
 		spec.S = []int{12, 8}
 	}
@@ -167,9 +167,7 @@ func RunScale(spec ScaleSpec) (*ScaleResult, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	params := fabric.DefaultParams()
-	params.SolverWorkers = spec.SolverWorkers
-	f := fabric.New(eng, tb, params, spec.Seed)
+	f := fabric.New(eng, tb, fabric.DefaultParams(), spec.Seed)
 	var col *telemetry.Collector
 	var sink *telemetry.CountSink
 	if spec.Instrumented {
@@ -182,10 +180,9 @@ func RunScale(spec ScaleSpec) (*ScaleResult, error) {
 		f.AttachTelemetry(col)
 	}
 	res := &ScaleResult{
-		Terminals:     hx.Graph.NumTerminals(),
-		Switches:      hx.Graph.NumSwitches(),
-		BuildWall:     time.Since(buildStart),
-		SolverWorkers: f.Net.Workers(),
+		Terminals: hx.Graph.NumTerminals(),
+		Switches:  hx.Graph.NumSwitches(),
+		BuildWall: time.Since(buildStart),
 	}
 
 	terms := hx.Graph.Terminals()

@@ -3,6 +3,7 @@ package exp
 import (
 	"errors"
 	"os"
+	"strings"
 	"testing"
 
 	"github.com/hpcsim/t2hx/internal/route"
@@ -123,41 +124,25 @@ func TestScaleProgressNoDuplicateFinal(t *testing.T) {
 	}
 }
 
-// TestRunScaleDeterministicAcrossSolverWorkers holds the endurance loop
-// to the shard determinism contract end to end: the simulated clock,
-// delivery counts and recompute counts must be identical at any
-// -solver-j, mirroring the flow-level TestShardDeterminism.
-func TestRunScaleDeterministicAcrossSolverWorkers(t *testing.T) {
-	run := func(j int) *ScaleResult {
-		res, err := RunScale(ScaleSpec{
-			S: []int{4, 4}, T: 4,
-			Window: 256, Messages: 3000, MsgBytes: 64 * 1024,
-			Strides: 6, Seed: 7, SolverWorkers: j,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+// TestRunScaleRejectsNegativeInputs: a negative window or message size is
+// an error that names the field, instead of a run that stalls with nothing
+// in flight or "delivers" negative bytes. The shape cannot be built, so a
+// check that ran after the lattice build would report the shape instead.
+func TestRunScaleRejectsNegativeInputs(t *testing.T) {
+	cases := []struct {
+		spec  ScaleSpec
+		field string
+	}{
+		{ScaleSpec{S: []int{1}, Window: -3, Messages: 10}, "Window"},
+		{ScaleSpec{S: []int{1}, MsgBytes: -5, Messages: 10}, "MsgBytes"},
 	}
-	base := run(0)
-	if base.SolverWorkers != 1 {
-		t.Errorf("SolverWorkers=0 resolved to %d, want sequential 1", base.SolverWorkers)
-	}
-	for _, j := range []int{2, 8} {
-		got := run(j)
-		if got.SolverWorkers != j {
-			t.Errorf("solver-j %d: result reports %d workers", j, got.SolverWorkers)
+	for _, c := range cases {
+		res, err := RunScale(c.spec)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: RunScale returned %v, want an error naming %s", c.field, err, c.field)
 		}
-		if got.SimElapsed != base.SimElapsed {
-			t.Errorf("solver-j %d: SimElapsed %v vs %v (not bit-identical)",
-				j, got.SimElapsed, base.SimElapsed)
-		}
-		if got.Delivered != base.Delivered || got.DeliveredBytes != base.DeliveredBytes {
-			t.Errorf("solver-j %d: delivered %d/%g vs %d/%g",
-				j, got.Delivered, got.DeliveredBytes, base.Delivered, base.DeliveredBytes)
-		}
-		if got.Recomputes != base.Recomputes {
-			t.Errorf("solver-j %d: %d recomputes vs %d", j, got.Recomputes, base.Recomputes)
+		if res != nil {
+			t.Errorf("%s: RunScale returned a result alongside the error", c.field)
 		}
 	}
 }

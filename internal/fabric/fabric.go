@@ -47,11 +47,6 @@ type Params struct {
 	// PCIe-gen2/HCA bottleneck of the QDR generation). 0 selects the
 	// default; negative disables the cap.
 	NodeBandwidth float64
-	// SolverWorkers bounds the flow solver's per-component shard
-	// parallelism (flow.Network.SetWorkers, DESIGN.md §12). 0, the
-	// default, keeps the solver sequential; negative selects GOMAXPROCS.
-	// Rates are bit-identical at every setting.
-	SolverWorkers int
 }
 
 // DefaultNodeBandwidth reflects a ConnectX-2-era HCA behind PCIe gen2 x8:
@@ -152,11 +147,6 @@ func New(eng *sim.Engine, t *route.Tables, p Params, seed uint64) *Fabric {
 	}
 	if nb > 0 {
 		f.nodeChan0 = f.Net.AddNodeChannels(t.G.NumTerminals(), nb)
-	}
-	if p.SolverWorkers > 0 {
-		f.Net.SetWorkers(p.SolverWorkers)
-	} else if p.SolverWorkers < 0 {
-		f.Net.SetWorkers(0) // GOMAXPROCS
 	}
 	return f
 }

@@ -122,17 +122,6 @@ func (mf *MultiFabric) SetPlaneHealth(p int, healthy bool) { mf.healthy[p] = hea
 // PlaneHealthy reports plane p's advisory health (planes start healthy).
 func (mf *MultiFabric) PlaneHealthy(p int) bool { return mf.healthy[p] }
 
-// SetSolverWorkers bounds every plane's flow-solver shard parallelism
-// (flow.Network.SetWorkers); j <= 0 selects GOMAXPROCS. Planes share no
-// channels, so each plane's contention graph is its own set of components
-// and per-plane re-rates parallelize for free; within a plane the solver
-// further shards by component. Rates stay bit-identical at any setting.
-func (mf *MultiFabric) SetSolverWorkers(j int) {
-	for _, f := range mf.planes {
-		f.Net.SetWorkers(j)
-	}
-}
-
 // termIndex resolves a primary-plane terminal ID to its machine-wide
 // terminal index.
 func (mf *MultiFabric) termIndex(n topo.NodeID) int {

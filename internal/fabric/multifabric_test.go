@@ -38,39 +38,6 @@ func fixturePair(mf *MultiFabric) (topo.NodeID, topo.NodeID) {
 	return terms[0], terms[len(terms)-1]
 }
 
-// TestSolverWorkersThreaded checks the shard-parallelism knob's plumbing:
-// Params.SolverWorkers reaches the plane's flow network at construction,
-// and MultiFabric.SetSolverWorkers fans the setting out to every plane.
-func TestSolverWorkersThreaded(t *testing.T) {
-	hx := topo.NewHyperX(topo.HyperXConfig{
-		S: []int{2, 2}, T: 2, Bandwidth: 1e9, Latency: 100 * sim.Nanosecond,
-	})
-	tb, err := route.SSSP(hx.Graph, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := DefaultParams()
-	if f := New(sim.NewEngine(), tb, p, 1); f.Net.Workers() != 1 {
-		t.Errorf("default Params left solver at %d workers, want sequential 1", f.Net.Workers())
-	}
-	p.SolverWorkers = 4
-	if f := New(sim.NewEngine(), tb, p, 1); f.Net.Workers() != 4 {
-		t.Errorf("SolverWorkers=4 reached the flow net as %d", f.Net.Workers())
-	}
-	p.SolverWorkers = -1
-	if f := New(sim.NewEngine(), tb, p, 1); f.Net.Workers() < 1 {
-		t.Errorf("SolverWorkers=-1 resolved to %d, want GOMAXPROCS >= 1", f.Net.Workers())
-	}
-
-	mf, _ := twoPlaneFixture(t, nil)
-	mf.SetSolverWorkers(3)
-	for pl := 0; pl < mf.NumPlanes(); pl++ {
-		if got := mf.Plane(pl).Net.Workers(); got != 3 {
-			t.Errorf("plane %d at %d workers after SetSolverWorkers(3)", pl, got)
-		}
-	}
-}
-
 func TestNewMultiRejectsMismatchedPlanes(t *testing.T) {
 	hx := topo.NewHyperX(topo.HyperXConfig{S: []int{4, 4}, T: 2, Bandwidth: 1e9, Latency: 1e-7})
 	tb, err := route.SSSP(hx.Graph, 0)

@@ -9,20 +9,16 @@ import (
 	"github.com/hpcsim/t2hx/internal/topo"
 )
 
-// forEachSolver runs a subtest under both rate solvers; the Cancel
-// semantics and counter integrals under test are solver-independent.
-func forEachSolver(t *testing.T, fn func(t *testing.T, s Solver)) {
-	t.Run("incremental", func(t *testing.T) { fn(t, SolverIncremental) })
-	t.Run("reference", func(t *testing.T) { fn(t, SolverReference) })
-}
+// The Cancel and handle tests here and in handle_test.go run their body
+// as an "incremental" subtest, named for the incremental max-min solver
+// that allocates the rates.
 
 // countersNet builds a counter-attached network over the 3-channel line
 // graph at 1000 B/s.
-func countersNet(s Solver) (*sim.Engine, *Network, *telemetry.ChannelCounters, []topo.ChannelID) {
+func countersNet() (*sim.Engine, *Network, *telemetry.ChannelCounters, []topo.ChannelID) {
 	g, fwd, _ := lineGraph(1000)
 	e := sim.NewEngine()
 	n := NewNetwork(e, g)
-	n.SetSolver(s)
 	cc := telemetry.NewChannelCounters(g)
 	n.SetCounters(cc)
 	return e, n, cc, fwd
@@ -39,8 +35,8 @@ func totalWait(cc *telemetry.ChannelCounters) sim.Duration {
 // A cancelled flow credits exactly the bytes it moved before teardown —
 // no more, no less — to every channel on its path.
 func TestCancelCreditsPartialBytes(t *testing.T) {
-	forEachSolver(t, func(t *testing.T, s Solver) {
-		e, n, cc, fwd := countersNet(s)
+	t.Run("incremental", func(t *testing.T) {
+		e, n, cc, fwd := countersNet()
 		var doneA sim.Time = -1
 		n.Start(fwd, 1000, func(at sim.Time) { doneA = at })
 		idB := n.Start(fwd, 1e9, func(sim.Time) { t.Error("cancelled flow fired") })
@@ -76,8 +72,8 @@ func TestCancelCreditsPartialBytes(t *testing.T) {
 // the flow started in the same event, and conservation must hold across
 // the splice.
 func TestCancelStartSameInstant(t *testing.T) {
-	forEachSolver(t, func(t *testing.T, s Solver) {
-		e, n, cc, fwd := countersNet(s)
+	t.Run("incremental", func(t *testing.T) {
+		e, n, cc, fwd := countersNet()
 		var doneA, doneC sim.Time = -1, -1
 		n.Start(fwd, 1000, func(at sim.Time) { doneA = at })
 		idB := n.Start(fwd, 1e9, func(sim.Time) { t.Error("cancelled flow fired") })
@@ -102,8 +98,8 @@ func TestCancelStartSameInstant(t *testing.T) {
 // completion event: the flow is fully integrated (its bytes stay
 // credited) but its callback must not fire — Cancel wins the race.
 func TestCancelSameInstantAsCompletion(t *testing.T) {
-	forEachSolver(t, func(t *testing.T, s Solver) {
-		e, n, cc, fwd := countersNet(s)
+	t.Run("incremental", func(t *testing.T) {
+		e, n, cc, fwd := countersNet()
 		var doneA sim.Time = -1
 		n.Start(fwd, 500, func(at sim.Time) { doneA = at })
 		idB := n.Start(fwd, 500, func(sim.Time) { t.Error("cancelled flow fired") })
@@ -131,11 +127,10 @@ func TestCancelSameInstantAsCompletion(t *testing.T) {
 // old behaviour where zero-size Starts returned the sentinel ID 0 and
 // their callbacks fired unconditionally.
 func TestCancelZeroSizeFlow(t *testing.T) {
-	forEachSolver(t, func(t *testing.T, s Solver) {
+	t.Run("incremental", func(t *testing.T) {
 		g, _, _ := lineGraph(1000)
 		e := sim.NewEngine()
 		n := NewNetwork(e, g)
-		n.SetSolver(s)
 		id := n.Start(nil, 0, func(sim.Time) { t.Error("cancelled zero-size flow fired") })
 		if id == 0 {
 			t.Fatal("zero-size Start returned the sentinel ID 0")

@@ -16,11 +16,10 @@ import (
 // recycles the slot (LIFO free list) under a strictly newer generation,
 // so the two handles never compare equal.
 func TestHandleReuseBumpsGeneration(t *testing.T) {
-	forEachSolver(t, func(t *testing.T, s Solver) {
+	t.Run("incremental", func(t *testing.T) {
 		g, fwd, _ := lineGraph(1000)
 		e := sim.NewEngine()
 		n := NewNetwork(e, g)
-		n.SetSolver(s)
 		idA := n.Start(fwd, 100, func(sim.Time) {})
 		n.Cancel(idA)
 		idB := n.Start(fwd, 100, func(sim.Time) {})
@@ -46,11 +45,10 @@ func TestHandleReuseBumpsGeneration(t *testing.T) {
 // StaleCancels; handles that were never issued count as unknown, not
 // stale.
 func TestStaleCancelDetected(t *testing.T) {
-	forEachSolver(t, func(t *testing.T, s Solver) {
+	t.Run("incremental", func(t *testing.T) {
 		g, fwd, _ := lineGraph(1000)
 		e := sim.NewEngine()
 		n := NewNetwork(e, g)
-		n.SetSolver(s)
 		idA := n.Start(fwd, 100, func(sim.Time) { t.Error("cancelled flow fired") })
 		n.Cancel(idA)
 		var doneB sim.Time = -1
@@ -87,7 +85,6 @@ func TestStaleDoneEntriesCannotFire(t *testing.T) {
 	g, fwd, _ := lineGraph(1000)
 	e := sim.NewEngine()
 	n := NewNetwork(e, g)
-	n.SetSolver(SolverIncremental)
 	// A would complete at t=0.1; cancel it at t=0.05 and recycle its slot
 	// into B, which completes at t=0.05+1.0. The heap still holds A's
 	// t=0.1 prediction pointing at the slot.
@@ -115,11 +112,10 @@ func TestStaleDoneEntriesCannotFire(t *testing.T) {
 // zero-size flow's recycled slot must not be reachable through the old
 // handle, whichever flavor of flow recycles it.
 func TestZeroSizeHandleSafety(t *testing.T) {
-	forEachSolver(t, func(t *testing.T, s Solver) {
+	t.Run("incremental", func(t *testing.T) {
 		g, fwd, _ := lineGraph(1000)
 		e := sim.NewEngine()
 		n := NewNetwork(e, g)
-		n.SetSolver(s)
 		idZ := n.Start(nil, 0, func(sim.Time) { t.Error("cancelled zero-size flow fired") })
 		n.Cancel(idZ)
 		// The slot recycles into a positive-size flow.
@@ -158,7 +154,6 @@ func TestPathArenaSpanReuse(t *testing.T) {
 	g, fwd, _ := lineGraph(1000)
 	e := sim.NewEngine()
 	n := NewNetwork(e, g)
-	n.SetSolver(SolverIncremental)
 	id := n.Start(fwd, 1e12, func(sim.Time) {})
 	arenaLen := len(n.tab.arena)
 	for i := 0; i < 100; i++ {

@@ -9,9 +9,8 @@ import (
 )
 
 // TestLiveListStaysDenseUnderChurn is the O(live) regression test for the
-// whole-table walks (advanceAll, the reference solver's scans): they
-// iterate tab.liveList, so their cost is the number of LIVE flows, not the
-// table's high-water capacity. Before the live list, `range t.live` walked
+// whole-table walk (advanceAll): it iterates tab.liveList, so its cost is
+// the number of LIVE flows, not the table's high-water capacity. Before the live list, `range t.live` walked
 // capacity — on this churned table (100k slots allocated, 1k still live)
 // every counter-attached Start/Cancel paid a 100k-slot scan for 1k flows.
 func TestLiveListStaysDenseUnderChurn(t *testing.T) {

@@ -9,9 +9,9 @@ import (
 )
 
 // TestMaxMinProperty verifies the defining property of a max-min fair
-// allocation on random flow sets: every flow is bottlenecked, i.e. it
-// crosses at least one saturated channel on which no other flow has a
-// strictly higher rate.
+// allocation on random flow sets: every flow is bottlenecked, i.e. its
+// recorded bottleneck is a saturated channel on which no other flow has a
+// strictly higher rate (certifyMaxMin).
 func TestMaxMinProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := sim.NewRand(seed)
@@ -71,41 +71,9 @@ func TestMaxMinProperty(t *testing.T) {
 			return true
 		}
 		eng.Step() // settle: rates computed
-		usage := map[topo.ChannelID]float64{}
-		maxRateOn := map[topo.ChannelID]float64{}
-		var active []int32
-		for i := range net.tab.live {
-			if net.tab.live[i] && net.tab.zeroEv[i] == 0 {
-				active = append(active, int32(i))
-			}
-		}
-		for _, idx := range active {
-			for _, c := range net.tab.path(idx) {
-				usage[c] += net.tab.rate[idx]
-				if net.tab.rate[idx] > maxRateOn[c] {
-					maxRateOn[c] = net.tab.rate[idx]
-				}
-			}
-		}
-		// No oversubscription.
-		for c, u := range usage {
-			if u > net.caps[c]*(1+1e-9) {
-				return false
-			}
-		}
-		// Bottleneck property.
-		for _, idx := range active {
-			bottlenecked := false
-			for _, c := range net.tab.path(idx) {
-				saturated := usage[c] >= net.caps[c]*(1-1e-9)
-				if saturated && net.tab.rate[idx] >= maxRateOn[c]-1e-9 {
-					bottlenecked = true
-					break
-				}
-			}
-			if !bottlenecked {
-				return false
-			}
+		if err := certifyMaxMin(net); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
 		}
 		return true
 	}

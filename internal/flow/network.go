@@ -14,20 +14,15 @@
 // millions of flows per run) this keeps steady-state churn allocation-free
 // and gives the GC nothing to trace.
 //
-// Two solvers compute the allocation (DESIGN.md §7):
-//
-//   - SolverIncremental (the default): a min-heap over channel fair
-//     shares replaces the linear bottleneck scan, and each settle
-//     re-solves only the connected region of the flow/channel contention
-//     graph reachable from the channels whose flow membership actually
-//     changed. Because distinct components of that graph share no
-//     channels, the restricted re-solve is exactly the global max-min
-//     allocation; when the dirty region spans the whole network it
-//     degenerates into a (heap-driven) full solve.
-//   - SolverReference: the original O(active flows × touched channels)
-//     progressive filling, kept as the oracle the incremental solver is
-//     property-tested against. Build with `-tags flowref` to make it the
-//     default.
+// One incremental solver computes the allocation (solver_incremental.go,
+// DESIGN.md §7): a min-heap over channel fair shares replaces the linear
+// bottleneck scan, and each settle re-solves only the connected region of
+// the flow/channel contention graph reachable from the channels whose flow
+// membership actually changed. Because distinct components of that graph
+// share no channels, the restricted re-solve is exactly the global max-min
+// allocation; when the dirty region spans the whole network it degenerates
+// into a (heap-driven) full solve. The tests hold it to a from-scratch
+// progressive-filling oracle and a max-min certificate.
 package flow
 
 import (
@@ -46,16 +41,6 @@ import (
 // goes stale rather than aliasing the slot's next occupant.
 type FlowID int64
 
-// Solver selects the max-min rate computation strategy.
-type Solver uint8
-
-const (
-	// SolverIncremental is the heap + dirty-region solver.
-	SolverIncremental Solver = iota
-	// SolverReference is the original full progressive-filling scan.
-	SolverReference
-)
-
 // Network simulates concurrent flows over a topology's directed channels.
 type Network struct {
 	eng  *sim.Engine
@@ -73,8 +58,6 @@ type Network struct {
 	settleFn func(*sim.Engine)
 	doneFn   func(*sim.Engine)
 
-	solver Solver
-
 	// Recomputes counts rate recomputations (for ablation benchmarks).
 	Recomputes uint64
 	// StaleCancels counts Cancel calls that presented a once-valid handle
@@ -84,20 +67,7 @@ type Network struct {
 	// in callers observable instead of silent.
 	StaleCancels uint64
 
-	// --- reference solver scratch (see solver_reference.go) ---
-
-	// refPerChan/refResidual/refUnfrozen are the reference solver's dense
-	// per-channel scratch, validated by refStamp against refEpoch so only
-	// channels touched by the current solve are (re)initialized — the
-	// rebuild walks the SoA table directly, boxing nothing.
-	refPerChan  [][]int32
-	refTouched  []topo.ChannelID
-	refStamp    []uint64
-	refEpoch    uint64
-	refResidual []float64
-	refUnfrozen []int32
-
-	// --- incremental solver state (see solver_incremental.go) ---
+	// --- solver state (see solver_incremental.go) ---
 
 	// chanFlows is the persistent channel -> flow membership, parallel to
 	// caps; maintained on Start/Cancel/completion instead of rebuilt per
@@ -119,22 +89,15 @@ type Network struct {
 	chanGen     []uint32
 	pushedGen   []uint32
 	// Scratch reused across solves. regionChans/regionFlows hold the
-	// dirty region segmented into connected components; comps spans both
-	// (solver_shard.go). scratches holds one private progressive-filling
-	// scratch (share heap, tie buffer, freeze set) per shard worker;
-	// sequential solves use scratches[0].
+	// dirty region segmented into connected components; comps spans both.
+	// scratch is the progressive-filling scratch (share heap, tie buffer,
+	// freeze set).
 	regionChans []topo.ChannelID
 	regionFlows []int32
 	comps       []component
-	scratches   []solverScratch
+	scratch     solverScratch
 	doneScratch []int32
 	cbScratch   []func(at sim.Time)
-	// workers bounds the per-component parallelism of the incremental
-	// re-solve (SetWorkers); 1, the default, keeps every settle on the
-	// event goroutine. pool is the fork-join pool used when workers > 1,
-	// always joined before the settle event returns.
-	workers int
-	pool    *sim.Pool
 	// doneHeap orders predicted completion times; entries invalidate
 	// lazily via tab.doneGen.
 	doneHeap doneHeap
@@ -145,17 +108,12 @@ type Network struct {
 	cc *telemetry.ChannelCounters
 }
 
-// NewNetwork builds a flow network over g's channels, driven by eng. The
-// solver defaults to SolverIncremental (SolverReference under the flowref
-// build tag); use SetSolver before starting traffic to override.
+// NewNetwork builds a flow network over g's channels, driven by eng.
 func NewNetwork(eng *sim.Engine, g *topo.Graph) *Network {
 	n := &Network{
 		eng:        eng,
 		caps:       make([]float64, 2*len(g.Links)),
-		solver:     defaultSolver,
 		dirtyEpoch: 1,
-		workers:    1,
-		scratches:  make([]solverScratch, 1),
 	}
 	for _, l := range g.Links {
 		n.caps[2*l.ID] = l.Bandwidth
@@ -163,19 +121,6 @@ func NewNetwork(eng *sim.Engine, g *topo.Graph) *Network {
 	}
 	return n
 }
-
-// SetSolver selects the rate solver. It must be called before any flow
-// starts: the two solvers keep different bookkeeping, so switching with
-// active flows panics.
-func (n *Network) SetSolver(s Solver) {
-	if n.tab.liveCount != 0 {
-		panic("flow: SetSolver with active flows")
-	}
-	n.solver = s
-}
-
-// SolverKind reports the active solver.
-func (n *Network) SolverKind() Solver { return n.solver }
 
 // AddNodeChannels appends count virtual channels of the given capacity and
 // returns the ID of the first one. The fabric layer uses these to model
@@ -274,9 +219,7 @@ func (n *Network) Start(path []topo.ChannelID, size float64, onDone func(at sim.
 		}
 		t.solo[idx] = solo
 	}
-	if n.solver == SolverIncremental {
-		n.addMembership(idx)
-	}
+	n.addMembership(idx)
 	n.markDirty()
 	return id
 }
@@ -315,9 +258,7 @@ func (n *Network) Cancel(id FlowID) {
 // removeFlow detaches a flow slot from every solver structure and frees
 // it; the caller has already integrated its transferred bytes up to now.
 func (n *Network) removeFlow(idx int32) {
-	if n.solver == SolverIncremental {
-		n.removeMembership(idx)
-	}
+	n.removeMembership(idx)
 	n.tab.freeSlot(idx) // bumps gen + doneGen: handles and heap entries die
 }
 
@@ -347,9 +288,8 @@ func (n *Network) advanceFlow(idx int32, now sim.Time) {
 }
 
 // advanceAll integrates every live flow up to the current time — the
-// flush barrier's workhorse and the reference solver's eager pre-settle
-// step. Walks the dense live list, so a post-churn table with mostly-free
-// capacity costs O(live), not O(capacity).
+// flush barrier's workhorse. Walks the dense live list, so a post-churn
+// table with mostly-free capacity costs O(live), not O(capacity).
 func (n *Network) advanceAll() {
 	now := n.eng.Now()
 	t := &n.tab
@@ -382,28 +322,11 @@ func (n *Network) settle() {
 		return
 	}
 	n.dirty = false
-	if n.solver == SolverReference {
-		n.advanceAll()
-		n.recomputeReference()
-		n.scheduleNextDoneScan()
-		return
-	}
 	// No advanceAll here: only the dirty region's rates change, and
 	// recomputeIncremental advances exactly those flows before re-rating
 	// them. Everyone else's (rate, last) stays valid and integrates lazily.
 	n.recomputeIncremental()
-	n.scheduleNextDoneHeap()
-}
-
-// completeDue finishes every flow whose remaining bytes have drained
-// (within a relative epsilon to absorb float error), fires callbacks, and
-// settles.
-func (n *Network) completeDue() {
-	if n.solver == SolverReference {
-		n.completeDueScan()
-		return
-	}
-	n.completeDueHeap()
+	n.scheduleNextDone()
 }
 
 // drained reports whether a flow's remaining bytes are within float noise

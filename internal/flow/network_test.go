@@ -192,8 +192,9 @@ func TestManyFlowsFairness(t *testing.T) {
 }
 
 func TestConservationProperty(t *testing.T) {
-	// Random flows on a small HyperX: at any recompute, no channel may be
-	// oversubscribed and every flow must have a positive rate.
+	// Random flows on a small HyperX: after the settle, no channel may be
+	// oversubscribed, every flow must have a positive rate, and the
+	// allocation must be max-min fair (certifyMaxMin).
 	hx := topo.NewHyperX(topo.HyperXConfig{S: []int{3, 3}, T: 2, Bandwidth: 1e6, Latency: 0})
 	e := sim.NewEngine()
 	n := NewNetwork(e, hx.Graph)
@@ -230,25 +231,9 @@ func TestConservationProperty(t *testing.T) {
 	for _, p := range paths {
 		n.Start(p, 1e5, func(sim.Time) {})
 	}
-	// Step until rates settle, then check conservation.
 	e.Step() // settle event
-	usage := map[topo.ChannelID]float64{}
-	for i := range n.tab.live {
-		if !n.tab.live[i] || n.tab.zeroEv[i] != 0 {
-			continue
-		}
-		idx := int32(i)
-		if n.tab.rate[idx] <= 0 {
-			t.Fatalf("flow %d has non-positive rate", handleOf(idx, n.tab.gen[idx]))
-		}
-		for _, c := range n.tab.path(idx) {
-			usage[c] += n.tab.rate[idx]
-		}
-	}
-	for c, u := range usage {
-		if u > n.caps[c]*(1+1e-9) {
-			t.Errorf("channel %d oversubscribed: %.1f > %.1f", c, u, n.caps[c])
-		}
+	if err := certifyMaxMin(n); err != nil {
+		t.Error(err)
 	}
 	e.Run()
 }

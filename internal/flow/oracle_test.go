@@ -1,0 +1,163 @@
+package flow
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"github.com/hpcsim/t2hx/internal/sim"
+	"github.com/hpcsim/t2hx/internal/topo"
+)
+
+// This file holds the two test-side judges of the solver: an oracle that
+// recomputes the max-min allocation from scratch, and a certificate that
+// checks an allocation is max-min fair without computing one.
+
+// maxMinOracle is textbook progressive filling over (capacities, paths):
+// repeatedly take the channel with the smallest fair share (residual
+// capacity over the unfrozen flows crossing it), freeze those flows at that
+// share and subtract it along their paths. Shares within 1e-9 relative of
+// the smallest count as tied and the smallest channel ID among them wins,
+// so the returned bottlenecks are comparable with the solver's, not only
+// the rates. Pass paths in flow start order: flows on a bottleneck freeze
+// in slice order, which then matches the solver's float arithmetic.
+func maxMinOracle(caps []float64, paths [][]topo.ChannelID) ([]float64, []topo.ChannelID) {
+	residual := append([]float64(nil), caps...)
+	unfrozen := make([]int, len(caps))
+	on := make([][]int, len(caps))
+	for i, p := range paths {
+		for _, c := range p {
+			unfrozen[c]++
+			on[c] = append(on[c], i)
+		}
+	}
+	share := func(c int) float64 { return residual[c] / float64(unfrozen[c]) }
+	rates := make([]float64, len(paths))
+	bott := make([]topo.ChannelID, len(paths))
+	frozen := make([]bool, len(paths))
+	for left := len(paths); left > 0; {
+		low := math.Inf(1)
+		for c, u := range unfrozen {
+			if u > 0 && share(c) < low {
+				low = share(c)
+			}
+		}
+		pick := -1
+		for c, u := range unfrozen {
+			if u > 0 && math.Abs(share(c)-low) <= 1e-9*math.Max(share(c), low) {
+				pick = c
+				break
+			}
+		}
+		s := share(pick)
+		for _, i := range on[pick] {
+			if frozen[i] {
+				continue
+			}
+			frozen[i] = true
+			rates[i], bott[i] = s, topo.ChannelID(pick)
+			left--
+			for _, c := range paths[i] {
+				residual[c] -= s
+				if residual[c] < 0 {
+					residual[c] = 0
+				}
+				unfrozen[c]--
+			}
+		}
+	}
+	return rates, bott
+}
+
+// certifyMaxMin checks that the network's current allocation is max-min
+// fair: no channel carries more than its capacity, every live flow has a
+// positive rate, and every flow's recorded bottleneck — the channel its
+// XmitWait is charged to — is on its path, is saturated, and carries no
+// flow with a higher rate. Capacity and saturation are checked to 1e-9
+// relative, rate order to 1e-9 absolute.
+func certifyMaxMin(n *Network) error {
+	t := &n.tab
+	usage := make([]float64, len(n.caps))
+	maxRate := make([]float64, len(n.caps))
+	for _, idx := range t.liveList {
+		if t.zeroEv[idx] != 0 {
+			continue
+		}
+		r := t.rate[idx]
+		if !(r > 0) {
+			return fmt.Errorf("flow %d has non-positive rate %v", handleOf(idx, t.gen[idx]), r)
+		}
+		for _, c := range t.path(idx) {
+			usage[c] += r
+			maxRate[c] = math.Max(maxRate[c], r)
+		}
+	}
+	for c, u := range usage {
+		if u > n.caps[c]*(1+1e-9) {
+			return fmt.Errorf("channel %d over capacity: %v > %v", c, u, n.caps[c])
+		}
+	}
+	for _, idx := range t.liveList {
+		if t.zeroEv[idx] != 0 {
+			continue
+		}
+		id, b, r := handleOf(idx, t.gen[idx]), t.bott[idx], t.rate[idx]
+		onPath := false
+		for _, c := range t.path(idx) {
+			onPath = onPath || c == b
+		}
+		switch {
+		case !onPath:
+			return fmt.Errorf("flow %d: bottleneck %d not on its path", id, b)
+		case usage[b] < n.caps[b]*(1-1e-9):
+			return fmt.Errorf("flow %d: bottleneck %d not saturated: %v < %v", id, b, usage[b], n.caps[b])
+		case r < maxRate[b]-1e-9:
+			return fmt.Errorf("flow %d: bottleneck %d carries a higher rate %v > %v", id, b, maxRate[b], r)
+		}
+	}
+	return nil
+}
+
+// TestCertificateCatchesCorruptAllocations corrupts a settled allocation
+// three ways and requires the certificate to reject each one.
+func TestCertificateCatchesCorruptAllocations(t *testing.T) {
+	g, fwd, _ := lineGraph(1000)
+	e := sim.NewEngine()
+	n := NewNetwork(e, g)
+	node := n.AddNodeChannels(1, 4000)
+	// A crosses the node channel and the whole line, B only the middle
+	// channel: both freeze at 500 B/s on the middle channel, which leaves
+	// A's first line channel and the node channel half used.
+	idA := n.Start(append([]topo.ChannelID{node}, fwd...), 1e9, func(sim.Time) {})
+	n.Start(fwd[1:2], 1e9, func(sim.Time) {})
+	e.RunUntil(0)
+	if err := certifyMaxMin(n); err != nil {
+		t.Fatalf("settled allocation rejected: %v", err)
+	}
+	a, _ := n.lookup(idA)
+	if n.tab.bott[a] != fwd[1] || n.tab.rate[a] != 500 {
+		t.Fatalf("A settled at %v on channel %d, want 500 on %d", n.tab.rate[a], n.tab.bott[a], fwd[1])
+	}
+	corruptions := []struct {
+		name    string
+		corrupt func()
+		want    string
+	}{
+		{"raised rate", func() { n.tab.rate[a] = 600 }, "over capacity"},
+		{"lowered rate", func() { n.tab.rate[a] = 400 }, "not saturated"},
+		{"unsaturated bottleneck", func() { n.tab.bott[a] = fwd[0] }, "not saturated"},
+	}
+	for _, c := range corruptions {
+		rate, bott := n.tab.rate[a], n.tab.bott[a]
+		c.corrupt()
+		err := certifyMaxMin(n)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: certificate returned %v, want an error containing %q", c.name, err, c.want)
+		}
+		n.tab.rate[a], n.tab.bott[a] = rate, bott
+	}
+	if err := certifyMaxMin(n); err != nil {
+		t.Fatalf("restored allocation rejected: %v", err)
+	}
+}

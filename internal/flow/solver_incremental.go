@@ -5,8 +5,8 @@ import (
 	"github.com/hpcsim/t2hx/internal/topo"
 )
 
-// This file is the incremental max-min solver. Three ideas replace the
-// reference solver's per-settle full re-solve:
+// This file is the max-min solver. Three ideas keep a settle cheaper than
+// a from-scratch progressive filling over every live flow:
 //
 //  1. Persistent membership: chanFlows (channel -> flow slots, with O(1)
 //     swap-remove via the pos arena) is maintained on Start/Cancel/
@@ -20,7 +20,8 @@ import (
 //     rate is exactly the global solution. When the dirty region spans
 //     the whole network this degenerates into a full (heap-driven) solve.
 //     The region is discovered segmented into its connected components,
-//     which can be re-solved in parallel (solver_shard.go, DESIGN.md §12).
+//     which are solved one after another in ascending root order
+//     (DESIGN.md §12).
 //  3. Heaps for both bottleneck selection (shareHeap over channel fair
 //     shares, lazily invalidated by chanGen) and completion scheduling
 //     (doneHeap over predicted finish times, lazily invalidated by
@@ -33,7 +34,9 @@ import (
 // fixed by (share, channel ID) with the epsilon tie-break, and flows on a
 // bottleneck freeze in start (seq) order, so the float arithmetic — and
 // therefore rates, XmitWait attribution and event timing — is
-// reproducible.
+// reproducible. The epsilon tie-break only looks among one component's
+// channels, which is why components are solved separately rather than
+// from one heap over the whole region.
 
 // chanSlot is one entry of a channel's flow membership list; hop is the
 // flow's path index for this channel, so a swap-remove can repair the
@@ -184,10 +187,29 @@ func (h doneHeap) init() {
 	}
 }
 
+// component is one connected component of the current dirty region: a
+// span of regionChans and a span of regionFlows (segmented storage — no
+// per-component allocation). root is the smallest channel ID in the
+// component, the canonical order components are solved in.
+type component struct {
+	root    topo.ChannelID
+	chanOff int32
+	chanLen int32
+	flowOff int32
+	flowLen int32
+}
+
+// solverScratch is the progressive-filling scratch reused across
+// component solves: the bottleneck share heap, the epsilon-tie candidate
+// buffer and the freeze set.
+type solverScratch struct {
+	shareHeap  shareHeap
+	tieScratch []shareEntry
+	freeze     []int32
+}
+
 // ensureChanArrays grows the per-channel solver arrays to cover every
-// capacity slot (AddNodeChannels appends after construction). Shared by
-// both solvers: the incremental membership lists and the reference
-// solver's dense scratch are parallel to caps.
+// capacity slot (AddNodeChannels appends after construction).
 func (n *Network) ensureChanArrays() {
 	if len(n.chanFlows) >= len(n.caps) {
 		return
@@ -196,18 +218,12 @@ func (n *Network) ensureChanArrays() {
 	for len(n.chanFlows) < grow {
 		n.chanFlows = append(n.chanFlows, nil)
 	}
-	for len(n.refPerChan) < grow {
-		n.refPerChan = append(n.refPerChan, nil)
-	}
 	n.dirtyStamp = append(n.dirtyStamp, make([]uint64, grow-len(n.dirtyStamp))...)
 	n.regionStamp = append(n.regionStamp, make([]uint64, grow-len(n.regionStamp))...)
 	n.residual = append(n.residual, make([]float64, grow-len(n.residual))...)
 	n.unfrozenCnt = append(n.unfrozenCnt, make([]int32, grow-len(n.unfrozenCnt))...)
 	n.chanGen = append(n.chanGen, make([]uint32, grow-len(n.chanGen))...)
 	n.pushedGen = append(n.pushedGen, make([]uint32, grow-len(n.pushedGen))...)
-	n.refStamp = append(n.refStamp, make([]uint64, grow-len(n.refStamp))...)
-	n.refResidual = append(n.refResidual, make([]float64, grow-len(n.refResidual))...)
-	n.refUnfrozen = append(n.refUnfrozen, make([]int32, grow-len(n.refUnfrozen))...)
 }
 
 // dirtyChan records a membership change on c for the next recompute.
@@ -258,12 +274,9 @@ func (n *Network) consumeDirty() {
 
 // recomputeIncremental re-solves the region of the contention graph
 // touched by the dirty channels; flows outside it keep their rates. The
-// region is discovered segmented into connected components
-// (solver_shard.go), each component is progressively filled independently
-// — in parallel when SetWorkers allows and the region is big enough — and
-// the completion predictions are merged sequentially in (component root,
-// start order) order, keeping the result bit-identical to the fully
-// sequential solve at any worker count.
+// region is discovered segmented into connected components; each one, in
+// ascending root order, is integrated up to now, progressively filled and
+// given its completion predictions.
 func (n *Network) recomputeIncremental() {
 	n.Recomputes++
 	if len(n.dirtyChans) == 0 {
@@ -273,33 +286,26 @@ func (n *Network) recomputeIncremental() {
 		n.consumeDirty()
 		return
 	}
-	now := n.eng.Now()
 	comps := n.discoverComponents()
 	if len(comps) == 0 {
 		return
 	}
-	// Integrate every region flow to now under its outgoing rate before
-	// any re-rating: the region is exactly the set of flows whose rates
-	// may change, so this closes their current piecewise-constant interval
-	// (and credits it to the attached counters) while everyone outside the
-	// region keeps integrating lazily. Done here, sequentially in
-	// component-discovery order, so shard workers never write the shared
-	// counter sums.
+	now := n.eng.Now()
 	t := &n.tab
 	for ci := range comps {
 		comp := &comps[ci]
-		for _, idx := range n.regionFlows[comp.flowOff : comp.flowOff+comp.flowLen] {
+		flows := n.regionFlows[comp.flowOff : comp.flowOff+comp.flowLen]
+		// Integrate the component's flows to now under their outgoing
+		// rates before re-rating them: the region is exactly the set of
+		// flows whose rates may change, so this closes their current
+		// piecewise-constant interval (and credits it to the attached
+		// counters) while everyone outside the region keeps integrating
+		// lazily.
+		for _, idx := range flows {
 			n.advanceFlow(idx, now)
 		}
-	}
-	n.solveComponents(comps, now)
-	// Merge: predict completions for every re-rated flow, sequentially in
-	// ascending component-root order (the canonical order fixed by
-	// discoverComponents), flows in discovery order within a component —
-	// the same total order the unsharded solve produced.
-	for ci := range comps {
-		comp := &comps[ci]
-		for _, idx := range n.regionFlows[comp.flowOff : comp.flowOff+comp.flowLen] {
+		n.solveComponent(comp)
+		for _, idx := range flows {
 			n.checkRate(idx)
 			t.doneGen[idx]++
 			n.doneHeap.push(doneEntry{
@@ -313,9 +319,203 @@ func (n *Network) recomputeIncremental() {
 	n.maybeCompactDoneHeap()
 }
 
-// scheduleNextDoneHeap points the completion event at the earliest live
+// discoverComponents runs the dirty-region BFS once per unswept dirty
+// seed, segmenting regionChans/regionFlows into connected components. The
+// returned slice (backed by n.comps) is sorted by root, fixing the solve
+// order; flowless components (membership drained to empty) are dropped.
+func (n *Network) discoverComponents() []component {
+	t := &n.tab
+	n.epoch++
+	ep := n.epoch
+	regionChans := n.regionChans[:0]
+	regionFlows := n.regionFlows[:0]
+	comps := n.comps[:0]
+	for _, seed := range n.dirtyChans {
+		if n.regionStamp[seed] == ep {
+			continue // already swept into an earlier seed's component
+		}
+		n.regionStamp[seed] = ep
+		chanOff := len(regionChans)
+		flowOff := len(regionFlows)
+		regionChans = append(regionChans, seed)
+		root := seed
+		for head := chanOff; head < len(regionChans); head++ {
+			c := regionChans[head]
+			if c < root {
+				root = c
+			}
+			for _, sl := range n.chanFlows[c] {
+				if t.mark[sl.idx] == ep {
+					continue
+				}
+				t.mark[sl.idx] = ep
+				regionFlows = append(regionFlows, sl.idx)
+				for _, c2 := range t.path(sl.idx) {
+					if n.regionStamp[c2] != ep {
+						n.regionStamp[c2] = ep
+						regionChans = append(regionChans, c2)
+					}
+				}
+			}
+		}
+		if len(regionFlows) == flowOff {
+			// Every flow left this seed's channels: nothing to re-rate.
+			regionChans = regionChans[:chanOff]
+			continue
+		}
+		comps = append(comps, component{
+			root:    root,
+			chanOff: int32(chanOff),
+			chanLen: int32(len(regionChans) - chanOff),
+			flowOff: int32(flowOff),
+			flowLen: int32(len(regionFlows) - flowOff),
+		})
+	}
+	n.consumeDirty()
+	n.regionChans = regionChans
+	n.regionFlows = regionFlows
+	// Canonical solve order: ascending root. Insertion sort — settles
+	// touch a handful of components and sort.Slice would allocate.
+	for i := 1; i < len(comps); i++ {
+		for j := i; j > 0 && comps[j].root < comps[j-1].root; j-- {
+			comps[j], comps[j-1] = comps[j-1], comps[j]
+		}
+	}
+	n.comps = comps
+	return comps
+}
+
+// solveComponent progressively fills one component. It writes only the
+// component's own per-channel solver arrays and per-flow SoA entries.
+func (n *Network) solveComponent(comp *component) {
+	t := &n.tab
+	sc := &n.scratch
+	chans := n.regionChans[comp.chanOff : comp.chanOff+comp.chanLen]
+	flows := n.regionFlows[comp.flowOff : comp.flowOff+comp.flowLen]
+	h := &sc.shareHeap
+	*h = (*h)[:0]
+	for _, c := range chans {
+		cnt := int32(len(n.chanFlows[c]))
+		n.residual[c] = n.caps[c]
+		n.unfrozenCnt[c] = cnt
+		n.chanGen[c]++
+		if cnt > 0 {
+			if n.cc != nil {
+				n.cc.NoteActive(c, int(cnt))
+			}
+			n.pushedGen[c] = n.chanGen[c]
+			*h = append(*h, shareEntry{share: n.caps[c] / float64(cnt), c: c, gen: n.chanGen[c]})
+		}
+	}
+	h.init()
+	for _, idx := range flows {
+		t.rate[idx] = -1 // unfrozen
+	}
+	remaining := len(flows)
+	for remaining > 0 {
+		e, ok := n.popValidShare()
+		if !ok {
+			panic("flow: unfrozen flows but no bottleneck channel")
+		}
+		// Epsilon tie-break: gather every live candidate whose share is
+		// equal to the minimum within tolerance and freeze the smallest
+		// channel ID, so last-ulp share differences cannot flip the
+		// bottleneck choice. Candidates are held aside and re-queued
+		// after the choice (re-queueing inside the scan would just pop
+		// the same minimum again).
+		best := e
+		ties := sc.tieScratch[:0]
+		for len(*h) > 0 {
+			top := (*h)[0]
+			if top.gen != n.chanGen[top.c] {
+				h.pop()
+				continue
+			}
+			if !sharesEqual(top.share, e.share) {
+				break
+			}
+			h.pop()
+			if top.c < best.c {
+				ties = append(ties, best)
+				best = top
+			} else {
+				ties = append(ties, top)
+			}
+		}
+		remaining -= n.freezeChannel(best.c, best.share)
+		for _, tie := range ties {
+			if tie.gen == n.chanGen[tie.c] {
+				sc.shareHeap.push(tie)
+			}
+		}
+		sc.tieScratch = ties[:0]
+	}
+}
+
+// popValidShare pops heap entries until one reflects current state.
+func (n *Network) popValidShare() (shareEntry, bool) {
+	h := &n.scratch.shareHeap
+	for len(*h) > 0 {
+		e := h.pop()
+		if e.gen == n.chanGen[e.c] {
+			return e, true
+		}
+	}
+	return shareEntry{}, false
+}
+
+// freezeChannel freezes every unfrozen flow crossing bott at share (in
+// start order, for deterministic float arithmetic), updates residuals
+// and re-queues the touched channels on the share heap. Returns the number
+// frozen.
+func (n *Network) freezeChannel(bott topo.ChannelID, share float64) int {
+	t := &n.tab
+	sc := &n.scratch
+	fs := sc.freeze[:0]
+	for _, sl := range n.chanFlows[bott] {
+		if t.rate[sl.idx] < 0 {
+			fs = append(fs, sl.idx)
+		}
+	}
+	// Insertion sort by seq: bottleneck freeze sets are usually small, and
+	// membership order is insertion order, already mostly sorted.
+	for i := 1; i < len(fs); i++ {
+		for j := i; j > 0 && t.seq[fs[j]] < t.seq[fs[j-1]]; j-- {
+			fs[j], fs[j-1] = fs[j-1], fs[j]
+		}
+	}
+	for _, idx := range fs {
+		t.rate[idx] = share
+		t.bott[idx] = bott
+		for _, c := range t.path(idx) {
+			n.residual[c] -= share
+			if n.residual[c] < 0 {
+				n.residual[c] = 0
+			}
+			n.unfrozenCnt[c]--
+			n.chanGen[c]++
+		}
+	}
+	// Re-queue each touched channel once, at its updated share.
+	for _, idx := range fs {
+		for _, c := range t.path(idx) {
+			if n.unfrozenCnt[c] > 0 && n.pushedGen[c] != n.chanGen[c] {
+				n.pushedGen[c] = n.chanGen[c]
+				sc.shareHeap.push(shareEntry{
+					share: n.residual[c] / float64(n.unfrozenCnt[c]),
+					c:     c,
+					gen:   n.chanGen[c],
+				})
+			}
+		}
+	}
+	sc.freeze = fs[:0]
+	return len(fs)
+}
+
+// scheduleNextDone points the completion event at the earliest live
 // prediction.
-func (n *Network) scheduleNextDoneHeap() {
+func (n *Network) scheduleNextDone() {
 	h := &n.doneHeap
 	for len(*h) > 0 && (*h)[0].gen != n.tab.doneGen[(*h)[0].idx] {
 		h.pop()
@@ -327,11 +527,11 @@ func (n *Network) scheduleNextDoneHeap() {
 	n.scheduleDoneAt((*h)[0].at)
 }
 
-// completeDueHeap finishes every flow whose live prediction has come due.
+// completeDue finishes every flow whose live prediction has come due.
 // A popped flow whose remaining bytes have not in fact drained (float
 // drift between the prediction and the integration) is re-queued at a
 // corrected, strictly-future time, guaranteeing progress.
-func (n *Network) completeDueHeap() {
+func (n *Network) completeDue() {
 	now := n.eng.Now()
 	t := &n.tab
 	done := n.doneScratch[:0]
@@ -362,7 +562,7 @@ func (n *Network) completeDueHeap() {
 	}
 	n.doneScratch = done[:0]
 	if len(done) == 0 {
-		n.scheduleNextDoneHeap()
+		n.scheduleNextDone()
 		return
 	}
 	n.finishFlows(done)

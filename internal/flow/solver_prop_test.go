@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"github.com/hpcsim/t2hx/internal/sim"
@@ -9,12 +10,13 @@ import (
 	"github.com/hpcsim/t2hx/internal/topo"
 )
 
-// This file property-tests SolverIncremental against SolverReference: on
-// randomized fabric/workload instances the two must agree on every flow's
-// completion time, the mid-run rate of every active flow, the per-channel
-// XmitData integrals, the total XmitWait, and the makespan — and each run
-// must independently satisfy the bytes x hops conservation identity, even
-// when flows are cancelled mid-flight.
+// This file property-tests the solver on randomized fabric/workload
+// instances. After every engine step that leaves no settle pending, every
+// live rate must match a from-scratch oracle, the allocation must pass the
+// max-min certificate (oracle_test.go), and each channel's ActiveHWM must
+// equal the most flows seen on it; at the end of each run the bytes x hops
+// conservation identity must hold, even when flows are cancelled
+// mid-flight.
 
 // propOp is one scheduled action of a generated workload: a flow start or
 // a cancel of a previously started flow.
@@ -26,17 +28,24 @@ type propOp struct {
 	path   []topo.ChannelID
 }
 
-// propInstance is a reproducible topology + workload pair.
+// propInstance is a reproducible topology + workload pair. When nodeCap is
+// positive, the run adds one node channel of that capacity per terminal at
+// nodeAt, with IDs from nodeBase in terminal order, and flows started from
+// nodeAt on cross them.
 type propInstance struct {
-	g      *topo.Graph
-	ops    []propOp
-	nflows int
+	g        *topo.Graph
+	ops      []propOp
+	nflows   int
+	nodeCap  float64
+	nodeAt   sim.Time
+	nodeBase topo.ChannelID
 }
 
 // randomWalkPath builds a loop-free multi-hop path from terminal a through
 // the switch lattice to a random destination terminal: inject channel, 0-3
-// switch-to-switch hops, deliver channel.
-func randomWalkPath(r *sim.Rand, hx *topo.HyperX, a topo.NodeID) []topo.ChannelID {
+// switch-to-switch hops, deliver channel. It returns the path and the
+// destination.
+func randomWalkPath(r *sim.Rand, hx *topo.HyperX, a topo.NodeID) ([]topo.ChannelID, topo.NodeID) {
 	g := hx.Graph
 	p := []topo.ChannelID{g.Nodes[a].Ports[0].Channel(a)}
 	cur := hx.SwitchOf(a)
@@ -60,12 +69,19 @@ func randomWalkPath(r *sim.Rand, hx *topo.HyperX, a topo.NodeID) []topo.ChannelI
 	}
 	dsts := g.TerminalsOf(cur)
 	b := dsts[r.Intn(len(dsts))]
-	return append(p, g.Nodes[b].Ports[0].Channel(cur))
+	return append(p, g.Nodes[b].Ports[0].Channel(cur)), b
 }
 
 // genInstance derives a random small HyperX and a workload of 5-40 flows
 // with staggered starts, mixed sizes (including zero-size header flows),
-// and ~25% mid-flight cancels from one seed.
+// and ~25% mid-flight cancels from one seed. About a third of the
+// instances also get the fabric's channel shape: per-terminal node
+// channels, added mid-run so the solver's per-channel arrays grow under
+// live traffic, which every later flow enters through its source's node
+// channel and leaves through its destination's (fabric.New and
+// resilience.go build the same). A second random stream picks the node
+// channels, so the topology and workload of every instance do not depend
+// on whether it has them.
 func genInstance(seed uint64) propInstance {
 	r := sim.NewRand(seed)
 	shapes := [][]int{{2, 2}, {3, 3}, {2, 4}, {4, 2}}
@@ -74,6 +90,16 @@ func genInstance(seed uint64) propInstance {
 	})
 	terms := hx.Graph.Terminals()
 	inst := propInstance{g: hx.Graph, nflows: 5 + r.Intn(36)}
+	termIdx := map[topo.NodeID]topo.ChannelID{}
+	nr := sim.NewRand(^seed)
+	if nr.Intn(3) == 0 {
+		inst.nodeCap = 1.5e6
+		inst.nodeAt = sim.Time(nr.Float64() * 0.5)
+		inst.nodeBase = topo.ChannelID(2 * len(hx.Graph.Links))
+		for i, tm := range terms {
+			termIdx[tm] = topo.ChannelID(i)
+		}
+	}
 	for k := 0; k < inst.nflows; k++ {
 		start := sim.Time(r.Float64() * 0.5)
 		op := propOp{at: start, idx: k}
@@ -83,7 +109,15 @@ func genInstance(seed uint64) propInstance {
 			continue
 		}
 		op.size = math.Pow(10, 2+4*r.Float64())
-		op.path = randomWalkPath(r, hx, terms[r.Intn(len(terms))])
+		a := terms[r.Intn(len(terms))]
+		path, b := randomWalkPath(r, hx, a)
+		op.path = path
+		if inst.nodeCap > 0 && start >= inst.nodeAt {
+			op.path = append([]topo.ChannelID{inst.nodeBase + termIdx[a]}, path...)
+			if b != a { // a loopback crosses its node channel once
+				op.path = append(op.path, inst.nodeBase+termIdx[b])
+			}
+		}
 		inst.ops = append(inst.ops, op)
 		if r.Float64() < 0.25 {
 			inst.ops = append(inst.ops, propOp{
@@ -94,36 +128,83 @@ func genInstance(seed uint64) propInstance {
 	return inst
 }
 
-// propResult captures everything one run of an instance must agree on.
-type propResult struct {
-	doneAt     map[int]sim.Time
-	ratesAt    map[int]float64 // active-flow rates at the snapshot instant
-	xmit       []float64
-	waitTotal  sim.Duration
-	makespan   sim.Time
-	movedHops  float64 // independently measured bytes x hops
-	creditedBH float64 // sum of counter XmitData over all channels
+// fabricHops counts the channels of a path that the counters see: node
+// channels are host bandwidth, not cables, and carry no XmitData.
+func fabricHops(cc *telemetry.ChannelCounters, path []topo.ChannelID) float64 {
+	hops := 0
+	for _, c := range path {
+		if int(c) < len(cc.XmitData) {
+			hops++
+		}
+	}
+	return float64(hops)
 }
 
-// runPropInstance replays inst's ops on a fresh engine/network under the
-// given solver and shard worker count (workers <= 1 keeps the sequential
-// path; only SolverIncremental shards). Cancels and starts are scheduled
-// in generation order, so the engine's (time, seq) FIFO makes the
-// interleaving identical across solvers. movedHops is measured from flow
-// state at each cancel/completion boundary, independently of the counters
-// it is later checked against.
-func runPropInstance(t *testing.T, inst propInstance, s Solver, workers int) propResult {
+// checkAgainstOracle compares the settled allocation with maxMinOracle
+// (rates to 1e-9 relative, bottlenecks exactly), runs the certificate, and
+// raises seen[c] to the number of live flows on each fabric channel.
+func checkAgainstOracle(t *testing.T, seed uint64, net *Network, seen []int32) {
+	t.Helper()
+	tab := &net.tab
+	var live []int32
+	for _, idx := range tab.liveList {
+		if tab.zeroEv[idx] == 0 {
+			live = append(live, idx)
+		}
+	}
+	sort.Slice(live, func(i, j int) bool { return tab.seq[live[i]] < tab.seq[live[j]] })
+	paths := make([][]topo.ChannelID, len(live))
+	count := make([]int32, len(net.caps))
+	for i, idx := range live {
+		paths[i] = tab.path(idx)
+		for _, c := range paths[i] {
+			count[c]++
+		}
+	}
+	rates, bott := maxMinOracle(net.caps, paths)
+	now := net.eng.Now()
+	for i, idx := range live {
+		if !relClose(tab.rate[idx], rates[i], 1e-9, 0) {
+			t.Errorf("seed %d t=%v: flow seq %d rate %v, oracle %v",
+				seed, now, tab.seq[idx], tab.rate[idx], rates[i])
+		}
+		if tab.bott[idx] != bott[i] {
+			t.Errorf("seed %d t=%v: flow seq %d bottleneck %d, oracle %d",
+				seed, now, tab.seq[idx], tab.bott[idx], bott[i])
+		}
+	}
+	if err := certifyMaxMin(net); err != nil {
+		t.Errorf("seed %d t=%v: %v", seed, now, err)
+	}
+	for c := range seen {
+		if count[c] > seen[c] {
+			seen[c] = count[c]
+		}
+	}
+}
+
+// runPropInstance replays inst's ops on a fresh engine/network one event
+// at a time, checking the allocation against the oracle after every step
+// that leaves no settle pending, and ActiveHWM and conservation at the
+// end. Cancels and starts are scheduled in generation order, so the
+// engine's (time, seq) FIFO fixes their interleaving. movedHops is
+// measured from flow state at each cancel/completion boundary,
+// independently of the counters it is checked against.
+func runPropInstance(t *testing.T, seed uint64, inst propInstance) {
 	t.Helper()
 	eng := sim.NewEngine()
 	net := NewNetwork(eng, inst.g)
-	net.SetSolver(s)
-	if workers > 1 {
-		net.SetWorkers(workers)
-	}
 	cc := telemetry.NewChannelCounters(inst.g)
 	net.SetCounters(cc)
+	if inst.nodeCap > 0 {
+		eng.Schedule(inst.nodeAt, func(*sim.Engine) {
+			if first := net.AddNodeChannels(len(inst.g.Terminals()), inst.nodeCap); first != inst.nodeBase {
+				t.Fatalf("seed %d: node channels start at %d, want %d", seed, first, inst.nodeBase)
+			}
+		})
+	}
 
-	res := propResult{doneAt: map[int]sim.Time{}, ratesAt: map[int]float64{}}
+	var movedHops float64
 	ids := make([]FlowID, inst.nflows)
 	sizes := make([]float64, inst.nflows)
 	for _, op := range inst.ops {
@@ -134,8 +215,7 @@ func runPropInstance(t *testing.T, inst propInstance, s Solver, workers int) pro
 					// Integrate up to now, then measure the partial bytes
 					// this cancel strands: they must stay credited.
 					net.advanceAll()
-					res.movedHops += (sizes[op.idx] - net.tab.remaining[idx]) *
-						float64(net.tab.pathLen[idx])
+					movedHops += (sizes[op.idx] - net.tab.remaining[idx]) * fabricHops(cc, net.tab.path(idx))
 				}
 				net.Cancel(ids[op.idx])
 			})
@@ -143,42 +223,31 @@ func runPropInstance(t *testing.T, inst propInstance, s Solver, workers int) pro
 		}
 		sizes[op.idx] = op.size
 		eng.Schedule(op.at, func(*sim.Engine) {
-			ids[op.idx] = net.Start(op.path, op.size, func(at sim.Time) {
-				res.doneAt[op.idx] = at
-				res.movedHops += op.size * float64(len(op.path))
-				if at > res.makespan {
-					res.makespan = at
-				}
+			ids[op.idx] = net.Start(op.path, op.size, func(sim.Time) {
+				movedHops += op.size * fabricHops(cc, op.path)
 			})
 		})
 	}
 
-	// Mid-run rate snapshot: the max-min allocation itself, not just its
-	// integral, must match across solvers.
-	eng.RunUntil(0.3)
-	idxOf := map[FlowID]int{}
-	for k, id := range ids {
-		idxOf[id] = k
-	}
-	for i := range net.tab.live {
-		if !net.tab.live[i] || net.tab.zeroEv[i] != 0 {
-			continue
+	seen := make([]int32, len(cc.ActiveHWM))
+	for eng.Step() {
+		if net.settleEv == 0 {
+			checkAgainstOracle(t, seed, net, seen)
 		}
-		id := handleOf(int32(i), net.tab.gen[i])
-		res.ratesAt[idxOf[id]] = net.tab.rate[i]
 	}
-	eng.Run()
-
 	if net.Active() != 0 {
-		t.Fatalf("solver %d: %d flows still active after drain", s, net.Active())
+		t.Fatalf("seed %d: %d flows still active after drain", seed, net.Active())
 	}
-	res.xmit = cc.XmitData
-	res.creditedBH = cc.TotalXmitData()
-	for _, d := range cc.XmitWait {
-		res.waitTotal += d
+	for c, hwm := range cc.ActiveHWM {
+		if hwm != seen[c] {
+			t.Errorf("seed %d: channel %d ActiveHWM %d, most live flows seen %d", seed, c, hwm, seen[c])
+		}
 	}
-	res.waitTotal += cc.HCAWait
-	return res
+	// Completed flows credit their full size, cancelled flows exactly
+	// their partial bytes.
+	if credited := cc.TotalXmitData(); !relClose(credited, movedHops, 1e-9, 1e-6) {
+		t.Errorf("seed %d: counters credit %v bytes x hops, flows moved %v", seed, credited, movedHops)
+	}
 }
 
 func relClose(a, b, relEps, absEps float64) bool {
@@ -188,73 +257,11 @@ func relClose(a, b, relEps, absEps float64) bool {
 }
 
 // TestSolverEquivalenceProperty is the acceptance property for the
-// incremental solver: on >= 120 randomized instances it must be
-// indistinguishable from the reference solver, and the sharded variant
-// must be bit-identical to the sequential one.
+// solver: on 120 randomized instances, every settled allocation matches
+// the from-scratch oracle and passes the max-min certificate.
 func TestSolverEquivalenceProperty(t *testing.T) {
-	defer func(old int) { shardMinFlows = old }(shardMinFlows)
-	shardMinFlows = 0 // force parallel dispatch on these tiny instances
 	const instances = 120
 	for seed := uint64(0); seed < instances; seed++ {
-		inst := genInstance(seed)
-		inc := runPropInstance(t, inst, SolverIncremental, 1)
-		ref := runPropInstance(t, inst, SolverReference, 1)
-
-		// The sharded solver is held to a stricter bar than the reference
-		// oracle: not epsilon-close but bit-identical to the sequential
-		// incremental solve.
-		shard := runPropInstance(t, inst, SolverIncremental, 4)
-		requireBitIdentical(t, seed, "workers=4", inc, shard)
-
-		// Identical completion sets and times.
-		if len(inc.doneAt) != len(ref.doneAt) {
-			t.Fatalf("seed %d: %d completions (incremental) vs %d (reference)",
-				seed, len(inc.doneAt), len(ref.doneAt))
-		}
-		for k, at := range ref.doneAt {
-			got, ok := inc.doneAt[k]
-			if !ok {
-				t.Fatalf("seed %d: flow %d completed only under reference", seed, k)
-			}
-			if !relClose(float64(got), float64(at), 1e-9, 1e-12) {
-				t.Errorf("seed %d: flow %d done at %v (incremental) vs %v (reference)",
-					seed, k, got, at)
-			}
-		}
-		if !relClose(float64(inc.makespan), float64(ref.makespan), 1e-9, 1e-12) {
-			t.Errorf("seed %d: makespan %v vs %v", seed, inc.makespan, ref.makespan)
-		}
-
-		// Identical mid-run allocations.
-		if len(inc.ratesAt) != len(ref.ratesAt) {
-			t.Fatalf("seed %d: %d active flows at snapshot vs %d",
-				seed, len(inc.ratesAt), len(ref.ratesAt))
-		}
-		for k, rr := range ref.ratesAt {
-			if !relClose(inc.ratesAt[k], rr, 1e-9, 1e-9) {
-				t.Errorf("seed %d: flow %d rate %v (incremental) vs %v (reference)",
-					seed, k, inc.ratesAt[k], rr)
-			}
-		}
-
-		// Identical counter integrals.
-		for c := range ref.xmit {
-			if !relClose(inc.xmit[c], ref.xmit[c], 1e-6, 1e-6) {
-				t.Errorf("seed %d: channel %d XmitData %v vs %v",
-					seed, c, inc.xmit[c], ref.xmit[c])
-			}
-		}
-		if !relClose(float64(inc.waitTotal), float64(ref.waitTotal), 1e-6, 1e-9) {
-			t.Errorf("seed %d: total XmitWait %v vs %v", seed, inc.waitTotal, ref.waitTotal)
-		}
-
-		// Each run independently conserves bytes x hops — completed flows
-		// credit their full size, cancelled flows exactly their partial.
-		for name, r := range map[string]propResult{"incremental": inc, "reference": ref} {
-			if !relClose(r.creditedBH, r.movedHops, 1e-9, 1e-6) {
-				t.Errorf("seed %d (%s): counters credit %v bytes x hops, flows moved %v",
-					seed, name, r.creditedBH, r.movedHops)
-			}
-		}
+		runPropInstance(t, seed, genInstance(seed))
 	}
 }

@@ -90,13 +90,12 @@ type flowTable struct {
 	free []int32 // LIFO slot free list
 
 	// liveList is the dense list of live slots (zero-size included);
-	// livePos is each slot's position in it (-1 when free). Every whole-
-	// table walk — advanceAll, the reference solver's scans — iterates
-	// liveList, so post-churn tables with mostly-free capacity cost O(live)
-	// per walk, not O(capacity). Maintained by alloc/freeSlot via
-	// swap-remove; its order is event-driven and therefore deterministic,
-	// but it is NOT index order — nothing may derive an ordering from it
-	// (orderings come from seq).
+	// livePos is each slot's position in it (-1 when free). The whole-
+	// table walk (advanceAll) iterates liveList, so post-churn tables with
+	// mostly-free capacity cost O(live) per walk, not O(capacity).
+	// Maintained by alloc/freeSlot via swap-remove; its order is
+	// event-driven and therefore deterministic, but it is NOT index order —
+	// nothing may derive an ordering from it (orderings come from seq).
 	liveList []int32
 	livePos  []int32
 

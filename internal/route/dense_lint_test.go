@@ -96,30 +96,28 @@ func TestNoHandleMapsInFlowFabricHotPaths(t *testing.T) {
 }
 
 // TestNoMapsInComponentIndexHotPath bans maps of ANY key type in the
-// sharded solver's component-index hot path and the fork-join pool under
-// it: component discovery runs on every settle and the solve body runs on
-// pool workers, so both must stay on epoch-stamped flat slices (a map
-// would also be a latent data race between workers). Stricter than the
-// keyed bans above on purpose — these files have no legitimate map use.
+// solver's component-index hot path: component discovery and the
+// component solves run on every settle, so they must stay on
+// epoch-stamped flat slices. Stricter than the keyed bans above on
+// purpose — this file has no legitimate map use.
 func TestNoMapsInComponentIndexHotPath(t *testing.T) {
+	const file = "../flow/solver_incremental.go"
 	fset := token.NewFileSet()
-	for _, file := range []string{"../flow/solver_shard.go", "../sim/pool.go"} {
-		f, err := parser.ParseFile(fset, file, nil, 0)
-		if err != nil {
-			t.Fatalf("parsing %s: %v", file, err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if m, ok := n.(*ast.MapType); ok {
-				t.Errorf("%s: map in the component-index hot path — use epoch-stamped flat slices over the channel/flow space instead",
-					fset.Position(m.Pos()))
-			}
-			return true
-		})
+	f, err := parser.ParseFile(fset, file, nil, 0)
+	if err != nil {
+		t.Fatalf("parsing %s: %v", file, err)
 	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if m, ok := n.(*ast.MapType); ok {
+			t.Errorf("%s: map in the component-index hot path — use epoch-stamped flat slices over the channel/flow space instead",
+				fset.Position(m.Pos()))
+		}
+		return true
+	})
 }
 
 // TestNoContainerHeapInEventAndFlowHotPaths bans container/heap from the
-// event core and the flow solvers: its interface-typed Push/Pop boxes
+// event core and the flow solver: its interface-typed Push/Pop boxes
 // every entry, which is exactly the per-event/per-entry allocation the
 // hand-rolled value heaps (sim.Engine's 4-ary event heap, flow's share and
 // done heaps) were written to remove. Test files are exempt.
