@@ -2,17 +2,16 @@
 
 DATE := $(shell date +%F)
 
-.PHONY: all build test race vet fmt hxbench-test check bench bench-check bench-sweep bench-sweep-check bench-degraded bench-degraded-check bench-telemetry bench-telemetry-check bench-scale bench-scale-check bench-events bench-events-check
+.PHONY: all build test race vet fmt hxbench-test check bench bench-check bench-sweep bench-sweep-check bench-degraded bench-degraded-check bench-scale bench-scale-check bench-events bench-events-check
 
 # BASELINE is the committed bench document bench-check compares against;
 # override with `make bench-check BASELINE=BENCH_....json`. The sweep-
 # engine and degraded-sweep baselines live in their own BENCH_sweep_* /
 # BENCH_degraded_* documents (more iterations, different cadence) and must
 # not be picked up here.
-BASELINE := $(lastword $(sort $(filter-out BENCH_sweep_% BENCH_degraded_% BENCH_telemetry_% BENCH_scale_% BENCH_events_%,$(wildcard BENCH_*.json))))
+BASELINE := $(lastword $(sort $(filter-out BENCH_sweep_% BENCH_degraded_% BENCH_scale_% BENCH_events_%,$(wildcard BENCH_*.json))))
 SWEEPBASELINE := $(lastword $(sort $(wildcard BENCH_sweep_*.json)))
 DEGBASELINE := $(lastword $(sort $(wildcard BENCH_degraded_*.json)))
-TELBASELINE := $(lastword $(sort $(wildcard BENCH_telemetry_*.json)))
 SCALEBASELINE := $(lastword $(sort $(wildcard BENCH_scale_*.json)))
 EVENTSBASELINE := $(lastword $(sort $(wildcard BENCH_events_*.json)))
 
@@ -22,9 +21,6 @@ SWEEPBENCH := BenchmarkSweepParallel|BenchmarkTablesBuild
 # The degraded-variant table-production benchmark (fault-tolerant engines
 # over failure-chain prefixes, cold vs cached).
 DEGBENCH := BenchmarkDegradedTables
-
-# The telemetry export benchmark (streaming sinks vs retained records).
-TELBENCH := BenchmarkExportStreaming
 
 # The flow-core scale benchmarks: lifecycle-churn allocation cost over the
 # arena/SoA flow table, and the windowed endurance loop end to end.
@@ -104,24 +100,6 @@ bench-degraded:
 bench-degraded-check:
 	go test -run xxx -bench '$(DEGBENCH)' -benchtime 5x . \
 		| go run ./cmd/benchjson -filter 'DegradedTables' -baseline $(DEGBASELINE) > /dev/null
-
-# bench-telemetry records the telemetry-export baseline: per-message cost
-# of the streaming sink pipeline vs the legacy retained mode, with alloc
-# counts (-benchmem) so the per-message B/op is part of the baseline. The
-# retained-recs metric must stay 0 for the streaming modes at every run
-# length — that is the O(1)-memory contract. Committed as
-# BENCH_telemetry_<date>.json.
-bench-telemetry:
-	go test -run xxx -bench '$(TELBENCH)' -benchtime 20x -benchmem . \
-		| go run ./cmd/benchjson -filter 'ExportStreaming' -out BENCH_telemetry_$(DATE).json
-	@echo "telemetry baseline written to BENCH_telemetry_$(DATE).json"
-
-# bench-telemetry-check reruns the export benchmark and compares ns/op,
-# B/op and msgs/s against the newest committed telemetry baseline
-# (warn-only, like bench-check).
-bench-telemetry-check:
-	go test -run xxx -bench '$(TELBENCH)' -benchtime 20x -benchmem . \
-		| go run ./cmd/benchjson -filter 'ExportStreaming' -baseline $(TELBASELINE) > /dev/null
 
 # bench-scale records the flow-core scale baseline: allocs/op + B/op of
 # flow lifecycle churn at 1k/10k/100k resident flows, and msgs/s of the

@@ -6,6 +6,7 @@
 package t2hx
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -334,7 +335,8 @@ func BenchmarkAblationPlacement(b *testing.B) {
 // BenchmarkAblationTelemetry quantifies the observability tax: the same
 // alltoall run with no collector (the nil-hook hot path, which must stay
 // within noise of the pre-telemetry baseline), with counters only, and
-// with every recording surface on.
+// with every recording surface on and streaming into null sinks, as
+// -metrics-out and -trace-out run it minus the serialization.
 func BenchmarkAblationTelemetry(b *testing.B) {
 	modes := []struct {
 		name string
@@ -358,13 +360,26 @@ func BenchmarkAblationTelemetry(b *testing.B) {
 						return workloads.BuildIMB("alltoall", n, 1<<20)
 					},
 				}
+				var col *telemetry.Collector
 				if mode.opts != nil {
 					spec.Attach = func(_ int, msgr fabric.Messenger) {
-						msgr.(*fabric.Fabric).AttachTelemetry(telemetry.New(m.G, *mode.opts))
+						col = telemetry.New(m.G, *mode.opts)
+						if mode.opts.Messages {
+							col.SetSink(telemetry.NewCountSink())
+						}
+						if mode.opts.Trace {
+							col.SetTraceSink(telemetry.NewCountSink())
+						}
+						msgr.(*fabric.Fabric).AttachTelemetry(col)
 					}
 				}
 				if _, _, err := exp.RunTrials(spec); err != nil {
 					b.Fatal(err)
+				}
+				if col != nil {
+					if err := errors.Join(col.FinishStream(), col.FinishTraceStream()); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})
@@ -818,67 +833,3 @@ func BenchmarkScaleInstrumented(b *testing.B) {
 		})
 	}
 }
-
-// --- telemetry export benches (DESIGN.md Sec. 10) ---
-
-// BenchmarkExportStreaming measures the telemetry pipeline's per-message
-// cost at two run lengths, in three modes: streaming to a JSONL sink
-// (the -metrics-out path), streaming to a null sink (pure collector
-// overhead), and the legacy retained mode. Each op drives one complete
-// message lifecycle. The headline metric is retained-recs: streaming must
-// hold it at zero at any run length — that flatness (and a B/op that does
-// not scale with msgs) is what lets a 10k-terminal sweep stream telemetry
-// in constant memory. Runtime heap/GC metrics ride along in the bench
-// JSON via prof.ReportRuntimeMetrics.
-func BenchmarkExportStreaming(b *testing.B) {
-	drive := func(b *testing.B, col *telemetry.Collector, msgs int) {
-		for i := 0; i < b.N; i++ {
-			for m := 0; m < msgs; m++ {
-				rec := col.StartMsg(1, 2, 4096, 0)
-				col.MsgDelivered(rec, sim.Time(1e-6*float64(1+m%97)), 3, false)
-			}
-		}
-	}
-	for _, msgs := range []int{1000, 10000} {
-		msgs := msgs
-		b.Run(fmt.Sprintf("streaming-jsonl/msgs=%d", msgs), func(b *testing.B) {
-			col := telemetry.New(nil, telemetry.Options{Messages: true})
-			col.SetSink(telemetry.NewJSONLSink(nopWriteCloser{io.Discard}))
-			b.ReportAllocs()
-			b.ResetTimer()
-			drive(b, col, msgs)
-			b.StopTimer()
-			if err := col.FinishStream(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(b.N*msgs)/b.Elapsed().Seconds(), "msgs/s")
-			b.ReportMetric(float64(len(col.Msgs)), "retained-recs")
-			prof.ReportRuntimeMetrics(b)
-		})
-		b.Run(fmt.Sprintf("streaming-null/msgs=%d", msgs), func(b *testing.B) {
-			col := telemetry.New(nil, telemetry.Options{Messages: true})
-			col.SetSink(telemetry.NewCountSink())
-			b.ReportAllocs()
-			b.ResetTimer()
-			drive(b, col, msgs)
-			b.StopTimer()
-			b.ReportMetric(float64(b.N*msgs)/b.Elapsed().Seconds(), "msgs/s")
-			b.ReportMetric(float64(len(col.Msgs)), "retained-recs")
-		})
-		b.Run(fmt.Sprintf("buffered/msgs=%d", msgs), func(b *testing.B) {
-			col := telemetry.New(nil, telemetry.Options{Messages: true})
-			b.ReportAllocs()
-			b.ResetTimer()
-			drive(b, col, msgs)
-			b.StopTimer()
-			b.ReportMetric(float64(b.N*msgs)/b.Elapsed().Seconds(), "msgs/s")
-			b.ReportMetric(float64(len(col.Msgs)), "retained-recs")
-		})
-	}
-}
-
-// nopWriteCloser adapts io.Discard for sink constructors that close their
-// underlying writer.
-type nopWriteCloser struct{ io.Writer }
-
-func (nopWriteCloser) Close() error { return nil }

@@ -130,7 +130,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "stream run metrics + per-message FCT records + histograms + channel counters as JSONL to this file (O(1) memory at any run length)")
 	traceOut := flag.String("trace-out", "", "stream a Chrome trace_event JSON timeline to this file (open in chrome://tracing or Perfetto)")
 	countersN := flag.Int("counters", 0, "after the run, print the N hottest channels by XmitWait (perfquery-style readout)")
-	retain := flag.Bool("retain", false, "with -metrics-out/-trace-out: also keep records in memory (buffered pre-streaming behaviour)")
 	var progressF progressFlag
 	flag.Var(&progressF, "progress", "print live sweep stats (cells/s, ETA, worker utilization, table-cache hit rate) to stderr; optionally =interval (default 2s)")
 	progressOut := flag.String("progress-out", "", "append live sweep stats snapshots as JSONL \"progress\" lines to this file")
@@ -157,7 +156,7 @@ func main() {
 
 	tel := telCLI{
 		metricsOut: *metricsOut, traceOut: *traceOut, topN: *countersN,
-		retain: *retain, progress: progressF.interval, progressOut: *progressOut,
+		progress: progressF.interval, progressOut: *progressOut,
 	}
 
 	if *list {
@@ -375,7 +374,6 @@ type telCLI struct {
 	metricsOut  string
 	traceOut    string
 	topN        int
-	retain      bool
 	progress    time.Duration
 	progressOut string
 }
@@ -390,7 +388,6 @@ func (t telCLI) options() telemetry.Options {
 		Counters: true,
 		Messages: t.metricsOut != "",
 		Trace:    t.traceOut != "",
-		Retain:   t.retain,
 	}
 }
 

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -24,10 +26,25 @@ func planeTelemetry(m *Machine, opts telemetry.Options) *telemetry.Multi {
 	return telemetry.NewMulti(gs, names, opts)
 }
 
+// msgLines returns the "msg" lines of a streamed JSONL metrics document.
+func msgLines(t *testing.T, doc []byte) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, l := range bytes.Split(doc, []byte("\n")) {
+		if bytes.HasPrefix(l, []byte(`{"kind":"msg",`)) {
+			out = append(out, l)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("metrics stream holds no msg lines")
+	}
+	return out
+}
+
 // TestSinglePlaneMultiFabricMatchesFabric is the refactor's equivalence
 // property: for every paper combo, wrapping the plane in a MultiFabric
 // under the default single-plane policy must reproduce the plain Fabric
-// run byte-for-byte — same makespan, same per-message FCTs, same
+// run byte-for-byte — same makespan, the same streamed msg lines, same
 // XmitData. The message sizes bracket the PARX threshold so both LID
 // quadrants are exercised.
 func TestSinglePlaneMultiFabricMatchesFabric(t *testing.T) {
@@ -58,6 +75,8 @@ func TestSinglePlaneMultiFabricMatchesFabric(t *testing.T) {
 					t.Fatal(err)
 				}
 				colF := telemetry.New(m.G, opts)
+				var docF, docM bytes.Buffer
+				colF.SetSink(telemetry.NewJSONLSink(&docF))
 				f.AttachTelemetry(colF)
 				resF, err := mpi.Run(f, "single", ranks, build(), mpi.Options{})
 				if err != nil {
@@ -72,6 +91,7 @@ func TestSinglePlaneMultiFabricMatchesFabric(t *testing.T) {
 					t.Fatalf("single-plane machine gave %d planes, policy %s", mf.NumPlanes(), mf.PolicyName())
 				}
 				tm := planeTelemetry(m, opts)
+				tm.SetSink(telemetry.NewJSONLSink(&docM))
 				if err := mf.AttachTelemetry(tm); err != nil {
 					t.Fatal(err)
 				}
@@ -86,14 +106,19 @@ func TestSinglePlaneMultiFabricMatchesFabric(t *testing.T) {
 				if got, want := tm.TotalXmitData(), colF.Chans.TotalXmitData(); got != want {
 					t.Errorf("size %d: XmitData %v (multifabric) != %v (fabric)", size, got, want)
 				}
-				recs := tm.ForPlane(0).Msgs
-				if len(recs) != len(colF.Msgs) {
-					t.Fatalf("size %d: %d records (multifabric) != %d (fabric)", size, len(recs), len(colF.Msgs))
+				if err := colF.FinishStream(); err != nil {
+					t.Fatal(err)
 				}
-				for i := range recs {
-					a, b := colF.Msgs[i], recs[i]
-					if a.Src != b.Src || a.Dst != b.Dst || a.Size != b.Size || a.FCT() != b.FCT() {
-						t.Fatalf("size %d: record %d diverged: fabric %+v, multifabric %+v", size, i, a, b)
+				if err := tm.FinishStream(); err != nil {
+					t.Fatal(err)
+				}
+				linesF, linesM := msgLines(t, docF.Bytes()), msgLines(t, docM.Bytes())
+				if len(linesM) != len(linesF) {
+					t.Fatalf("size %d: %d msg lines (multifabric) != %d (fabric)", size, len(linesM), len(linesF))
+				}
+				for i := range linesM {
+					if !bytes.Equal(linesF[i], linesM[i]) {
+						t.Fatalf("size %d: msg line %d diverged:\nfabric      %s\nmultifabric %s", size, i, linesF[i], linesM[i])
 					}
 				}
 			}
@@ -121,6 +146,10 @@ func TestDualPlaneSizeSplitConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm := planeTelemetry(m, telemetry.Options{Counters: true, Messages: true, Trace: true})
+	traces := make([]bytes.Buffer, mf.NumPlanes())
+	for p := range traces {
+		tm.ForPlane(p).SetTraceSink(telemetry.NewTraceSink(&traces[p]))
+	}
 	if err := mf.AttachTelemetry(tm); err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +173,25 @@ func TestDualPlaneSizeSplitConservation(t *testing.T) {
 		if tm.ForPlane(p).Chans.TotalXmitData() <= 0 {
 			t.Errorf("plane %s has no XmitData", mf.PlaneName(p))
 		}
-		if tm.ForPlane(p).TraceLen() == 0 {
-			t.Errorf("plane %s emitted no trace events", mf.PlaneName(p))
+		if err := tm.ForPlane(p).FinishTraceStream(); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Ph string `json:"ph"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(traces[p].Bytes(), &doc); err != nil {
+			t.Fatalf("plane %s trace: %v", mf.PlaneName(p), err)
+		}
+		spans := 0
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph == "X" {
+				spans++
+			}
+		}
+		if spans == 0 {
+			t.Errorf("plane %s emitted no trace spans", mf.PlaneName(p))
 		}
 	}
 	sum := tm.FCTSummary()
@@ -213,6 +259,10 @@ func TestFailoverSurvivesFullPlaneOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tm := planeTelemetry(m, telemetry.Options{Messages: true})
+	if err := mf.AttachTelemetry(tm); err != nil {
+		t.Fatal(err)
+	}
 	mf.EnableResilience(fabric.Resilience{})
 	mgr, err := faults.NewManager(mf.Plane(1), faults.SMConfig{
 		Rebuild:    m.Planes[1].Rebuild,
@@ -249,5 +299,11 @@ func TestFailoverSurvivesFullPlaneOutage(t *testing.T) {
 	}
 	if mf.PlaneHealthy(1) {
 		t.Error("shattered plane still marked healthy")
+	}
+	// A redispatched message leaves one record on each plane it touched;
+	// the machine summary still counts it once.
+	if sum := tm.FCTSummary(); sum.N != int(mf.Messages) || sum.Delivered != int(mf.Delivered) {
+		t.Errorf("telemetry summary counts %d messages, %d delivered; fabric counts %d, %d (%d redispatches)",
+			sum.N, sum.Delivered, mf.Messages, mf.Delivered, mf.Redispatches)
 	}
 }

@@ -1,11 +1,8 @@
 package telemetry
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 
 	"github.com/hpcsim/t2hx/internal/sim"
 )
@@ -16,10 +13,9 @@ import (
 // XmitWait), and one "chan" line per fabric channel that saw traffic. The
 // format is grep/jq-friendly and append-mergeable across runs.
 //
-// Buffered exports (WriteMetricsJSONL) put the "run" line first; streaming
-// exports necessarily invert that — "msg" lines appear as messages finish,
-// and FinishStream appends "hist", "chan" and finally "run" when the run's
-// totals are known. Consumers must key on "kind", not position.
+// "msg" lines appear as messages finish, and FinishStream appends "hist",
+// "chan" and finally "run" when the run's totals are known. Consumers must
+// key on "kind", not position.
 
 type runLine struct {
 	Kind      string  `json:"kind"` // "run"
@@ -126,16 +122,17 @@ func (c *Collector) makeRunLine() runLine {
 	return run
 }
 
-// histLines assembles the collector's distribution lines: FCT (when
-// message recording is on), engine queue depth (when an engine ran), and
-// the per-channel XmitWait distribution derived from the counters.
-func (c *Collector) histLines() []histLine {
-	var out []histLine
+// writeStreamFooter emits the trailing summary lines of a streaming
+// export through the sink: the distributions — FCT (when message
+// recording is on), engine queue depth (when an engine ran), and the
+// per-channel XmitWait distribution derived from the counters — then the
+// per-channel counter lines (channels with traffic only), then "run".
+func (c *Collector) writeStreamFooter() {
 	if c.FCTHist != nil && c.FCTHist.Count() > 0 {
-		out = append(out, makeHistLine(c.Plane, c.FCTHist))
+		c.emit(makeHistLine(c.Plane, c.FCTHist))
 	}
 	if c.QueueHist != nil && c.QueueHist.Count() > 0 {
-		out = append(out, makeHistLine(c.Plane, c.QueueHist))
+		c.emit(makeHistLine(c.Plane, c.QueueHist))
 	}
 	if c.Chans != nil {
 		c.Chans.Flush() // reading the XmitWait slice directly
@@ -146,68 +143,14 @@ func (c *Collector) histLines() []histLine {
 			}
 		}
 		if xw.Count() > 0 {
-			out = append(out, makeHistLine(c.Plane, xw))
+			c.emit(makeHistLine(c.Plane, xw))
 		}
-	}
-	return out
-}
-
-// chanLines assembles the per-channel counter lines (channels with
-// traffic only).
-func (c *Collector) chanLines() []chanLine {
-	if c.Chans == nil {
-		return nil
-	}
-	hot := c.Chans.HotLinks(0, 0)
-	out := make([]chanLine, 0, len(hot))
-	for _, h := range hot {
-		out = append(out, chanLine{
-			Kind: "chan", Plane: c.Plane, Channel: int32(h.Channel), From: h.From, To: h.To,
-			XmitData: h.Bytes, XmitWait: float64(h.Wait), HWM: h.HWM,
-		})
-	}
-	return out
-}
-
-// WriteMetricsJSONL writes the run summary, message records, distribution
-// lines and channel counters as JSON lines (buffered export; requires a
-// retaining collector for the msg lines).
-func (c *Collector) WriteMetricsJSONL(w io.Writer) error {
-	return c.writeMetrics(json.NewEncoder(w))
-}
-
-// writeMetrics streams the collector's lines onto an existing encoder, so
-// Multi can interleave several planes into one document.
-func (c *Collector) writeMetrics(enc *json.Encoder) error {
-	if err := enc.Encode(c.makeRunLine()); err != nil {
-		return err
-	}
-	for i := range c.Msgs {
-		if err := enc.Encode(makeMsgLine(c.Plane, &c.Msgs[i])); err != nil {
-			return err
+		for _, h := range c.Chans.HotLinks(0, 0) {
+			c.emit(chanLine{
+				Kind: "chan", Plane: c.Plane, Channel: int32(h.Channel), From: h.From, To: h.To,
+				XmitData: h.Bytes, XmitWait: float64(h.Wait), HWM: h.HWM,
+			})
 		}
-	}
-	for _, hl := range c.histLines() {
-		if err := enc.Encode(hl); err != nil {
-			return err
-		}
-	}
-	for _, cl := range c.chanLines() {
-		if err := enc.Encode(cl); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeStreamFooter emits the trailing summary lines of a streaming
-// export ("hist", "chan", then "run") through the sink.
-func (c *Collector) writeStreamFooter() {
-	for _, hl := range c.histLines() {
-		c.emit(hl)
-	}
-	for _, cl := range c.chanLines() {
-		c.emit(cl)
 	}
 	c.emit(c.makeRunLine())
 }
@@ -228,31 +171,6 @@ func (c *Collector) FinishStream() error {
 	}
 	c.sink = nil
 	return err
-}
-
-// WriteChannelCSV writes the per-channel counters as CSV (channels with
-// traffic only), for spreadsheet/pandas consumption.
-func (c *Collector) WriteChannelCSV(w io.Writer) error {
-	if c.Chans == nil {
-		return fmt.Errorf("telemetry: channel counters not enabled")
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"channel", "from", "to", "xmit_data_bytes", "xmit_wait_s", "active_hwm"}); err != nil {
-		return err
-	}
-	for _, h := range c.Chans.HotLinks(0, 0) {
-		rec := []string{
-			strconv.Itoa(int(h.Channel)), h.From, h.To,
-			strconv.FormatFloat(h.Bytes, 'g', 10, 64),
-			strconv.FormatFloat(float64(h.Wait), 'g', 10, 64),
-			strconv.Itoa(int(h.HWM)),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // FprintHotLinks renders the paper-style top-n counter readout (the

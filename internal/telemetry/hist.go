@@ -3,10 +3,10 @@ package telemetry
 import "math/bits"
 
 // Hist is a mergeable log-bucketed (HDR-style) histogram over non-negative
-// samples. It replaces the sorted-slice percentile path for streaming runs,
-// where per-message records leave memory the moment they close: the
-// distribution survives as a few KB of integer bucket counts instead of an
-// O(messages) float slice.
+// samples. The collector's FCT percentiles come from a Hist: per-message
+// records leave memory the moment they close, and the distribution
+// survives as a few KB of integer bucket counts instead of an O(messages)
+// float slice.
 //
 // Samples are quantized to integer "ticks" (value x Scale, rounded) and
 // bucketed with the HDR scheme: ticks below 2^HistSubBits land in exact

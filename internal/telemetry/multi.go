@@ -1,13 +1,6 @@
 package telemetry
 
-import (
-	"encoding/json"
-	"io"
-	"sort"
-
-	"github.com/hpcsim/t2hx/internal/sim"
-	"github.com/hpcsim/t2hx/internal/topo"
-)
+import "github.com/hpcsim/t2hx/internal/topo"
 
 // Multi bundles one Collector per plane of a multi-plane machine and
 // merges their exports. Per-plane counters stay separate — each plane has
@@ -132,90 +125,27 @@ func (m *Multi) TotalXmitData() float64 {
 	return total
 }
 
-// FCTSummary merges every plane's delivered-message records into one
-// machine-level completion-time distribution. Records closed as
-// redispatched are plane-local bookkeeping (the carrying plane holds the
-// delivered record) and are excluded from N like any undelivered record
-// is from the percentiles. When the planes stream (records not retained),
-// the summary merges the planes' FCT histograms instead — the merge is
-// order-independent, so the machine percentiles match what an offline
-// re-merge of the exported per-plane "hist" lines would give.
+// FCTSummary merges every plane's aggregates and FCT histograms into one
+// machine-level summary. A record closed as redispatched is plane-local
+// bookkeeping: the plane that carries the message opens a fresh record, so
+// N counts each message once. The histogram merge is order-independent, so
+// the machine percentiles match what an offline re-merge of the exported
+// per-plane "hist" lines would give.
 func (m *Multi) FCTSummary() Summary {
-	for _, c := range m.Planes {
-		if !c.retain {
-			return m.streamSummary()
-		}
-	}
-	var s Summary
-	var fcts []float64
-	for _, c := range m.Planes {
-		s.N += len(c.Msgs)
-		for i := range c.Msgs {
-			r := &c.Msgs[i]
-			if !r.Delivered {
-				continue
-			}
-			s.Delivered++
-			s.Bytes += float64(r.Size)
-			s.BytesHops += float64(r.Size) * float64(r.Hops)
-			fcts = append(fcts, float64(r.FCT()))
-		}
-	}
-	if len(fcts) == 0 {
-		return s
-	}
-	sort.Float64s(fcts)
-	var sum float64
-	for _, v := range fcts {
-		sum += v
-	}
-	s.Mean = sim.Duration(sum / float64(len(fcts)))
-	s.P50 = sim.Duration(percentile(fcts, 0.50))
-	s.P95 = sim.Duration(percentile(fcts, 0.95))
-	s.P99 = sim.Duration(percentile(fcts, 0.99))
-	s.Max = sim.Duration(fcts[len(fcts)-1])
-	return s
-}
-
-// streamSummary assembles the machine summary from the planes' streaming
-// aggregates and their merged FCT histograms.
-func (m *Multi) streamSummary() Summary {
-	var s Summary
-	var fctSum, fctMax float64
+	var a msgAgg
 	merged := NewHist("fct", "s", 1e9)
 	for _, c := range m.Planes {
-		s.N += c.agg.started
-		s.Delivered += c.agg.delivered
-		s.Bytes += c.agg.bytes
-		s.BytesHops += c.agg.bytesHops
-		fctSum += c.agg.fctSum
-		if c.agg.fctMax > fctMax {
-			fctMax = c.agg.fctMax
-		}
+		a.started += c.agg.started - c.agg.redispatched
+		a.delivered += c.agg.delivered
+		a.bytes += c.agg.bytes
+		a.bytesHops += c.agg.bytesHops
+		a.fctSum += c.agg.fctSum
+		a.fctMax = max(a.fctMax, c.agg.fctMax)
 		if c.FCTHist != nil {
 			merged.Merge(c.FCTHist)
 		}
 	}
-	if s.Delivered == 0 {
-		return s
-	}
-	s.Mean = sim.Duration(fctSum / float64(s.Delivered))
-	s.P50 = sim.Duration(merged.Quantile(0.50))
-	s.P95 = sim.Duration(merged.Quantile(0.95))
-	s.P99 = sim.Duration(merged.Quantile(0.99))
-	s.Max = sim.Duration(fctMax)
-	return s
-}
-
-// WriteTrace merges every plane's timeline (each on its own pid lanes,
-// see TracePlaneStride) into one Chrome trace_event document.
-func (m *Multi) WriteTrace(w io.Writer) error {
-	var events []traceEvent
-	for _, c := range m.Planes {
-		events = append(events, c.metaEvents()...)
-		events = append(events, c.trace...)
-	}
-	return writeTraceDoc(w, events)
+	return a.summary(merged)
 }
 
 // machineLine is the machine-level summary row of a multi-plane export.
@@ -243,20 +173,4 @@ func (m *Multi) makeMachineLine() machineLine {
 		XmitData: m.TotalXmitData(),
 		FCTp50:   float64(s.P50), FCTp99: float64(s.P99),
 	}
-}
-
-// WriteMetricsJSONL writes a machine-level summary line ("kind":
-// "machine") followed by every plane's full line stream; per-plane lines
-// carry their plane id.
-func (m *Multi) WriteMetricsJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(m.makeMachineLine()); err != nil {
-		return err
-	}
-	for _, c := range m.Planes {
-		if err := c.writeMetrics(enc); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"sort"
-
 	"github.com/hpcsim/t2hx/internal/sim"
 	"github.com/hpcsim/t2hx/internal/topo"
 )
@@ -39,19 +37,15 @@ func (r MsgRecord) FCT() sim.Duration {
 
 // StartMsg opens a record and returns its index, or -1 when message
 // recording is off (callers pass the index back into the other Msg hooks,
-// which all tolerate -1, so the fabric needs no second nil-check). In
-// retained mode the index addresses Msgs; in streaming mode it addresses
-// the open-slot table, whose slots are recycled as records close.
+// which all tolerate -1, so the fabric needs no second nil-check). The
+// index addresses the open-slot table, whose slots are recycled as records
+// close.
 func (c *Collector) StartMsg(src, dst topo.NodeID, size int64, now sim.Time) int {
 	if c == nil || !c.Opts.Messages {
 		return -1
 	}
 	c.agg.started++
 	r := MsgRecord{Src: src, Dst: dst, Size: size, Issued: now, Wired: -1}
-	if c.retain {
-		c.Msgs = append(c.Msgs, r)
-		return len(c.Msgs) - 1
-	}
 	if k := len(c.freeSlots); k > 0 {
 		slot := c.freeSlots[k-1]
 		c.freeSlots = c.freeSlots[:k-1]
@@ -62,32 +56,25 @@ func (c *Collector) StartMsg(src, dst topo.NodeID, size int64, now sim.Time) int
 	return len(c.open) - 1
 }
 
-// msgAt resolves a live record index against the active storage mode.
-func (c *Collector) msgAt(rec int) *MsgRecord {
-	if c.retain {
-		return &c.Msgs[rec]
-	}
-	return &c.open[rec]
-}
-
 // MsgWired stamps the instant a transfer attempt reached the wire.
 func (c *Collector) MsgWired(rec int, now sim.Time) {
 	if rec >= 0 {
-		c.msgAt(rec).Wired = now
+		c.open[rec].Wired = now
 	}
 }
 
 // MsgRetry counts one failed delivery attempt.
 func (c *Collector) MsgRetry(rec int) {
 	if rec >= 0 {
-		c.msgAt(rec).Retries++
+		c.open[rec].Retries++
 	}
 }
 
 // closeMsg finalizes a record: histogram and aggregate updates, the trace
-// span, the streamed "msg" line, and (streaming mode) slot recycling.
+// span, the streamed "msg" line, and slot recycling.
 func (c *Collector) closeMsg(rec int, r *MsgRecord) {
-	if r.Delivered {
+	switch {
+	case r.Delivered:
 		c.agg.delivered++
 		c.agg.bytes += float64(r.Size)
 		c.agg.bytesHops += float64(r.Size) * float64(r.Hops)
@@ -97,14 +84,14 @@ func (c *Collector) closeMsg(rec int, r *MsgRecord) {
 			c.agg.fctMax = fct
 		}
 		c.FCTHist.Observe(fct)
+	case r.Redispatched:
+		c.agg.redispatched++
 	}
 	c.traceMsg(r)
 	if c.sink != nil {
 		c.emit(makeMsgLine(c.Plane, r))
 	}
-	if !c.retain {
-		c.freeSlots = append(c.freeSlots, rec)
-	}
+	c.freeSlots = append(c.freeSlots, rec)
 }
 
 // MsgDelivered closes a record and, with tracing on, emits the message's
@@ -113,7 +100,7 @@ func (c *Collector) MsgDelivered(rec int, now sim.Time, hops int, loopback bool)
 	if rec < 0 {
 		return
 	}
-	r := c.msgAt(rec)
+	r := &c.open[rec]
 	r.Finished = now
 	r.Hops = hops
 	r.Delivered = true
@@ -127,7 +114,7 @@ func (c *Collector) MsgRedispatched(rec int, now sim.Time) {
 	if rec < 0 {
 		return
 	}
-	r := c.msgAt(rec)
+	r := &c.open[rec]
 	r.Finished = now
 	r.Redispatched = true
 	c.closeMsg(rec, r)
@@ -138,7 +125,7 @@ func (c *Collector) MsgGiveUp(rec int, now sim.Time) {
 	if rec < 0 {
 		return
 	}
-	r := c.msgAt(rec)
+	r := &c.open[rec]
 	r.Finished = now
 	c.closeMsg(rec, r)
 }
@@ -159,74 +146,24 @@ type Summary struct {
 	BytesHops float64
 }
 
-// FCTSummary reduces the message records to completion-time percentiles and
-// the conservation right-hand side. In retained mode the percentiles are
-// exact (interpolated over the sorted record set, the historical path the
-// figure pipelines pin); in streaming mode the records are gone, so the
-// percentiles come from the mergeable FCT histogram (nearest rank, relative
-// error <= 2^-HistSubBits) while N/Delivered/Bytes/Mean/Max stay exact via
-// the running aggregates.
-func (c *Collector) FCTSummary() Summary {
-	if !c.retain {
-		return c.streamSummary()
-	}
-	s := Summary{N: len(c.Msgs)}
-	var fcts []float64
-	for i := range c.Msgs {
-		r := &c.Msgs[i]
-		if !r.Delivered {
-			continue
-		}
-		s.Delivered++
-		s.Bytes += float64(r.Size)
-		s.BytesHops += float64(r.Size) * float64(r.Hops)
-		fcts = append(fcts, float64(r.FCT()))
-	}
-	if len(fcts) == 0 {
+// FCTSummary reduces the plane's records to completion-time statistics and
+// the conservation right-hand side. N counts every record the plane opened,
+// redispatched ones included.
+func (c *Collector) FCTSummary() Summary { return c.agg.summary(c.FCTHist) }
+
+// summary is the one reduction behind every FCTSummary: N, Delivered,
+// Bytes, BytesHops, Mean and Max are exact running aggregates; the
+// percentiles come from the mergeable FCT histogram h (nearest rank,
+// relative error <= 2^-HistSubBits).
+func (a *msgAgg) summary(h *Hist) Summary {
+	s := Summary{N: a.started, Delivered: a.delivered, Bytes: a.bytes, BytesHops: a.bytesHops}
+	if a.delivered == 0 {
 		return s
 	}
-	sort.Float64s(fcts)
-	var sum float64
-	for _, v := range fcts {
-		sum += v
-	}
-	s.Mean = sim.Duration(sum / float64(len(fcts)))
-	s.P50 = sim.Duration(percentile(fcts, 0.50))
-	s.P95 = sim.Duration(percentile(fcts, 0.95))
-	s.P99 = sim.Duration(percentile(fcts, 0.99))
-	s.Max = sim.Duration(fcts[len(fcts)-1])
+	s.Mean = sim.Duration(a.fctSum / float64(a.delivered))
+	s.P50 = sim.Duration(h.Quantile(0.50))
+	s.P95 = sim.Duration(h.Quantile(0.95))
+	s.P99 = sim.Duration(h.Quantile(0.99))
+	s.Max = sim.Duration(a.fctMax)
 	return s
-}
-
-// streamSummary assembles the Summary from the streaming aggregates and
-// the FCT histogram.
-func (c *Collector) streamSummary() Summary {
-	s := Summary{
-		N: c.agg.started, Delivered: c.agg.delivered,
-		Bytes: c.agg.bytes, BytesHops: c.agg.bytesHops,
-	}
-	if c.agg.delivered == 0 {
-		return s
-	}
-	s.Mean = sim.Duration(c.agg.fctSum / float64(c.agg.delivered))
-	s.P50 = sim.Duration(c.FCTHist.Quantile(0.50))
-	s.P95 = sim.Duration(c.FCTHist.Quantile(0.95))
-	s.P99 = sim.Duration(c.FCTHist.Quantile(0.99))
-	s.Max = sim.Duration(c.agg.fctMax)
-	return s
-}
-
-// percentile linearly interpolates over a sorted slice.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := p * float64(len(sorted)-1)
-	lo := int(idx)
-	hi := lo + 1
-	if hi >= len(sorted) {
-		return sorted[lo]
-	}
-	frac := idx - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

@@ -2,21 +2,18 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 )
 
-// Sinks are the streaming half of the observability layer: instead of
-// retaining every per-message record until the run ends (PR 2's buffered
-// model, which caps run size at available memory), a Collector with a sink
-// attached writes each record the moment it closes and forgets it. The
-// only per-run state left in memory is O(1): integer histogram buckets,
-// channel counters, and the open-message slot table (bounded by the number
-// of concurrently in-flight messages, not by run length).
+// Sinks are how records leave the observability layer: a Collector writes
+// each message record the moment it closes and forgets it, so a run's
+// length is not capped by available memory. The only per-run state left in
+// memory is O(1): integer histogram buckets, channel counters, and the
+// open-message slot table (bounded by the number of concurrently in-flight
+// messages, not by run length).
 //
 // Sinks buffer boundedly (a fixed-size bufio window) and flush periodically
 // (every FlushEvery records), so `tail -f | jq` sees a long sweep's lines
@@ -63,9 +60,8 @@ func closeUnderlying(w io.Writer) error {
 	return nil
 }
 
-// JSONLSink streams lines as JSON objects, one per line — the same
-// grep/jq-friendly format the buffered WriteMetricsJSONL produces, minus
-// the requirement to hold the run in memory.
+// JSONLSink streams lines as JSON objects, one per line — the
+// grep/jq-friendly -metrics-out format.
 type JSONLSink struct {
 	under  io.Writer
 	w      *bufio.Writer
@@ -123,92 +119,6 @@ func (s *JSONLSink) Flush() error {
 
 // Close flushes and closes the underlying writer.
 func (s *JSONLSink) Close() error {
-	if s.closed {
-		return s.err
-	}
-	s.closed = true
-	s.Flush()
-	if err := closeUnderlying(s.under); err != nil && s.err == nil {
-		s.err = err
-	}
-	return s.err
-}
-
-// MsgCSVSink streams "msg" lines as CSV rows for spreadsheet/pandas
-// consumption; lines of any other kind pass through uncounted (a Tee can
-// feed it the full stream). The header row is written lazily with the
-// first record.
-type MsgCSVSink struct {
-	under  io.Writer
-	w      *csv.Writer
-	wrote  bool
-	unread int
-	every  int
-	err    error
-	closed bool
-}
-
-// NewMsgCSVSink wraps w. If w is an io.Closer, Close closes it.
-func NewMsgCSVSink(w io.Writer) *MsgCSVSink {
-	return &MsgCSVSink{under: w, w: csv.NewWriter(bufio.NewWriterSize(w, sinkBufSize)), every: defaultFlushEvery}
-}
-
-var msgCSVHeader = []string{
-	"plane", "src", "dst", "size", "issued_s", "wired_s", "finished_s",
-	"fct_s", "hops", "retries", "delivered", "redispatched",
-}
-
-// Write appends one msg line as a CSV row.
-func (s *MsgCSVSink) Write(l Line) error {
-	if s.err != nil {
-		return s.err
-	}
-	m, ok := l.(msgLine)
-	if !ok {
-		return nil
-	}
-	if !s.wrote {
-		s.wrote = true
-		if err := s.w.Write(msgCSVHeader); err != nil {
-			s.err = err
-			return err
-		}
-	}
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }
-	row := []string{
-		strconv.Itoa(m.Plane),
-		strconv.Itoa(int(m.Src)), strconv.Itoa(int(m.Dst)),
-		strconv.FormatInt(m.Size, 10),
-		g(m.Issued), g(m.Wired), g(m.Finished), g(m.FCT),
-		strconv.Itoa(m.Hops), strconv.Itoa(m.Retries),
-		strconv.FormatBool(m.Delivered), strconv.FormatBool(m.Redispatched),
-	}
-	if err := s.w.Write(row); err != nil {
-		s.err = err
-		return err
-	}
-	s.unread++
-	if s.unread >= s.every {
-		return s.Flush()
-	}
-	return nil
-}
-
-// Flush pushes buffered rows through to the underlying writer.
-func (s *MsgCSVSink) Flush() error {
-	if s.err != nil {
-		return s.err
-	}
-	s.unread = 0
-	s.w.Flush()
-	if err := s.w.Error(); err != nil {
-		s.err = err
-	}
-	return s.err
-}
-
-// Close flushes and closes the underlying writer.
-func (s *MsgCSVSink) Close() error {
 	if s.closed {
 		return s.err
 	}
@@ -374,7 +284,7 @@ func (s *CountSink) Closes() int {
 // returned (all sinks still receive every call).
 type teeSink struct{ sinks []Sink }
 
-// Tee combines sinks, e.g. a JSONL stream plus a CSV side-channel.
+// Tee combines sinks, e.g. a JSONL stream plus a CountSink.
 func Tee(sinks ...Sink) Sink { return &teeSink{sinks: sinks} }
 
 func (t *teeSink) Write(l Line) error {

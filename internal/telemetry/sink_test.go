@@ -2,11 +2,11 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -106,37 +106,6 @@ func TestJSONLSinkStickyError(t *testing.T) {
 	}
 }
 
-func TestMsgCSVSink(t *testing.T) {
-	w := &countingWriter{}
-	s := NewMsgCSVSink(w)
-	for i := 0; i < 3; i++ {
-		if err := s.Write(testMsgLine(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Non-msg kinds pass through silently, so a Tee can feed the full
-	// stream.
-	if err := s.Write(runLine{Kind: "run"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&w.buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 { // header + 3 msgs
-		t.Fatalf("%d CSV rows, want 4", len(rows))
-	}
-	if got := strings.Join(rows[0], ","); got != strings.Join(msgCSVHeader, ",") {
-		t.Fatalf("header %q", got)
-	}
-	if rows[1][1] != "0" || rows[1][2] != "1" {
-		t.Fatalf("first row src/dst = %s/%s", rows[1][1], rows[1][2])
-	}
-}
-
 func TestTraceSinkProducesValidDoc(t *testing.T) {
 	w := &countingWriter{}
 	s := NewTraceSink(w)
@@ -222,18 +191,14 @@ func drive(c *Collector, msgs, window int) {
 	}
 }
 
-// TestCollectorStreamingIsO1 is the tentpole's memory guarantee: with a
-// sink attached and retention off, an arbitrarily long run keeps only the
-// open-slot table in memory.
+// TestCollectorStreamingIsO1 is the collector's memory guarantee: an
+// arbitrarily long run keeps only the open-slot table in memory.
 func TestCollectorStreamingIsO1(t *testing.T) {
 	count := NewCountSink()
 	c := New(nil, Options{Messages: true})
 	c.SetSink(count)
 	const msgs, window = 10000, 4
 	drive(c, msgs, window)
-	if len(c.Msgs) != 0 {
-		t.Fatalf("streaming collector retained %d records", len(c.Msgs))
-	}
 	if len(c.open) > window {
 		t.Fatalf("open-slot table grew to %d, want <= in-flight window %d", len(c.open), window)
 	}
@@ -255,58 +220,55 @@ func TestCollectorStreamingIsO1(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesBufferedSummary drives identical lifecycles through
-// a retained and a streaming collector: the exact aggregates must agree
-// exactly, the percentiles within the histogram's error bound.
+// TestStreamingMatchesBufferedSummary checks the summary against the
+// exact statistics of the same lifecycles, buffered and sorted by the test
+// itself: the aggregates must agree exactly, the histogram percentiles
+// within the histogram's error bound.
 func TestStreamingMatchesBufferedSummary(t *testing.T) {
-	buffered := New(nil, Options{Messages: true})
-	streaming := New(nil, Options{Messages: true})
-	streaming.SetSink(NewCountSink())
-
-	for _, c := range []*Collector{buffered, streaming} {
-		for i := 0; i < 500; i++ {
-			rec := c.StartMsg(1, 2, 1024, 0)
-			fct := sim.Time(1e-6 * float64(1+i%100))
-			c.MsgDelivered(rec, fct, 3, false)
+	c := New(nil, Options{Messages: true})
+	c.SetSink(NewCountSink())
+	var fcts []float64
+	var payload, bytesHops, sum float64
+	for i := 0; i < 500; i++ {
+		rec := c.StartMsg(1, 2, 1024, 0)
+		fct := sim.Time(1e-6 * float64(1+i%100))
+		c.MsgDelivered(rec, fct, 3, false)
+		fcts = append(fcts, float64(fct))
+		payload += 1024
+		bytesHops += 1024 * 3
+		sum += float64(fct)
+	}
+	sort.Float64s(fcts)
+	s := c.FCTSummary()
+	if s.N != len(fcts) || s.Delivered != len(fcts) || s.Bytes != payload || s.BytesHops != bytesHops {
+		t.Fatalf("exact aggregates diverge: summary %+v, want N=Delivered=%d bytes %v bytes*hops %v",
+			s, len(fcts), payload, bytesHops)
+	}
+	mean, maxFCT := sum/float64(len(fcts)), fcts[len(fcts)-1]
+	if math.Abs(float64(s.Mean)-mean) > 1e-9 || math.Abs(float64(s.Max)-maxFCT) > 1e-9 {
+		t.Fatalf("mean/max diverge: %v/%v vs exact %v/%v", s.Mean, s.Max, mean, maxFCT)
+	}
+	// interpolated is the exact quantile: linear interpolation over the
+	// sorted samples.
+	interpolated := func(p float64) float64 {
+		idx := p * float64(len(fcts)-1)
+		lo := int(idx)
+		if lo+1 >= len(fcts) {
+			return fcts[lo]
 		}
-	}
-	b, s := buffered.FCTSummary(), streaming.FCTSummary()
-	if b.N != s.N || b.Delivered != s.Delivered || b.Bytes != s.Bytes || b.BytesHops != s.BytesHops {
-		t.Fatalf("exact aggregates diverge: buffered %+v streaming %+v", b, s)
-	}
-	// The streaming mean/max come from integer nanosecond ticks, so they
-	// agree with the float path only up to half-tick quantization.
-	if math.Abs(float64(b.Mean-s.Mean)) > 1e-9 || math.Abs(float64(b.Max-s.Max)) > 1e-9 {
-		t.Fatalf("mean/max diverge: %v/%v vs %v/%v", b.Mean, b.Max, s.Mean, s.Max)
+		frac := idx - float64(lo)
+		return fcts[lo]*(1-frac) + fcts[lo+1]*frac
 	}
 	relOK := func(a, b float64) bool {
 		if b == 0 {
 			return a == 0
 		}
-		d := a - b
-		if d < 0 {
-			d = -d
-		}
-		return d/b <= 0.02+1e-9 // 2^-6 bucket + interpolation-vs-rank slack
+		return math.Abs(a-b)/b <= 0.02+1e-9 // 2^-6 bucket + interpolation-vs-rank slack
 	}
-	if !relOK(float64(s.P50), float64(b.P50)) || !relOK(float64(s.P99), float64(b.P99)) {
-		t.Fatalf("percentiles outside bound: buffered p50=%v p99=%v, streaming p50=%v p99=%v",
-			b.P50, b.P99, s.P50, s.P99)
-	}
-}
-
-// TestRetainWithSink keeps the buffered API alongside a stream when
-// Options.Retain is set.
-func TestRetainWithSink(t *testing.T) {
-	count := NewCountSink()
-	c := New(nil, Options{Messages: true, Retain: true})
-	c.SetSink(count)
-	drive(c, 100, 4)
-	if len(c.Msgs) != 100 {
-		t.Fatalf("retaining collector kept %d records, want 100", len(c.Msgs))
-	}
-	if count.Count("msg") != 100 {
-		t.Fatalf("sink saw %d msg lines, want 100", count.Count("msg"))
+	p50, p99 := interpolated(0.50), interpolated(0.99)
+	if !relOK(float64(s.P50), p50) || !relOK(float64(s.P99), p99) {
+		t.Fatalf("percentiles outside bound: exact p50=%v p99=%v, summary p50=%v p99=%v",
+			p50, p99, s.P50, s.P99)
 	}
 }
 

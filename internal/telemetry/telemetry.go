@@ -1,7 +1,7 @@
 // Package telemetry is the observability layer of the simulated fabric:
 // InfiniBand-style per-channel counters (PortXmitData/PortXmitWait
 // analogues), per-message flow-completion records, a Chrome
-// trace_event-compatible event trace, and JSONL/CSV export.
+// trace_event-compatible event trace, and streamed JSONL export.
 //
 // Domke et al. diagnosed the HyperX-vs-Fat-Tree congestion behaviour on the
 // real TSUBAME2 by reading exactly these counters off the switches; this
@@ -33,11 +33,6 @@ type Options struct {
 	// Trace enables the Chrome trace_event timeline (message lifecycle
 	// spans, fault instants, subnet-manager sweeps).
 	Trace bool
-	// Retain keeps closed message records (and trace events) in memory
-	// even when a sink is attached — the buffered pre-sink API that tests
-	// and the figure pipelines scan after the run. Without a sink,
-	// retention is implied and this flag is ignored.
-	Retain bool
 }
 
 // All enables every recording surface.
@@ -59,22 +54,15 @@ type Collector struct {
 	// Chans is the per-channel counter set; nil when Opts.Counters is
 	// false.
 	Chans *ChannelCounters
-	// Msgs holds one record per submitted message when Opts.Messages is
-	// set and the collector retains (no sink, or Opts.Retain). With a
-	// sink attached and retention off, closed records leave memory as
-	// "msg" lines and Msgs stays empty.
-	Msgs []MsgRecord
 
 	// FCTHist is the mergeable completion-time distribution of delivered
-	// messages (unit seconds); nil unless Opts.Messages. It is maintained
-	// in both retained and streaming modes, so percentile lines survive
-	// runs whose per-message records do not.
+	// messages (unit seconds); nil unless Opts.Messages. The FCT
+	// percentiles come from it: closed records leave memory as "msg"
+	// lines, the distribution stays.
 	FCTHist *Hist
 	// QueueHist is the engine pending-event-queue depth distribution,
 	// sampled per executed event once an engine is attached.
 	QueueHist *Hist
-
-	trace []traceEvent
 
 	// MaxQueueDepth is the high-watermark of the engine's pending-event
 	// queue, sampled per executed event when an engine is attached.
@@ -82,36 +70,34 @@ type Collector struct {
 
 	eng *sim.Engine
 
-	// Streaming state: sink receives closed records as lines; traceSink
-	// receives trace events. sinkErr latches the first write failure
-	// (surfaced by FinishStream / SinkErr). retain mirrors "no sink or
-	// Opts.Retain". open/freeSlots form the O(concurrent-messages) slot
-	// table replacing Msgs in streaming mode.
+	// Export state: sink receives closed records as lines; traceSink
+	// receives trace events. sinkErr/traceErr latch the first write
+	// failure (surfaced by FinishStream / FinishTraceStream / SinkErr).
+	// open/freeSlots form the O(concurrent-messages) table of open records.
 	sink      Sink
 	traceSink Sink
 	sinkErr   error
 	traceErr  error
-	retain    bool
 	open      []MsgRecord
 	freeSlots []int
-	agg       streamAgg
+	agg       msgAgg
 }
 
-// streamAgg accumulates the run-summary aggregates that the retained path
-// would recompute by scanning Msgs; in streaming mode it is the only
-// per-run message state besides the histograms.
-type streamAgg struct {
-	started   int
-	delivered int
-	bytes     float64
-	bytesHops float64
-	fctSum    float64
-	fctMax    float64
+// msgAgg accumulates the run-summary aggregates of closed records; with
+// the histograms it is the only per-run message state the collector keeps.
+type msgAgg struct {
+	started      int
+	redispatched int
+	delivered    int
+	bytes        float64
+	bytesHops    float64
+	fctSum       float64
+	fctMax       float64
 }
 
 // New builds a collector over g's channels with the given options.
 func New(g *topo.Graph, opts Options) *Collector {
-	c := &Collector{Opts: opts, retain: true}
+	c := &Collector{Opts: opts}
 	if opts.Counters {
 		c.Chans = NewChannelCounters(g)
 	}
@@ -124,14 +110,12 @@ func New(g *topo.Graph, opts Options) *Collector {
 
 // SetSink attaches a streaming sink: every message record is written as a
 // "msg" line the moment it closes, and FinishStream appends the trailing
-// "hist"/"chan"/"run" summary lines. Unless Opts.Retain is set, records
-// are no longer kept in Msgs — memory stays O(concurrently in-flight
-// messages) for arbitrarily long runs. Attach before traffic starts;
-// write errors latch into SinkErr and surface from FinishStream.
-func (c *Collector) SetSink(s Sink) {
-	c.sink = s
-	c.retain = s == nil || c.Opts.Retain
-}
+// "hist"/"chan"/"run" summary lines. Records never outlive their message
+// (without a sink they only feed FCTSummary), so memory stays
+// O(concurrently in-flight messages) for arbitrarily long runs. Attach
+// before traffic starts; write errors latch into SinkErr and surface from
+// FinishStream.
+func (c *Collector) SetSink(s Sink) { c.sink = s }
 
 // SinkErr reports the first error the attached sink returned, or nil.
 func (c *Collector) SinkErr() error { return c.sinkErr }

@@ -19,6 +19,14 @@ import (
 func runWithCollector(t *testing.T, combo exp.Combo, n int, opts telemetry.Options,
 	build func(n int) (*workloads.Instance, error)) *telemetry.Collector {
 	t.Helper()
+	return runWithSinks(t, combo, n, opts, build, nil, nil)
+}
+
+// runWithSinks is runWithCollector with the metrics and trace sinks (each
+// optional) attached before traffic starts; the caller finishes them.
+func runWithSinks(t *testing.T, combo exp.Combo, n int, opts telemetry.Options,
+	build func(n int) (*workloads.Instance, error), metrics, trace telemetry.Sink) *telemetry.Collector {
+	t.Helper()
 	m, err := exp.BuildMachine(combo, exp.MachineConfig{Small: true, Degrade: true, Seed: 1})
 	if err != nil {
 		t.Fatalf("BuildMachine(%s): %v", combo.Name, err)
@@ -28,6 +36,12 @@ func runWithCollector(t *testing.T, combo exp.Combo, n int, opts telemetry.Optio
 		Machine: m, Nodes: n, Trials: 1, Seed: 1, Build: build,
 		Attach: func(_ int, msgr fabric.Messenger) {
 			col = telemetry.New(m.G, opts)
+			if metrics != nil {
+				col.SetSink(metrics)
+			}
+			if trace != nil {
+				col.SetTraceSink(trace)
+			}
 			msgr.(*fabric.Fabric).AttachTelemetry(col)
 		},
 	})
@@ -118,50 +132,54 @@ func TestActiveHWM(t *testing.T) {
 	}
 }
 
-// TestTraceAndMetricsExport round-trips the Chrome trace and JSONL
-// outputs: the trace must be valid trace_event JSON with one span per
+// TestTraceAndMetricsExport round-trips the streamed Chrome trace and
+// JSONL outputs: the trace must be valid trace_event JSON with one span per
 // message, and every JSONL line must parse with the run line repeating the
 // conservation identity.
 func TestTraceAndMetricsExport(t *testing.T) {
-	col := runWithCollector(t, exp.PaperCombos()[0], 8, telemetry.All(),
+	var metrics, trace bytes.Buffer
+	col := runWithSinks(t, exp.PaperCombos()[0], 8, telemetry.All(),
 		func(n int) (*workloads.Instance, error) {
 			return workloads.BuildIMB("alltoall", n, 64<<10)
-		})
-
-	var buf bytes.Buffer
-	if err := col.WriteTrace(&buf); err != nil {
+		}, telemetry.NewJSONLSink(&metrics), telemetry.NewTraceSink(&trace))
+	if err := col.FinishStream(); err != nil {
 		t.Fatal(err)
 	}
+	if err := col.FinishTraceStream(); err != nil {
+		t.Fatal(err)
+	}
+
 	var tr struct {
 		TraceEvents []struct {
 			Name string  `json:"name"`
+			Cat  string  `json:"cat"`
 			Ph   string  `json:"ph"`
 			Ts   float64 `json:"ts"`
 			Pid  int     `json:"pid"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
+	if err := json.Unmarshal(trace.Bytes(), &tr); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 	if len(tr.TraceEvents) == 0 {
 		t.Fatal("trace has no events")
 	}
+	spans := 0
 	for _, ev := range tr.TraceEvents {
 		if ev.Ph == "" || ev.Name == "" {
 			t.Fatalf("trace event missing ph/name: %+v", ev)
 		}
+		if ev.Ph == "X" && ev.Cat == "msg" {
+			spans++
+		}
 	}
 
-	buf.Reset()
-	if err := col.WriteMetricsJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var run struct {
 		Kind      string  `json:"kind"`
 		XmitData  float64 `json:"xmit_data_total"`
 		BytesHops float64 `json:"bytes_hops"`
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	lines := strings.Split(strings.TrimSpace(metrics.String()), "\n")
 	kinds := map[string]int{}
 	for _, line := range lines {
 		var probe struct {
@@ -180,6 +198,9 @@ func TestTraceAndMetricsExport(t *testing.T) {
 	if kinds["run"] != 1 || kinds["msg"] == 0 || kinds["chan"] == 0 {
 		t.Fatalf("want one run line plus msg and chan lines, got %v", kinds)
 	}
+	if spans != kinds["msg"] {
+		t.Fatalf("%d message spans in the trace for %d msg lines", spans, kinds["msg"])
+	}
 	if run.BytesHops == 0 || math.Abs(run.XmitData-run.BytesHops)/run.BytesHops > 1e-6 {
 		t.Fatalf("run line conservation: xmit_data_total %.6g vs bytes_hops %.6g",
 			run.XmitData, run.BytesHops)
@@ -194,6 +215,8 @@ func TestFaultScenarioTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := telemetry.New(m.G, telemetry.All())
+	var buf bytes.Buffer
+	col.SetTraceSink(telemetry.NewTraceSink(&buf))
 	_, err = exp.RunFaultScenario(exp.FaultSpec{
 		Machine: m, Nodes: 16, Failures: 2, Seed: 5, Telemetry: col,
 		Build: func(n int) (*workloads.Instance, error) {
@@ -203,8 +226,7 @@ func TestFaultScenarioTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := col.WriteTrace(&buf); err != nil {
+	if err := col.FinishTraceStream(); err != nil {
 		t.Fatal(err)
 	}
 	var tr struct {
@@ -228,8 +250,10 @@ func TestFaultScenarioTrace(t *testing.T) {
 	}
 }
 
-// TestFCTSummaryPercentiles pins the percentile math on a hand-built
-// record set.
+// TestFCTSummaryPercentiles pins the quantile math on a hand-built
+// record set: the nearest-rank sample (50 ms for p50, 99 ms for p99)
+// reported as its histogram bucket's midpoint, within 2^-HistSubBits of
+// the sample; mean and max are exact.
 func TestFCTSummaryPercentiles(t *testing.T) {
 	col := telemetry.New(nil, telemetry.Options{Messages: true})
 	for i := 1; i <= 100; i++ {
@@ -244,11 +268,19 @@ func TestFCTSummaryPercentiles(t *testing.T) {
 	approx := func(got, want sim.Duration) bool {
 		return math.Abs(float64(got-want)) < 1e-9
 	}
-	if !approx(s.P50, 50.5*sim.Millisecond) {
-		t.Errorf("p50 = %v, want 50.5ms", s.P50)
+	if !approx(s.P50, 50.069504*sim.Millisecond) {
+		t.Errorf("p50 = %v, want 50.069504ms (bucket midpoint of the 50ms sample)", s.P50)
 	}
-	if !approx(s.P99, 99.01*sim.Millisecond) {
-		t.Errorf("p99 = %v, want 99.01ms", s.P99)
+	if !approx(s.P99, 99.090432*sim.Millisecond) {
+		t.Errorf("p99 = %v, want 99.090432ms (bucket midpoint of the 99ms sample)", s.P99)
+	}
+	for _, c := range []struct{ got, sample sim.Duration }{{s.P50, 50 * sim.Millisecond}, {s.P99, 99 * sim.Millisecond}} {
+		if math.Abs(float64(c.got-c.sample)) > float64(c.sample)/(1<<telemetry.HistSubBits) {
+			t.Errorf("quantile %v outside the histogram bound of its %v sample", c.got, c.sample)
+		}
+	}
+	if !approx(s.Mean, 50.5*sim.Millisecond) {
+		t.Errorf("mean = %v, want 50.5ms", s.Mean)
 	}
 	if !approx(s.Max, 100*sim.Millisecond) {
 		t.Errorf("max = %v, want 100ms", s.Max)
@@ -272,8 +304,27 @@ func TestDisabledCollectorIsInert(t *testing.T) {
 	col.MsgGiveUp(rec, 0)
 	col.Span(1, 0, "cat", "name", 0, 1, nil)
 	col.Instant(1, 0, "cat", "name", 0, nil)
-	if col.TraceLen() != 0 {
-		t.Fatal("nil collector recorded trace events")
+}
+
+// TestUnattachedCollectorAllocFree: with message and trace recording on
+// but no sink attached, a message lifecycle and the trace hooks build
+// nothing — records fold into the summary aggregates and are dropped.
+func TestUnattachedCollectorAllocFree(t *testing.T) {
+	col := telemetry.New(nil, telemetry.Options{Messages: true, Trace: true})
+	lifecycle := func() {
+		rec := col.StartMsg(0, 1, 10, 0)
+		col.MsgWired(rec, 0)
+		col.MsgRetry(rec)
+		col.MsgDelivered(rec, sim.Time(sim.Millisecond), 3, false)
+		col.Span(telemetry.TracePidSM, 1, "sm", "sm-sweep", 0, 1, nil)
+		col.Instant(telemetry.TracePidSM, 0, "fault", "down", 0, nil)
+	}
+	lifecycle() // grow the slot table and the FCT histogram once
+	if allocs := testing.AllocsPerRun(100, lifecycle); allocs != 0 {
+		t.Errorf("unattached collector allocates %v per message lifecycle, want 0", allocs)
+	}
+	if s := col.FCTSummary(); s.N != 102 || s.Delivered != 102 {
+		t.Errorf("summary counted %d/%d lifecycles, want 102/102", s.Delivered, s.N)
 	}
 }
 

@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"github.com/hpcsim/t2hx/internal/sim"
 )
@@ -45,33 +43,37 @@ func (traceEvent) LineKind() string { return "trace" }
 
 func usec(t sim.Time) float64 { return 1e6 * float64(t) }
 
-// SetTraceSink streams trace events out as they are recorded instead of
-// buffering the timeline: the pid-lane metadata goes out immediately, every
-// later Span/Instant follows, and FinishTraceStream seals the document.
-// Unless Opts.Retain is set, events are no longer kept in memory (TraceLen
-// stays 0). Pair it with a TraceSink for a valid Chrome trace_event file.
+// SetTraceSink streams trace events out as they are recorded: the pid-lane
+// metadata goes out immediately, every later Span/Instant follows, and
+// FinishTraceStream seals the document. Without a trace sink the collector
+// records no trace at all. Pair it with a TraceSink for a valid Chrome
+// trace_event file.
 func (c *Collector) SetTraceSink(s Sink) {
 	c.traceSink = s
-	if s != nil {
-		for _, ev := range c.metaEvents() {
-			c.emitTrace(ev)
-		}
+	if !c.tracing() {
+		return
 	}
+	// Name the pid lanes with "M"-phase process_name metadata, so Perfetto
+	// shows "fabric [hyperx]" instead of a bare pid.
+	suffix := ""
+	if c.PlaneName != "" {
+		suffix = " [" + c.PlaneName + "]"
+	}
+	name := func(n string) map[string]any { return map[string]any{"name": n + suffix} }
+	c.emitTrace(traceEvent{Name: "process_name", Ph: "M", Pid: TracePidFabric + TracePlaneStride*c.Plane, Args: name("fabric")})
+	c.emitTrace(traceEvent{Name: "process_name", Ph: "M", Pid: TracePidSM + TracePlaneStride*c.Plane, Args: name("subnet-manager")})
 }
 
-// emitTrace routes one event to the trace sink and/or the in-memory buffer.
+// tracing reports whether trace events have somewhere to go.
+func (c *Collector) tracing() bool {
+	return c != nil && c.Opts.Trace && c.traceSink != nil
+}
+
+// emitTrace writes one event to the trace sink, latching the first failure.
 func (c *Collector) emitTrace(ev traceEvent) {
-	if c.traceSink != nil {
-		if c.traceErr == nil {
-			if err := c.traceSink.Write(ev); err != nil {
-				c.traceErr = err
-			}
-		}
-		if !c.Opts.Retain {
-			return
-		}
+	if c.traceErr == nil {
+		c.traceErr = c.traceSink.Write(ev)
 	}
-	c.trace = append(c.trace, ev)
 }
 
 // FinishTraceStream seals the streaming trace document and closes the
@@ -91,7 +93,7 @@ func (c *Collector) FinishTraceStream() error {
 
 // Span records a completed interval [start, end] on the given lane.
 func (c *Collector) Span(pid, tid int, cat, name string, start, end sim.Time, args map[string]any) {
-	if c == nil || !c.Opts.Trace {
+	if !c.tracing() {
 		return
 	}
 	c.emitTrace(traceEvent{
@@ -103,7 +105,7 @@ func (c *Collector) Span(pid, tid int, cat, name string, start, end sim.Time, ar
 
 // Instant records a point event on the given lane.
 func (c *Collector) Instant(pid, tid int, cat, name string, at sim.Time, args map[string]any) {
-	if c == nil || !c.Opts.Trace {
+	if !c.tracing() {
 		return
 	}
 	c.emitTrace(traceEvent{
@@ -115,7 +117,7 @@ func (c *Collector) Instant(pid, tid int, cat, name string, at sim.Time, args ma
 // traceMsg emits a closed message record as a lifecycle span on the
 // sender's lane.
 func (c *Collector) traceMsg(r *MsgRecord) {
-	if !c.Opts.Trace {
+	if !c.tracing() {
 		return
 	}
 	name := fmt.Sprintf("msg %d->%d", r.Src, r.Dst)
@@ -131,48 +133,4 @@ func (c *Collector) traceMsg(r *MsgRecord) {
 		args["retries"] = r.Retries
 	}
 	c.Span(TracePidFabric, int(r.Src), cat, name, r.Issued, r.Finished, args)
-}
-
-// TraceLen reports the number of buffered trace events.
-func (c *Collector) TraceLen() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.trace)
-}
-
-// metaEvents names the collector's pid lanes with "M"-phase process_name
-// metadata, so Perfetto shows "fabric [hyperx]" instead of a bare pid.
-func (c *Collector) metaEvents() []traceEvent {
-	if !c.Opts.Trace {
-		return nil
-	}
-	suffix := ""
-	if c.PlaneName != "" {
-		suffix = " [" + c.PlaneName + "]"
-	}
-	name := func(n string) map[string]any { return map[string]any{"name": n + suffix} }
-	return []traceEvent{
-		{Name: "process_name", Ph: "M", Pid: TracePidFabric + TracePlaneStride*c.Plane, Args: name("fabric")},
-		{Name: "process_name", Ph: "M", Pid: TracePidSM + TracePlaneStride*c.Plane, Args: name("subnet-manager")},
-	}
-}
-
-// WriteTrace emits the buffered timeline as Chrome trace_event JSON
-// (object form with a traceEvents array, displayTimeUnit ms).
-func (c *Collector) WriteTrace(w io.Writer) error {
-	return writeTraceDoc(w, append(c.metaEvents(), c.trace...))
-}
-
-// writeTraceDoc encodes a trace_event document around any event list.
-func writeTraceDoc(w io.Writer, events []traceEvent) error {
-	if events == nil {
-		events = []traceEvent{}
-	}
-	doc := struct {
-		TraceEvents     []traceEvent `json:"traceEvents"`
-		DisplayTimeUnit string       `json:"displayTimeUnit"`
-	}{events, "ms"}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
 }

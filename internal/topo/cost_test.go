@@ -37,7 +37,8 @@ func TestCostNilRackIsWorstCase(t *testing.T) {
 
 // The paper's cost argument (Sec. 1/2.2): the HyperX plane needs far
 // fewer AOCs than the Fat-Tree plane for the same 672 nodes, and fewer
-// switches.
+// switches. The default model prices the HyperX at about 0.54 of the
+// Fat-Tree (7,056 vs 13,128), the ratio topocheck prints.
 func TestPaperCostStructureFavorsHyperX(t *testing.T) {
 	hx := NewPaperHyperX(false, 0)
 	ft := NewPaperFatTree(false, 0)
@@ -55,6 +56,9 @@ func TestPaperCostStructureFavorsHyperX(t *testing.T) {
 	}
 	if hxCost.Total >= ftCost.Total {
 		t.Errorf("HyperX total %v not below Fat-Tree %v", hxCost.Total, ftCost.Total)
+	}
+	if r := hxCost.Total / ftCost.Total; r < 0.52 || r > 0.56 {
+		t.Errorf("HyperX/Fat-Tree cost ratio %.3f (%v / %v) outside [0.52, 0.56]", r, hxCost.Total, ftCost.Total)
 	}
 	// The paper wired 684 AOCs for the HyperX (Sec. 2.3: 15 of 684
 	// absent); our packaging model should land in that neighborhood.
