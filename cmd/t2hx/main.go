@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"text/tabwriter"
@@ -297,9 +298,11 @@ func main() {
 	case *bench == "incast" || strings.HasPrefix(*bench, "incast:"):
 		group := 0
 		if s := strings.TrimPrefix(*bench, "incast:"); s != *bench {
-			if _, err := fmt.Sscanf(s, "%d", &group); err != nil {
+			g, err := strconv.Atoi(s)
+			if err != nil {
 				fatal(fmt.Errorf("bad incast group %q", s))
 			}
+			group = g
 		}
 		runTrials(m, *n, *trials, *seed, "us/op", tel, func(nn int) (*workloads.Instance, error) {
 			if group > 0 {
@@ -729,16 +732,9 @@ func runDegraded(cli degradedCLI, tel telCLI) {
 	if cli.small {
 		countsDefault = "0,3,6,9,12"
 	}
-	if strings.TrimSpace(cli.counts) == "" {
-		cli.counts = countsDefault
-	}
-	var counts []int
-	for _, f := range strings.Split(cli.counts, ",") {
-		var v int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &v); err != nil || v < 0 {
-			fatal(fmt.Errorf("bad -counts entry %q", f))
-		}
-		counts = append(counts, v)
+	counts, err := parseCounts(cli.counts, countsDefault)
+	if err != nil {
+		fatal(err)
 	}
 	spec := exp.DegradedSpec{
 		Engines: engines,
@@ -808,21 +804,46 @@ type sweepCLI struct {
 	jobs      int
 }
 
+// parseInts decodes the comma-separated list of flag -name: each entry is
+// a base-10 integer of at least min, with surrounding spaces allowed. Any
+// other character rejects the entry, so "4k" or "1e6" is an error naming
+// it rather than a silent 4 or 1.
+func parseInts(name, s string, min int64) ([]int64, error) {
+	var out []int64
+	for _, f := range strings.Split(s, ",") {
+		v, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
+		if err != nil || v < min {
+			return nil, fmt.Errorf("bad -%s entry %q", name, f)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
 // parseSizes decodes the -sizes list; empty falls back to the single
 // -size value.
 func parseSizes(s string, fallback int64) ([]int64, error) {
 	if strings.TrimSpace(s) == "" {
 		return []int64{fallback}, nil
 	}
-	var out []int64
-	for _, f := range strings.Split(s, ",") {
-		var v int64
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &v); err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -sizes entry %q", f)
-		}
-		out = append(out, v)
+	return parseInts("sizes", s, 1)
+}
+
+// parseCounts decodes the -counts list of failure counts; empty falls back
+// to the list def.
+func parseCounts(s, def string) ([]int, error) {
+	if strings.TrimSpace(s) == "" {
+		s = def
 	}
-	return out, nil
+	vs, err := parseInts("counts", s, 0)
+	if err != nil {
+		return nil, err
+	}
+	counts := make([]int, len(vs))
+	for i, v := range vs {
+		counts[i] = int(v)
+	}
+	return counts, nil
 }
 
 // sweepBuilder resolves a trial-based benchmark name to its instance

@@ -52,7 +52,9 @@ type ScaleSpec struct {
 	// would. Since the event core went allocation-free and counter
 	// integration became region-local, the instrumented run costs within a
 	// few percent of the blind run (EXPERIMENTS.md); the flag exists so
-	// BenchmarkScaleInstrumented can hold the comparison to that.
+	// BenchmarkScaleInstrumented can time that comparison. The run also
+	// checks one streamed msg line per delivery and XmitData of at least
+	// the delivered payload.
 	Instrumented bool
 	// Progress, when set, is invoked every ProgressEvery deliveries (and
 	// once at the end) with the running total, the simulated clock, and
@@ -228,7 +230,7 @@ func RunScale(spec ScaleSpec) (*ScaleResult, error) {
 	res.DeliveredBytes = f.DeliveredBytes
 	res.Recomputes = f.Net.Recomputes
 	res.Events = eng.Processed
-	res.PeakRSSBytes = prof.ReadRuntimeMetrics().PeakRSSBytes
+	res.PeakRSSBytes = prof.PeakRSSBytes()
 	if spec.Instrumented {
 		// End-of-run snapshot boundary: the footer's accessors flush the
 		// lazily-deferred counter integrals, after which the conservation

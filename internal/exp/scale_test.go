@@ -12,36 +12,51 @@ import (
 
 // A scaled-down endurance run that exercises the whole RunScale loop —
 // windowed closed-loop traffic, stride generator, drain check — in well
-// under a second.
+// under a second. It runs detached and instrumented: the instrumented arm
+// checks one streamed msg line per delivery and XmitData of at least the
+// delivered payload inside RunScale, and both arms must simulate the same
+// run, so attaching telemetry does not perturb the simulation.
 func TestRunScaleSmall(t *testing.T) {
-	var ticks int
-	res, err := RunScale(ScaleSpec{
-		S: []int{4, 4}, T: 8,
-		Window: 32, Messages: 5000, MsgBytes: 4096,
-		Strides: 4, Seed: 1,
-		Progress:      func(uint64, sim.Time, uint64) { ticks++ },
-		ProgressEvery: 1000,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var arms [2]*ScaleResult
+	for i, inst := range []bool{false, true} {
+		var ticks int
+		res, err := RunScale(ScaleSpec{
+			S: []int{4, 4}, T: 8,
+			Window: 32, Messages: 5000, MsgBytes: 4096,
+			Strides: 4, Seed: 1, Instrumented: inst,
+			Progress:      func(uint64, sim.Time, uint64) { ticks++ },
+			ProgressEvery: 1000,
+		})
+		if err != nil {
+			t.Fatalf("instrumented=%v: %v", inst, err)
+		}
+		if res.Terminals != 128 || res.Switches != 16 {
+			t.Errorf("instrumented=%v: built %d terminals / %d switches, want 128 / 16", inst, res.Terminals, res.Switches)
+		}
+		if res.Delivered != 5000 {
+			t.Errorf("instrumented=%v: Delivered = %d, want 5000", inst, res.Delivered)
+		}
+		if res.DeliveredBytes != 5000*4096 {
+			t.Errorf("instrumented=%v: DeliveredBytes = %g, want %d", inst, res.DeliveredBytes, 5000*4096)
+		}
+		if res.SimElapsed <= 0 {
+			t.Errorf("instrumented=%v: SimElapsed = %v, want > 0", inst, res.SimElapsed)
+		}
+		if res.Recomputes == 0 {
+			t.Errorf("instrumented=%v: no flow recomputes recorded", inst)
+		}
+		if ticks < 5 {
+			t.Errorf("instrumented=%v: progress fired %d times, want >= 5", inst, ticks)
+		}
+		arms[i] = res
 	}
-	if res.Terminals != 128 || res.Switches != 16 {
-		t.Errorf("built %d terminals / %d switches, want 128 / 16", res.Terminals, res.Switches)
-	}
-	if res.Delivered != 5000 {
-		t.Errorf("Delivered = %d, want 5000", res.Delivered)
-	}
-	if res.DeliveredBytes != 5000*4096 {
-		t.Errorf("DeliveredBytes = %g, want %d", res.DeliveredBytes, 5000*4096)
-	}
-	if res.SimElapsed <= 0 {
-		t.Errorf("SimElapsed = %v, want > 0", res.SimElapsed)
-	}
-	if res.Recomputes == 0 {
-		t.Error("no flow recomputes recorded")
-	}
-	if ticks < 5 {
-		t.Errorf("progress fired %d times, want >= 5", ticks)
+	d, in := arms[0], arms[1]
+	if d.Delivered != in.Delivered || d.Events != in.Events ||
+		d.Recomputes != in.Recomputes || d.SimElapsed != in.SimElapsed {
+		t.Errorf("telemetry perturbed the run: detached delivered=%d events=%d recomputes=%d sim=%v, "+
+			"instrumented delivered=%d events=%d recomputes=%d sim=%v",
+			d.Delivered, d.Events, d.Recomputes, d.SimElapsed,
+			in.Delivered, in.Events, in.Recomputes, in.SimElapsed)
 	}
 }
 

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/hpcsim/t2hx/internal/route"
@@ -12,8 +13,8 @@ import (
 // every flow to one of 12 disjoint adjacent-switch cables (12 contention
 // components); "uniform" routes strided terminal pairs over DFSSSP tables
 // (one network-spanning component).
-func churnPaths(t *testing.T, hx *topo.HyperX, pattern string, nflows int) [][]topo.ChannelID {
-	t.Helper()
+func churnPaths(tb testing.TB, hx *topo.HyperX, pattern string, nflows int) [][]topo.ChannelID {
+	tb.Helper()
 	g := hx.Graph
 	paths := make([][]topo.ChannelID, 0, nflows)
 	switch pattern {
@@ -44,9 +45,9 @@ func churnPaths(t *testing.T, hx *topo.HyperX, pattern string, nflows int) [][]t
 			})
 		}
 	case "uniform":
-		tb, err := route.DFSSSP(g, 0, 8)
+		tbl, err := route.DFSSSP(g, 0, 8)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		terms := hx.Terminals()
 		for i := 0; len(paths) < nflows; i++ {
@@ -54,14 +55,24 @@ func churnPaths(t *testing.T, hx *topo.HyperX, pattern string, nflows int) [][]t
 			if src == dst {
 				continue
 			}
-			p, err := tb.Path(src, tb.BaseLID[tb.TermIndex(dst)])
+			p, err := tbl.Path(src, tbl.BaseLID[tbl.TermIndex(dst)])
 			if err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 			paths = append(paths, p)
 		}
+	default:
+		tb.Fatalf("unknown churn pattern %q", pattern)
 	}
 	return paths
+}
+
+// churnHX is the 6x4 T=4 HyperX (96 terminals) both churn checks run on.
+func churnHX() *topo.HyperX {
+	return topo.NewHyperX(topo.HyperXConfig{
+		S: []int{6, 4}, T: 4,
+		Bandwidth: topo.QDRBandwidth, Latency: topo.QDRLinkLatency,
+	})
 }
 
 // TestFlowChurnAllocFree is the flow table's steady-state allocation
@@ -74,10 +85,7 @@ func TestFlowChurnAllocFree(t *testing.T) {
 	done := func(sim.Time) {}
 	for _, pattern := range []string{"local", "uniform"} {
 		t.Run(pattern, func(t *testing.T) {
-			hx := topo.NewHyperX(topo.HyperXConfig{
-				S: []int{6, 4}, T: 4,
-				Bandwidth: topo.QDRBandwidth, Latency: topo.QDRLinkLatency,
-			})
+			hx := churnHX()
 			paths := churnPaths(t, hx, pattern, nflows)
 			eng := sim.NewEngine()
 			net := NewNetwork(eng, hx.Graph)
@@ -101,6 +109,43 @@ func TestFlowChurnAllocFree(t *testing.T) {
 			}
 			if got := net.Active(); got != nflows {
 				t.Errorf("%d flows active after churn, want %d", got, nflows)
+			}
+		})
+	}
+}
+
+// BenchmarkFlowChurn measures steady-state solver throughput and the
+// allocation cost of flow lifecycle churn: with N long-lived concurrent
+// flows resident, each op cancels one flow, starts a replacement on the
+// same path and settles the rates. flows/s is the churn events absorbed
+// per second; allocs/op must read 0 at every N, the contract
+// TestFlowChurnAllocFree asserts at 1k flows.
+func BenchmarkFlowChurn(b *testing.B) {
+	done := func(sim.Time) {}
+	for _, pattern := range []string{"local", "uniform"} {
+		b.Run(pattern, func(b *testing.B) {
+			for _, nflows := range []int{1000, 10000, 100000} {
+				b.Run(fmt.Sprintf("flows=%d", nflows), func(b *testing.B) {
+					hx := churnHX()
+					paths := churnPaths(b, hx, pattern, nflows)
+					eng := sim.NewEngine()
+					net := NewNetwork(eng, hx.Graph)
+					ids := make([]FlowID, nflows)
+					for i, p := range paths {
+						ids[i] = net.Start(p, 1e15, done)
+					}
+					eng.RunUntil(0)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						k := i % nflows
+						net.Cancel(ids[k])
+						ids[k] = net.Start(paths[k], 1e15, done)
+						eng.RunUntil(0)
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "flows/s")
+				})
 			}
 		})
 	}

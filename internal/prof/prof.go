@@ -1,22 +1,18 @@
 // Package prof wires Go's stdlib profilers into the simulator binaries:
 // pprof CPU/heap profiles behind -cpuprofile/-memprofile flags, a
-// net/http/pprof listener for poking at a live long-running sweep, and a
-// runtime/metrics capture (GC pauses, heap size, goroutine count) that the
-// benchmark harness folds into its JSON baselines. Everything here is
+// net/http/pprof listener for poking at a live long-running sweep, and the
+// process's peak resident set size for run summaries. Everything here is
 // flag-gated and costs nothing when unused.
 package prof
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux
 	"os"
 	"runtime"
-	"runtime/metrics"
 	"runtime/pprof"
-	"time"
 )
 
 // Session holds the profiling state opened by Start; Stop finalizes it.
@@ -122,102 +118,4 @@ func writeHeapProfile(path string) error {
 		return fmt.Errorf("memprofile: %w", err)
 	}
 	return nil
-}
-
-// RuntimeMetrics is a snapshot of the runtime/metrics counters the bench
-// harness tracks alongside ns/op: allocator and GC pressure numbers that
-// regress independently of wall time.
-type RuntimeMetrics struct {
-	// HeapLiveBytes is the live heap after the last GC.
-	HeapLiveBytes uint64 `json:"heap_live_bytes"`
-	// TotalAllocBytes is cumulative allocation since process start.
-	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
-	// GCCycles is the completed GC count.
-	GCCycles uint64 `json:"gc_cycles"`
-	// GCPauseTotal sums stop-the-world pause time.
-	GCPauseTotal time.Duration `json:"gc_pause_total_ns"`
-	// GCPauseMax approximates the largest observed pause (the highest
-	// non-empty bucket of the pause histogram).
-	GCPauseMax time.Duration `json:"gc_pause_max_ns"`
-	// Goroutines is the live goroutine count.
-	Goroutines int `json:"goroutines"`
-	// PeakRSSBytes is the process's high-water resident set size from the
-	// OS (getrusage), 0 where unsupported. Unlike the heap numbers it
-	// captures everything the kernel charged the process — stacks, runtime
-	// overhead, arena slack — which is the number that decides whether a
-	// 32k-terminal sweep fits on a build machine.
-	PeakRSSBytes uint64 `json:"peak_rss_bytes"`
-}
-
-// ReadRuntimeMetrics samples the runtime.
-func ReadRuntimeMetrics() RuntimeMetrics {
-	samples := []metrics.Sample{
-		{Name: "/memory/classes/heap/objects:bytes"},
-		{Name: "/gc/heap/allocs:bytes"},
-		{Name: "/gc/cycles/total:gc-cycles"},
-		{Name: "/gc/pauses:seconds"},
-		{Name: "/sched/goroutines:goroutines"},
-	}
-	metrics.Read(samples)
-	var rm RuntimeMetrics
-	for _, s := range samples {
-		if s.Value.Kind() == metrics.KindBad {
-			continue
-		}
-		switch s.Name {
-		case "/memory/classes/heap/objects:bytes":
-			rm.HeapLiveBytes = s.Value.Uint64()
-		case "/gc/heap/allocs:bytes":
-			rm.TotalAllocBytes = s.Value.Uint64()
-		case "/gc/cycles/total:gc-cycles":
-			rm.GCCycles = s.Value.Uint64()
-		case "/gc/pauses:seconds":
-			h := s.Value.Float64Histogram()
-			var total, max float64
-			for i, n := range h.Counts {
-				if n == 0 {
-					continue
-				}
-				// Bucket i covers [Buckets[i], Buckets[i+1]); use the finite
-				// edge (the first lower edge is -Inf, the last upper +Inf).
-				edge := h.Buckets[i]
-				if math.IsInf(edge, -1) {
-					edge = h.Buckets[i+1]
-				}
-				if math.IsInf(edge, 1) {
-					edge = h.Buckets[i]
-				}
-				if math.IsInf(edge, 0) {
-					continue
-				}
-				total += float64(n) * edge
-				if edge > max {
-					max = edge
-				}
-			}
-			rm.GCPauseTotal = time.Duration(total * float64(time.Second))
-			rm.GCPauseMax = time.Duration(max * float64(time.Second))
-		case "/sched/goroutines:goroutines":
-			rm.Goroutines = int(s.Value.Uint64())
-		}
-	}
-	rm.PeakRSSBytes = peakRSSBytes()
-	return rm
-}
-
-// MetricsReporter is the slice of *testing.B the benchmark helpers need;
-// declaring it here keeps "testing" out of the non-test build.
-type MetricsReporter interface {
-	ReportMetric(n float64, unit string)
-}
-
-// ReportRuntimeMetrics attaches the GC/heap numbers to a benchmark result
-// (they ride into the -bench output and the benchjson baselines).
-func ReportRuntimeMetrics(b MetricsReporter) {
-	rm := ReadRuntimeMetrics()
-	b.ReportMetric(float64(rm.HeapLiveBytes), "heap-B")
-	b.ReportMetric(float64(rm.GCPauseTotal.Nanoseconds()), "gc-pause-ns")
-	if rm.PeakRSSBytes > 0 {
-		b.ReportMetric(float64(rm.PeakRSSBytes), "peak-rss-B")
-	}
 }

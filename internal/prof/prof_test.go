@@ -62,39 +62,3 @@ func TestHTTPListener(t *testing.T) {
 		t.Fatalf("pprof index status %d", resp.StatusCode)
 	}
 }
-
-func TestReadRuntimeMetrics(t *testing.T) {
-	m := ReadRuntimeMetrics()
-	if m.HeapLiveBytes == 0 {
-		t.Error("HeapLiveBytes == 0")
-	}
-	if m.TotalAllocBytes == 0 {
-		t.Error("TotalAllocBytes == 0")
-	}
-	if m.Goroutines == 0 {
-		t.Error("Goroutines == 0")
-	}
-	if m.GCPauseMax > 0 && m.GCPauseTotal < m.GCPauseMax {
-		t.Errorf("pause total %v below max %v", m.GCPauseTotal, m.GCPauseMax)
-	}
-}
-
-type fakeReporter struct{ metrics map[string]float64 }
-
-func (f *fakeReporter) ReportMetric(v float64, unit string) {
-	if f.metrics == nil {
-		f.metrics = map[string]float64{}
-	}
-	f.metrics[unit] = v
-}
-
-func TestReportRuntimeMetrics(t *testing.T) {
-	var r fakeReporter
-	ReportRuntimeMetrics(&r)
-	if _, ok := r.metrics["heap-B"]; !ok {
-		t.Fatalf("heap-B not reported: %v", r.metrics)
-	}
-	if _, ok := r.metrics["gc-pause-ns"]; !ok {
-		t.Fatalf("gc-pause-ns not reported: %v", r.metrics)
-	}
-}

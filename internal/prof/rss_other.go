@@ -2,6 +2,6 @@
 
 package prof
 
-// peakRSSBytes is unavailable without getrusage; callers treat 0 as
-// "unsupported" and skip the peak-rss-B metric.
-func peakRSSBytes() uint64 { return 0 }
+// PeakRSSBytes is unavailable without getrusage; callers treat 0 as
+// "unsupported".
+func PeakRSSBytes() uint64 { return 0 }

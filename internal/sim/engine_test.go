@@ -271,9 +271,8 @@ func TestEngineOnStepQueueDepth(t *testing.T) {
 	}
 }
 
-// TestEngineSteadyStateAllocFree is the in-suite version of
-// BenchmarkEventChurn's headline claim: steady-state schedule/cancel/
-// reschedule/fire churn does not allocate.
+// TestEngineSteadyStateAllocFree is the event core's allocation contract:
+// steady-state schedule/cancel/reschedule/fire churn does not allocate.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	e := NewEngine()
 	fn := func(*Engine) {}

@@ -194,13 +194,6 @@ func (h *Hist) Merge(o *Hist) {
 	h.sumTicks += o.sumTicks
 }
 
-// Clone returns an independent copy.
-func (h *Hist) Clone() *Hist {
-	c := *h
-	c.counts = append([]uint64(nil), h.counts...)
-	return &c
-}
-
 // HistSnapshot is the compact exportable state: sparse sorted bucket
 // indexes with their counts plus the exact integer aggregates. Two
 // histograms built from the same multiset of ticks produce byte-identical

@@ -279,40 +279,3 @@ func (s *CountSink) Closes() int {
 	defer s.mu.Unlock()
 	return s.closes
 }
-
-// Tee fans every line out to all sinks; the first error from any sink is
-// returned (all sinks still receive every call).
-type teeSink struct{ sinks []Sink }
-
-// Tee combines sinks, e.g. a JSONL stream plus a CountSink.
-func Tee(sinks ...Sink) Sink { return &teeSink{sinks: sinks} }
-
-func (t *teeSink) Write(l Line) error {
-	var first error
-	for _, s := range t.sinks {
-		if err := s.Write(l); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-func (t *teeSink) Flush() error {
-	var first error
-	for _, s := range t.sinks {
-		if err := s.Flush(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-func (t *teeSink) Close() error {
-	var first error
-	for _, s := range t.sinks {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
