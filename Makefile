@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same commands (.github/workflows/ci.yml).
 
-.PHONY: all build test race vet fmt hxbench-test bench check
+.PHONY: all build test race vet fmt hxbench-test bench examples check
 
 all: check
 
@@ -29,6 +29,15 @@ race:
 bench:
 	go test -run '^$$' -bench . -benchtime 1x ./...
 
-check: fmt vet build test hxbench-test race bench
+# examples runs every example once; any that exits non-zero fails the
+# target (dual-plane exits 1 if its failover loses a message).
+examples:
+	go run ./examples/quickstart
+	go run ./examples/routing-comparison
+	go run ./examples/parx-demand
+	go run ./examples/adaptive-routing
+	go run ./examples/dual-plane -small
+
+check: fmt vet build test hxbench-test race bench examples
 	go run ./cmd/topocheck -degrade -1 -seed 42
 	go run ./cmd/topocheck -planes ft:ftree,hyperx:parx

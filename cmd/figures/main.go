@@ -19,9 +19,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
+	"github.com/hpcsim/t2hx/internal/exp"
 	"github.com/hpcsim/t2hx/internal/figures"
 	"github.com/hpcsim/t2hx/internal/prof"
 	"github.com/hpcsim/t2hx/internal/sim"
@@ -79,15 +79,8 @@ func main() {
 	}
 	p.EBBSamples = *ebbSamples
 	p.CSVDir = *csvDir
-	if *sizes != "" {
-		for _, part := range strings.Split(*sizes, ",") {
-			v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
-			if err != nil {
-				fatal(err)
-			}
-			p.Sizes = append(p.Sizes, v)
-		}
-	}
+	p.Sizes, err = parseSizes(*sizes)
+	check(err)
 	s := figures.NewSession(p)
 
 	if *table == 1 {
@@ -151,6 +144,15 @@ func main() {
 	if *fig != "" {
 		run(*fig)
 	}
+}
+
+// parseSizes decodes -sizes strictly, like t2hx sweep -sizes: base-10
+// byte counts of at least 1. An empty list keeps each figure's own sizes.
+func parseSizes(s string) ([]int64, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil
+	}
+	return exp.ParseInts("sizes", s, 1)
 }
 
 func check(err error) {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/hpcsim/t2hx/internal/core"
@@ -60,6 +61,22 @@ func ParsePlaneSpecs(s string) ([]PlaneSpec, error) {
 		return nil, fmt.Errorf("exp: empty plane list")
 	}
 	return specs, nil
+}
+
+// ParseInts parses the comma-separated integer list of CLI flag -name:
+// each entry is a base-10 integer of at least min, with surrounding spaces
+// allowed. Any other character rejects the entry, so "4k" or "1e6" is an
+// error naming it rather than a silent 4 or 1.
+func ParseInts(name, s string, min int64) ([]int64, error) {
+	var out []int64
+	for _, f := range strings.Split(s, ",") {
+		v, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
+		if err != nil || v < min {
+			return nil, fmt.Errorf("bad -%s entry %q", name, f)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // Plane is one built and routed network plane of a machine: a graph, the

@@ -31,7 +31,7 @@ func CellSeed(baseSeed uint64, index int) uint64 {
 // race-free. Frozen routing tables obtained through the TableCache are the
 // only cross-worker sharing, and they are read-only.
 type Cell struct {
-	// Label is threaded to the progress callback.
+	// Label names the cell in errors and in RunnerStats.LastLabel.
 	Label string
 	// Seed, when non-nil, overrides the derived CellSeed(baseSeed, index)
 	// — used where an established output format fixes the per-cell seeds
@@ -94,15 +94,10 @@ type Runner struct {
 	Workers int
 	// BaseSeed feeds CellSeed for cells without a Seed override.
 	BaseSeed uint64
-	// Progress, when set, is called after each cell completes with the
-	// number of finished cells, the total, and the finished cell's label.
-	// It is called from worker goroutines under a lock (callbacks are
-	// serialized, but must not block for long).
-	Progress func(done, total int, label string)
 	// OnStats, when set together with StatsInterval, receives periodic
 	// RunnerStats snapshots from a dedicated ticker goroutine while the
-	// pool runs, plus one Final snapshot after it drains. It must be safe
-	// to call concurrently with Progress.
+	// pool runs, plus one Final snapshot after it drains. Calls never
+	// overlap.
 	OnStats func(RunnerStats)
 	// StatsInterval is the snapshot cadence; <= 0 disables the ticker
 	// (a Final snapshot is still delivered when OnStats is set).
@@ -222,7 +217,6 @@ func (r Runner) exec(cells []Cell, stopOnFirstError bool) ([]CellResult, error) 
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		done     int
 		firstErr error
 	)
 	for w := 0; w < workers; w++ {
@@ -255,10 +249,6 @@ func (r Runner) exec(cells []Cell, stopOnFirstError bool) ([]CellResult, error) 
 							err = fmt.Errorf("%s: %w", c.Label, err)
 						}
 						errs[i] = err
-					}
-					done++
-					if r.Progress != nil {
-						r.Progress(done, n, c.Label)
 					}
 				}
 				mu.Unlock()

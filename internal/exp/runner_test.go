@@ -139,15 +139,8 @@ func TestRunnerFirstErrorCancels(t *testing.T) {
 	}
 }
 
-func TestRunnerProgressAndOrder(t *testing.T) {
-	var calls atomic.Int64
-	r := Runner{Workers: 4, Progress: func(done, total int, label string) {
-		calls.Add(1)
-		if done < 1 || done > total {
-			t.Errorf("progress done=%d outside [1,%d]", done, total)
-		}
-	}}
-	out, err := ForEach(r, 32, nil, func(i int, seed uint64) (int, error) { return i * i, nil })
+func TestRunnerResultOrder(t *testing.T) {
+	out, err := ForEach(Runner{Workers: 4}, 32, nil, func(i int, seed uint64) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +148,6 @@ func TestRunnerProgressAndOrder(t *testing.T) {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d, want %d (results must be index-ordered)", i, v, i*i)
 		}
-	}
-	if calls.Load() != 32 {
-		t.Fatalf("progress called %d times, want 32", calls.Load())
 	}
 }
 

@@ -15,26 +15,13 @@ import (
 // The paper's headline: HyperX/DFSSSP/linear finishes 12.7% more jobs than
 // the Fat-Tree baseline, and MILC collapses under random placement.
 func (s *Session) Fig7() error {
-	mix := capacity.PaperMix()
-	if s.P.Small {
-		mix = smallMixFor(s.P)
-	}
+	mix := s.capacityMix()
 	s.header(fmt.Sprintf("Figure 7: capacity evaluation (%d apps, %d nodes, %.0f min window)",
 		len(mix), capacity.TotalNodes(mix), float64(s.P.CapacityWindow)/60))
-	results := make(map[string]*capacity.Result)
-	totals := make(map[string]int)
 	combos := exp.PaperCombos()
-	for _, c := range combos {
-		m, err := s.Machine(c)
-		if err != nil {
-			return err
-		}
-		res, err := capacity.Run(m, mix, s.P.CapacityWindow, s.P.Seed)
-		if err != nil {
-			return err
-		}
-		results[c.Name] = res
-		totals[c.Name] = res.Total
+	results, err := s.capacityRuns(combos, mix)
+	if err != nil {
+		return err
 	}
 	w := tabwriter.NewWriter(s.P.Out, 4, 0, 1, ' ', tabwriter.AlignRight)
 	fmt.Fprintf(w, "app\t")
@@ -51,22 +38,21 @@ func (s *Session) Fig7() error {
 	}
 	for _, app := range order {
 		fmt.Fprintf(w, "%s\t", app)
-		for _, c := range combos {
-			fmt.Fprintf(w, "%d\t", results[c.Name].Runs[app])
+		for _, res := range results {
+			fmt.Fprintf(w, "%d\t", res.Runs[app])
 		}
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "TOTAL\t")
-	for _, c := range combos {
-		fmt.Fprintf(w, "%d\t", totals[c.Name])
+	for _, res := range results {
+		fmt.Fprintf(w, "%d\t", res.Total)
 	}
 	fmt.Fprintln(w)
 	w.Flush()
-	base := totals[combos[0].Name]
-	if base > 0 {
-		for _, c := range combos[1:] {
+	if base := results[0].Total; base > 0 {
+		for i, c := range combos[1:] {
 			s.printf("%s vs baseline: %+.1f%%\n", c.Name,
-				100*(float64(totals[c.Name])/float64(base)-1))
+				100*(float64(results[i+1].Total)/float64(base)-1))
 		}
 	}
 	return nil
@@ -74,23 +60,40 @@ func (s *Session) Fig7() error {
 
 // Fig7Totals runs the capacity study and returns per-combo totals (tests).
 func (s *Session) Fig7Totals() (map[string]int, error) {
-	mix := capacity.PaperMix()
-	if s.P.Small {
-		mix = smallMixFor(s.P)
+	combos := exp.PaperCombos()
+	results, err := s.capacityRuns(combos, s.capacityMix())
+	if err != nil {
+		return nil, err
 	}
-	totals := make(map[string]int)
-	for _, c := range exp.PaperCombos() {
-		m, err := s.Machine(c)
-		if err != nil {
-			return nil, err
-		}
-		res, err := capacity.Run(m, mix, s.P.CapacityWindow, s.P.Seed)
-		if err != nil {
-			return nil, err
-		}
-		totals[c.Name] = res.Total
+	totals := make(map[string]int, len(combos))
+	for i, c := range combos {
+		totals[c.Name] = results[i].Total
 	}
 	return totals, nil
+}
+
+// capacityMix is the Fig. 7 application mix: the paper's, or a 4-app mix
+// on the small planes.
+func (s *Session) capacityMix() []capacity.AppSpec {
+	if s.P.Small {
+		return smallMixFor(s.P)
+	}
+	return capacity.PaperMix()
+}
+
+// capacityRuns runs the capacity study once per combo, as cells over the
+// session's worker pool. capacity.Run only reads its machine, so the
+// cells share the cached ones, and every combo keeps seed P.Seed: the
+// results are the same at any -j.
+func (s *Session) capacityRuns(combos []exp.Combo, mix []capacity.AppSpec) ([]*capacity.Result, error) {
+	return exp.ForEach(s.runner(), len(combos), func(i int) string { return combos[i].Name },
+		func(i int, _ uint64) (*capacity.Result, error) {
+			m, err := s.Machine(combos[i])
+			if err != nil {
+				return nil, err
+			}
+			return capacity.Run(m, mix, s.P.CapacityWindow, s.P.Seed)
+		})
 }
 
 // smallMixFor is a 4-app mix sized for the 32-node test planes.

@@ -103,6 +103,9 @@ func EffectiveBisectionBandwidth(f fabric.Messenger, ranks []topo.NodeID, sample
 	if n < 2 {
 		return nil, fmt.Errorf("workloads: eBB needs >= 2 nodes")
 	}
+	if samples < 1 {
+		return nil, fmt.Errorf("workloads: eBB needs >= 1 sample, got %d", samples)
+	}
 	rng := sim.NewRand(seed)
 	res := &EBBResult{}
 	pairs := n / 2

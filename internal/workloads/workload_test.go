@@ -316,6 +316,16 @@ func TestEBBBasics(t *testing.T) {
 	}
 }
 
+// Without samples the mean would be NaN and the min the -1 sentinel.
+func TestEBBRejectsNoSamples(t *testing.T) {
+	hx, f := smallFabric(t)
+	for _, samples := range []int{0, -3} {
+		if res, err := EffectiveBisectionBandwidth(f, hx.Terminals()[:8], samples, 1<<20, 7); err == nil {
+			t.Errorf("eBB with %d samples = %+v, want an error", samples, res)
+		}
+	}
+}
+
 func TestFrontierWeightsNormalized(t *testing.T) {
 	var sum float64
 	for l := 0; l < 8; l++ {
