@@ -9,15 +9,17 @@
 //	topocheck -planes ft:updown,hx:parx -small
 //
 // The exit status is the CI contract: 0 only when every engine builds and
-// validates clean; build errors and deadlock-prone tables exit 1; a
-// terminal pair left unreachable by an engine that promises full
-// reachability exits 2, so CI can distinguish "routing broke" from "routing
-// stranded traffic". Engines that document stranding as their trade-off
-// (hxmin's restricted escape) report their unreachable pairs without
-// failing the check.
+// validates clean; build errors, deadlock-prone tables and flag
+// combinations it cannot honour (-small without -planes, -degrade n > 0
+// with -planes) exit 1; a terminal pair left unreachable by an engine that
+// promises full reachability exits 2, so CI can distinguish "routing
+// broke" from "routing stranded traffic". Engines that document stranding
+// as their trade-off (hxmin's restricted escape) report their unreachable
+// pairs without failing the check.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,12 +33,16 @@ import (
 
 func main() {
 	degrade := flag.Int("degrade", -1,
-		"switch links to remove per plane: -1 = paper counts (15 HyperX / 197 Fat-Tree), 0 = pristine, n = exactly n")
+		"switch links to remove per plane: -1 = paper counts (15 HyperX / 197 Fat-Tree), 0 = pristine, n = exactly n (not with -planes)")
 	seed := flag.Uint64("seed", 42, "degradation seed")
 	planesF := flag.String("planes", "",
 		"validate a multi-plane machine instead: comma-separated topology:routing[:name] specs (e.g. ft:ftree,hyperx:parx)")
 	small := flag.Bool("small", false, "with -planes: use the 32-node test planes")
 	flag.Parse()
+	if err := checkFlags(*planesF, *small, *degrade); err != nil {
+		fmt.Fprintf(os.Stderr, "topocheck: %v\n", err)
+		os.Exit(1)
+	}
 
 	failed := false
 	unreach := false
@@ -154,6 +160,21 @@ func main() {
 		}
 	}
 	exit()
+}
+
+// checkFlags rejects the flag combinations that would otherwise be ignored
+// silently: the paper planes come in one size only, and a multi-plane
+// machine is degraded by its builder's fixed counts, never by an exact n.
+func checkFlags(planes string, small bool, degrade int) error {
+	switch {
+	case degrade < -1:
+		return fmt.Errorf("-degrade %d: want -1 (paper counts), 0 (pristine) or a positive count", degrade)
+	case planes == "" && small:
+		return errors.New("-small needs -planes: the paper planes are built at full size only")
+	case planes != "" && degrade > 0:
+		return fmt.Errorf("-degrade %d cannot be combined with -planes: a multi-plane machine takes -degrade -1 (its fixed counts) or 0", degrade)
+	}
+	return nil
 }
 
 // checkPlanes builds the multi-plane machine described by the spec list

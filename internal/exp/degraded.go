@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"github.com/hpcsim/t2hx/internal/faults"
-	"github.com/hpcsim/t2hx/internal/mpi"
 	"github.com/hpcsim/t2hx/internal/place"
 	"github.com/hpcsim/t2hx/internal/route"
 	"github.com/hpcsim/t2hx/internal/sim"
@@ -27,8 +26,9 @@ import (
 // whose every prefix keeps the switch fabric connected. One variant's
 // chain is shared across all engines, workloads and failure counts, so
 // cells differ incrementally — consecutive counts add exactly one link —
-// and the Zobrist DownHash keys of exp.TableCache stay delta-friendly
-// instead of rebuilding tables per variant.
+// and an engine's cells replaying the same prefix share its
+// exp.TableCache entry (keyed by Graph.DownHash) instead of rebuilding
+// tables per variant.
 
 // DegradedWorkload names one workload column of a degraded sweep.
 type DegradedWorkload struct {
@@ -205,10 +205,8 @@ func (st *degradedState) chainFor(g *topo.Graph, vseed uint64, maxCount int) []t
 	if ok {
 		return chain
 	}
-	chain, err := topo.DegradeChain(g, maxCount, vseed)
-	if err != nil && !errors.Is(err, topo.ErrDegradeShortfall) {
-		chain = nil // no switch links at all; every count clamps to zero
-	}
+	// A shortfall returns the partial chain, to which larger counts clamp.
+	chain, _ = topo.DegradeChain(g, maxCount, sim.NewRand(vseed))
 	st.mu.Lock()
 	if prev, ok := st.chains[vseed]; ok {
 		chain = prev
@@ -251,7 +249,7 @@ func RunDegraded(r Runner, spec DegradedSpec) ([]DegradedResult, error) {
 		}
 		st.baselines[ei] = make([]sim.Duration, len(spec.Workloads))
 		for wi, w := range spec.Workloads {
-			base, err := degradedBaseline(m, spec.Nodes, spec.Seed, w.Build)
+			base, err := runBaseline(m, spec.Nodes, spec.Seed, w.Build)
 			if err != nil {
 				return nil, fmt.Errorf("exp: degraded sweep baseline %s/%s: %w", eng, w.Name, err)
 			}
@@ -281,26 +279,6 @@ func degradedSplit(i, nW, nC, nV int) (ei, wi, ci, vi int) {
 	i /= nC
 	wi = i % nW
 	return i / nW, wi, ci, vi
-}
-
-func degradedBaseline(m *Machine, nodes int, seed uint64, build func(n int) (*workloads.Instance, error)) (sim.Duration, error) {
-	ranks, err := m.Place(nodes, seed)
-	if err != nil {
-		return 0, err
-	}
-	inst, err := build(nodes)
-	if err != nil {
-		return 0, err
-	}
-	f, err := m.NewFabric(seed)
-	if err != nil {
-		return 0, err
-	}
-	res, err := mpi.Run(f, "baseline", ranks, inst.Progs, mpi.Options{})
-	if err != nil {
-		return 0, err
-	}
-	return res.Elapsed, nil
 }
 
 // runCell executes one variant: inject the chain prefix mid-run, then
@@ -372,15 +350,13 @@ func (st *degradedState) runCell(ei, wi, ci, vi, maxCount int) (DegradedResult, 
 		res.Err = runErr.Error()
 	}
 
-	// Final-state analysis: apply the full prefix as a down mask, rebuild
-	// through the table cache (delta-keyed by the Zobrist DownHash), and
+	// Final-state analysis: set the prefix down on the machine this cell
+	// holds, rebuild through the table cache (keyed by Graph.DownHash), and
 	// score reachability and deadlock margin of what the SM would run on.
-	prev := topo.CaptureDownMask(m.G)
-	mask := prev.Clone()
+	// The prefix goes back up before the machine returns to the pool.
 	for _, id := range chain {
-		mask.Set(id, true)
+		m.G.Links[id].Down = true
 	}
-	mask.ApplyDelta(m.G, prev)
 	tb, buildErr := m.Primary().Rebuild()
 	if buildErr != nil {
 		res.Survived = false
@@ -396,7 +372,9 @@ func (st *degradedState) runCell(ei, wi, ci, vi, maxCount int) (DegradedResult, 
 		}
 		res.Margin = route.DeadlockMargin(tb, spec.MarginSamples)
 	}
-	prev.ApplyDelta(m.G, mask)
+	for _, id := range chain {
+		m.G.Links[id].Down = false
+	}
 	return res, nil
 }
 

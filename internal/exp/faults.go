@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/hpcsim/t2hx/internal/fabric"
 	"github.com/hpcsim/t2hx/internal/faults"
 	"github.com/hpcsim/t2hx/internal/mpi"
 	"github.com/hpcsim/t2hx/internal/sim"
@@ -28,11 +27,8 @@ type FaultSpec struct {
 	// Detect/Sweep override the SM model's delays; zero keeps defaults
 	// (1 ms detection, 4 ms sweep).
 	Detect, Sweep sim.Duration
-	// RetryBackoff/MaxRetries override the fabric's retry behaviour; zero
-	// keeps defaults.
-	RetryBackoff sim.Duration
-	MaxRetries   int
-	Build        func(n int) (*workloads.Instance, error)
+	// Build constructs the workload both runs execute.
+	Build func(n int) (*workloads.Instance, error)
 	// Telemetry, when set, is attached to the faulted run's fabric:
 	// injected faults appear as trace instants, SM sweeps as spans, and
 	// the counters/FCT records cover the run that rode out the outage.
@@ -199,23 +195,6 @@ func RunFaultScenario(spec FaultSpec) (*FaultResult, error) {
 	if spec.Failures == 0 && spec.Schedule == nil {
 		spec.Failures = DefaultFailures(m)
 	}
-	ranks, err := m.Place(spec.Nodes, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	newFabric := func() (*fabric.Fabric, error) {
-		f, err := m.NewFabric(spec.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if spec.RetryBackoff != 0 || spec.MaxRetries != 0 {
-			f.EnableResilience(fabric.Resilience{
-				RetryBackoff: spec.RetryBackoff,
-				MaxRetries:   spec.MaxRetries,
-			})
-		}
-		return f, nil
-	}
 
 	// Fault-free baseline: calibrates both the result's slowdown figure and
 	// where in the run the failures land. A spec carrying a pre-measured
@@ -223,19 +202,14 @@ func RunFaultScenario(spec FaultSpec) (*FaultResult, error) {
 	// the run.
 	base := spec.Baseline
 	if base == 0 {
-		inst, err := spec.Build(spec.Nodes)
-		if err != nil {
+		var err error
+		if base, err = runBaseline(m, spec.Nodes, spec.Seed, spec.Build); err != nil {
 			return nil, err
 		}
-		fb, err := newFabric()
-		if err != nil {
-			return nil, err
-		}
-		res, err := mpi.Run(fb, "baseline", ranks, inst.Progs, mpi.Options{})
-		if err != nil {
-			return nil, err
-		}
-		base = res.Elapsed
+	}
+	ranks, err := m.Place(spec.Nodes, spec.Seed)
+	if err != nil {
+		return nil, err
 	}
 
 	// Spread the failures over the middle half of the baseline makespan, so
@@ -269,7 +243,7 @@ func RunFaultScenario(spec FaultSpec) (*FaultResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := newFabric()
+	f, err := m.NewFabric(spec.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -333,4 +307,27 @@ func RunFaultScenario(spec FaultSpec) (*FaultResult, error) {
 		out.GoodputAfter = (f.DeliveredBytes - bytesAtSwap) / float64(res.End-lastSwapAt)
 	}
 	return out, nil
+}
+
+// runBaseline places the ranks, runs the workload fault-free on a fresh
+// fabric over the machine's primary plane and returns its makespan: the
+// reference that times injected failures and scores their slowdown.
+func runBaseline(m *Machine, nodes int, seed uint64, build func(n int) (*workloads.Instance, error)) (sim.Duration, error) {
+	ranks, err := m.Place(nodes, seed)
+	if err != nil {
+		return 0, err
+	}
+	inst, err := build(nodes)
+	if err != nil {
+		return 0, err
+	}
+	f, err := m.NewFabric(seed)
+	if err != nil {
+		return 0, err
+	}
+	res, err := mpi.Run(f, "baseline", ranks, inst.Progs, mpi.Options{})
+	if err != nil {
+		return 0, err
+	}
+	return res.Elapsed, nil
 }

@@ -33,10 +33,6 @@ func CellSeed(baseSeed uint64, index int) uint64 {
 type Cell struct {
 	// Label names the cell in errors and in RunnerStats.LastLabel.
 	Label string
-	// Seed, when non-nil, overrides the derived CellSeed(baseSeed, index)
-	// — used where an established output format fixes the per-cell seeds
-	// (cmd/figures keeps its historical P.Seed+n cells at any -j).
-	Seed *uint64
 	// Run executes the cell.
 	Run func(seed uint64) (any, error)
 }
@@ -92,7 +88,7 @@ func (RunnerStats) LineKind() string { return "progress" }
 type Runner struct {
 	// Workers is the pool size; <= 0 uses runtime.GOMAXPROCS(0).
 	Workers int
-	// BaseSeed feeds CellSeed for cells without a Seed override.
+	// BaseSeed feeds CellSeed.
 	BaseSeed uint64
 	// OnStats, when set together with StatsInterval, receives periodic
 	// RunnerStats snapshots from a dedicated ticker goroutine while the
@@ -225,12 +221,8 @@ func (r Runner) exec(cells []Cell, stopOnFirstError bool) ([]CellResult, error) 
 			defer wg.Done()
 			for i := range queue {
 				c := cells[i]
-				seed := CellSeed(r.BaseSeed, i)
-				if c.Seed != nil {
-					seed = *c.Seed
-				}
 				cellStart := time.Now()
-				v, err := c.Run(seed)
+				v, err := c.Run(CellSeed(r.BaseSeed, i))
 				st.busyNanos.Add(time.Since(cellStart).Nanoseconds())
 				st.done.Add(1)
 				st.mu.Lock()
@@ -328,8 +320,6 @@ type SweepCell struct {
 	Build  func(n int) (*workloads.Instance, error)
 	// Attach is forwarded to TrialSpec.Attach (telemetry hookup).
 	Attach func(trial int, f fabric.Messenger)
-	// Seed, when non-nil, pins the cell's seed (see Cell.Seed).
-	Seed *uint64
 }
 
 // SweepResult is one cell's outcome: the per-trial metric values and their
@@ -351,7 +341,7 @@ func RunSweep(r Runner, cells []SweepCell) ([]SweepResult, error) {
 	for i := range cells {
 		i := i
 		c := cells[i]
-		rcells[i] = Cell{Label: c.Label, Seed: c.Seed, Run: func(seed uint64) (any, error) {
+		rcells[i] = Cell{Label: c.Label, Run: func(seed uint64) (any, error) {
 			m, err := BuildMachine(c.Combo, c.Cfg)
 			if err != nil {
 				return nil, err

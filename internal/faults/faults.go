@@ -78,7 +78,11 @@ func (s Schedule) Sorted() Schedule {
 // PlanLinkFailures picks n switch-to-switch links that can all fail at
 // runtime without ever disconnecting the switch fabric (terminal links are
 // never chosen), and spreads the failures uniformly at random over
-// [start, start+window). The graph is only probed, never left modified.
+// [start, start+window). The links are topo.DegradeChain's pick from the
+// seed, so on a pristine graph they are exactly the links
+// topo.DegradeSwitchLinks would degrade with the same seed; the failure
+// times are drawn from the same generator afterwards. The graph is only
+// probed, never left modified.
 //
 // Because the surviving set is connected with every chosen link down, it
 // stays connected under any prefix of the schedule, whatever order the
@@ -87,94 +91,21 @@ func (s Schedule) Sorted() Schedule {
 // topo.ErrDegradeShortfall.
 func PlanLinkFailures(g *topo.Graph, n int, start sim.Time, window sim.Duration, seed uint64) (Schedule, error) {
 	rng := sim.NewRand(seed)
-	candidates := g.LiveSwitchLinks()
-	rng.Shuffle(len(candidates), func(i, j int) {
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-	})
-	var chosen []*topo.Link
-	for _, l := range candidates {
-		if len(chosen) == n {
-			break
-		}
-		l.Down = true
-		if topo.SwitchFabricConnected(g) {
-			chosen = append(chosen, l)
-		} else {
-			l.Down = false
-		}
-	}
-	for _, l := range chosen {
-		l.Down = false
-	}
-	times := make([]float64, len(chosen))
+	chain, err := topo.DegradeChain(g, n, rng)
+	times := make([]float64, len(chain))
 	for i := range times {
 		times[i] = rng.Float64()
 	}
 	sort.Float64s(times)
-	sched := make(Schedule, 0, len(chosen))
-	for i, l := range chosen {
+	sched := make(Schedule, 0, len(chain))
+	for i, id := range chain {
 		sched = append(sched, Event{
 			At:   start + sim.Time(times[i])*window,
 			Kind: LinkDown,
-			Link: l.ID,
+			Link: id,
 		})
 	}
-	if len(chosen) < n {
-		return sched, fmt.Errorf("faults: %w: planned %d of %d requested link failures",
-			topo.ErrDegradeShortfall, len(chosen), n)
-	}
-	return sched, nil
-}
-
-// MTBFSchedule draws link failures as a Poisson process with the given mean
-// time between failures over [start, end); each failed link is repaired
-// after repair (repair <= 0 leaves it down for good). Victims are drawn
-// uniformly among switch-to-switch links that are live at that instant
-// (accounting for earlier scheduled failures and repairs) and whose loss
-// keeps the switch fabric connected. The graph is only probed, never left
-// modified.
-func MTBFSchedule(g *topo.Graph, mtbf, repair sim.Duration, start, end sim.Time, seed uint64) Schedule {
-	if mtbf <= 0 {
-		panic("faults: MTBFSchedule needs a positive MTBF")
-	}
-	rng := sim.NewRand(seed)
-	var sched Schedule
-	// planned tracks links this planner has down at the current plan time.
-	planned := make(map[*topo.Link]sim.Time) // link -> repair time (Infinity if permanent)
-	t := start + sim.Time(rng.ExpFloat64())*mtbf
-	for t < end {
-		// Apply repairs that happen before this failure.
-		for l, until := range planned {
-			if until <= t {
-				l.Down = false
-				delete(planned, l)
-			}
-		}
-		candidates := g.LiveSwitchLinks()
-		rng.Shuffle(len(candidates), func(i, j int) {
-			candidates[i], candidates[j] = candidates[j], candidates[i]
-		})
-		for _, l := range candidates {
-			l.Down = true
-			if !topo.SwitchFabricConnected(g) {
-				l.Down = false
-				continue
-			}
-			until := sim.Infinity
-			if repair > 0 {
-				until = t + repair
-				sched = append(sched, Event{At: until, Kind: LinkUp, Link: l.ID})
-			}
-			planned[l] = until
-			sched = append(sched, Event{At: t, Kind: LinkDown, Link: l.ID})
-			break
-		}
-		t += sim.Time(rng.ExpFloat64()) * mtbf
-	}
-	for l := range planned {
-		l.Down = false
-	}
-	return sched.Sorted()
+	return sched, err
 }
 
 // PlaneOutage fails every live switch-to-switch link of a plane at the

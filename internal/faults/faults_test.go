@@ -111,50 +111,23 @@ func TestPlanLinkFailuresShortfall(t *testing.T) {
 	}
 }
 
-func TestMTBFSchedule(t *testing.T) {
-	hx := topo.NewHyperX(topo.HyperXConfig{S: []int{4, 4}, T: 1, Bandwidth: 1e9, Latency: 1e-7})
-	before := snapshotDown(hx.Graph)
-	sched := MTBFSchedule(hx.Graph, 50*sim.Millisecond, 30*sim.Millisecond, 0, sim.Second, 11)
-	if !reflect.DeepEqual(before, snapshotDown(hx.Graph)) {
-		t.Error("MTBF planning modified the graph")
-	}
-	if len(sched) == 0 {
-		t.Fatal("no events drawn over 20 MTBFs")
-	}
-	downs, ups := 0, 0
-	last := sim.Time(-1)
-	openAt := make(map[topo.LinkID]sim.Time)
-	for _, ev := range sched {
-		if ev.At < last {
-			t.Fatal("schedule not sorted")
+// Runtime failure plans and the paper planes' broken cables come from the
+// same planner: on a pristine paper HyperX, a 15-link plan fails exactly
+// the links NewPaperHyperX degrades with the same seed.
+func TestPlanLinkFailuresMatchesPaperDegradation(t *testing.T) {
+	for _, seed := range []uint64{1, 42} {
+		g := topo.NewPaperHyperX(false, 0).Graph
+		sched, err := PlanLinkFailures(g, topo.PaperHyperXMissingAOCs, 0, sim.Second, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		last = ev.At
-		switch ev.Kind {
-		case LinkDown:
-			downs++
-			openAt[ev.Link] = ev.At
-		case LinkUp:
-			ups++
-			down, ok := openAt[ev.Link]
-			if !ok {
-				t.Fatalf("repair of link %d that never failed", ev.Link)
-			}
-			if got := ev.At - down; got < 30*sim.Millisecond-sim.Nanosecond || got > 30*sim.Millisecond+sim.Nanosecond {
-				t.Errorf("repair after %.3fms, want 30ms", float64(got)/float64(sim.Millisecond))
-			}
-			delete(openAt, ev.Link)
-		default:
-			t.Fatalf("unexpected kind %v", ev.Kind)
+		for _, ev := range sched {
+			g.Links[ev.Link].Down = true
 		}
-	}
-	if downs == 0 || ups != downs {
-		t.Errorf("downs=%d ups=%d, want equal and nonzero", downs, ups)
-	}
-	// Permanent failures: no repair events at all.
-	perm := MTBFSchedule(hx.Graph, 50*sim.Millisecond, 0, 0, sim.Second, 11)
-	for _, ev := range perm {
-		if ev.Kind != LinkDown {
-			t.Fatalf("permanent-failure schedule contains %v", ev.Kind)
+		paper := topo.NewPaperHyperX(true, seed).Graph
+		if !reflect.DeepEqual(snapshotDown(g), snapshotDown(paper)) {
+			t.Errorf("seed %d: planned down set (hash %#x) differs from the paper degradation (hash %#x)",
+				seed, g.DownHash(), paper.DownHash())
 		}
 	}
 }

@@ -16,7 +16,9 @@ import (
 // dense kind indexes. map[topo.NodeID] churn here used to dominate
 // (DF)SSSP/PARX build time; this lint stops it from creeping back. nue.go
 // is exempt: its CDG-constrained tree growth is not on the sweep hot path
-// and keeps its clearer map-based formulation.
+// and keeps its clearer map-based formulation. The two topo files hold the
+// switch BFS behind HopDistances (which Up*/Down* and Nue consume) and
+// every failure plan's connectivity probe.
 var routeHotPathFiles = []string{
 	"dijkstra.go",
 	"tables.go",
@@ -29,6 +31,8 @@ var routeHotPathFiles = []string{
 	"cdg.go",
 	"walk.go",
 	"livelinks.go",
+	"../topo/metrics.go",
+	"../topo/degrade.go",
 }
 
 func TestNoNodeIDMapsInHotPaths(t *testing.T) {
@@ -43,7 +47,7 @@ func TestNoNodeIDMapsInHotPaths(t *testing.T) {
 			if !ok {
 				return true
 			}
-			if isSelector(m.Key, "topo", "NodeID") {
+			if isSelector(m.Key, "topo", "NodeID") || isIdent(m.Key, "NodeID") {
 				t.Errorf("%s: map keyed by topo.NodeID — use a flat slice over Graph.SwitchIndex/TerminalIndex instead",
 					fset.Position(m.Pos()))
 			}

@@ -115,7 +115,7 @@ func nueTree(g *topo.Graph, root topo.NodeID, cdg *CDG) (map[topo.NodeID]topo.Ch
 // nueAdopt tries to give u a parent. minimalOnly restricts candidates to
 // strictly-closer neighbors; otherwise any already-routed neighbor whose
 // forwarding chain avoids u qualifies (a detour).
-func nueAdopt(g *topo.Graph, u, root topo.NodeID, dist map[topo.NodeID]int,
+func nueAdopt(g *topo.Graph, u, root topo.NodeID, dist []int,
 	next map[topo.NodeID]topo.ChannelID, cdg *CDG, minimalOnly bool) bool {
 
 	type cand struct {

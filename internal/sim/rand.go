@@ -101,9 +101,3 @@ func (r *Rand) Normal(mu, sigma float64) float64 {
 func (r *Rand) LogNormalFactor(sigma float64) float64 {
 	return math.Exp(r.Normal(0, sigma))
 }
-
-// ExpFloat64 returns an exponentially distributed draw with mean 1 (scale
-// by the desired mean), used for MTBF-style failure interarrival times.
-func (r *Rand) ExpFloat64() float64 {
-	return -math.Log(1 - r.Float64())
-}

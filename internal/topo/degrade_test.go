@@ -3,6 +3,8 @@ package topo
 import (
 	"errors"
 	"testing"
+
+	"github.com/hpcsim/t2hx/internal/sim"
 )
 
 // Regression for the paper's broken-cable counts: both planes must absorb
@@ -18,7 +20,7 @@ func TestDegradePaperCountsNoShortfall(t *testing.T) {
 		if len(downed) != PaperHyperXMissingAOCs {
 			t.Errorf("hyperx seed=%d: downed %d, want %d", seed, len(downed), PaperHyperXMissingAOCs)
 		}
-		if !switchFabricConnected(hx.Graph) {
+		if !SwitchFabricConnected(hx.Graph) {
 			t.Errorf("hyperx seed=%d: switch fabric disconnected", seed)
 		}
 
@@ -30,7 +32,7 @@ func TestDegradePaperCountsNoShortfall(t *testing.T) {
 		if len(downed) != PaperFatTreeMissingLinks {
 			t.Errorf("fattree seed=%d: downed %d, want %d", seed, len(downed), PaperFatTreeMissingLinks)
 		}
-		if !switchFabricConnected(ft.Graph) {
+		if !SwitchFabricConnected(ft.Graph) {
 			t.Errorf("fattree seed=%d: switch fabric disconnected", seed)
 		}
 	}
@@ -51,12 +53,78 @@ func TestDegradeReportsShortfall(t *testing.T) {
 	if len(downed) >= total {
 		t.Errorf("downed %d of %d links; the fabric cannot stay connected", len(downed), total)
 	}
-	if !switchFabricConnected(hx.Graph) {
+	if !SwitchFabricConnected(hx.Graph) {
 		t.Error("shortfall path disconnected the switch fabric")
 	}
 	// Degrading more links than exist is also a shortfall, not a crash.
 	ft := NewKaryNTree(2, 2, 1e9, 1e-7)
 	if _, err := DegradeSwitchLinks(ft.Graph, 10_000, 3); !errors.Is(err, ErrDegradeShortfall) {
 		t.Errorf("oversized request: err = %v, want ErrDegradeShortfall", err)
+	}
+}
+
+// The failure planner is pinned by the down sets it gives the paper planes:
+// a change to the pick (shuffle, probe order, connectivity veto) moves
+// these hashes, and with them every degraded result in the repository.
+func TestPaperDegradationDownHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed   uint64
+		hx, ft uint64
+	}{
+		{1, 0x392417ce14837948, 0x61a873aae75ea2ee},
+		{42, 0xd02f099a4315a446, 0xb41d479c62f10486},
+	} {
+		if got := NewPaperHyperX(true, c.seed).DownHash(); got != c.hx {
+			t.Errorf("NewPaperHyperX(true, %d).DownHash() = %#x, want %#x", c.seed, got, c.hx)
+		}
+		if got := NewPaperFatTree(true, c.seed).DownHash(); got != c.ft {
+			t.Errorf("NewPaperFatTree(true, %d).DownHash() = %#x, want %#x", c.seed, got, c.ft)
+		}
+	}
+}
+
+// Every prefix of a DegradeChain must keep the switch fabric connected:
+// that is the property letting one seeded chain serve every failure count
+// of a sweep variant. Planning itself must leave the graph untouched.
+func TestDegradeChainPrefixConnectivity(t *testing.T) {
+	hx := small2DHyperX()
+	const n = 14
+	chain, err := DegradeChain(hx.Graph, n, sim.NewRand(42))
+	if err != nil {
+		t.Fatalf("DegradeChain: %v", err)
+	}
+	if h := hx.DownHash(); h != 0 {
+		t.Fatalf("DegradeChain left links down (DownHash %#x)", h)
+	}
+	if len(chain) != n {
+		t.Fatalf("chain has %d links, want %d", len(chain), n)
+	}
+	seen := map[LinkID]bool{}
+	for i, id := range chain {
+		l := hx.Links[id]
+		if hx.Nodes[l.A].Kind != Switch || hx.Nodes[l.B].Kind != Switch {
+			t.Fatalf("chain link %d is not a switch link", id)
+		}
+		if seen[id] {
+			t.Fatalf("chain repeats link %d", id)
+		}
+		seen[id] = true
+		l.Down = true
+		if !SwitchFabricConnected(hx.Graph) {
+			t.Fatalf("prefix %d disconnects the switch fabric", i+1)
+		}
+	}
+
+	// Same (graph shape, seed) must give the same chain: sweep variants
+	// share chains across engines by relying on this.
+	hx2 := small2DHyperX()
+	chain2, err := DegradeChain(hx2.Graph, n, sim.NewRand(42))
+	if err != nil {
+		t.Fatalf("DegradeChain (second build): %v", err)
+	}
+	for i := range chain {
+		if chain[i] != chain2[i] {
+			t.Fatalf("chain diverges at %d: %d vs %d", i, chain[i], chain2[i])
+		}
 	}
 }

@@ -51,8 +51,7 @@ func (g *Graph) Fingerprint() uint64 {
 // one link flips exactly that link's salt, and two masks differing in a
 // single link therefore never collide. Two calls on the same graph agree
 // iff the same set of links is down; together with Fingerprint it keys
-// caches of routed state, and it agrees with DownMask.Hash for the mask
-// describing the same down set.
+// caches of routed state (exp.TableCache).
 func (g *Graph) DownHash() uint64 {
 	var h uint64
 	for _, l := range g.Links {
@@ -61,4 +60,22 @@ func (g *Graph) DownHash() uint64 {
 		}
 	}
 	return h
+}
+
+// LinkDownSalt returns the Zobrist value XORed into DownHash when the link
+// is down. Salts are SplitMix64 outputs of the link ID and never zero, the
+// property that makes single-link deltas collision-free.
+func LinkDownSalt(id LinkID) uint64 {
+	s := splitmix64(uint64(uint32(id)) + 1)
+	if s == 0 {
+		return 0x9e3779b97f4a7c15
+	}
+	return s
+}
+
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }

@@ -64,6 +64,32 @@ func TestDownHashTracksMaskNotFingerprint(t *testing.T) {
 	}
 }
 
+// Regression: two down sets differing by exactly one link must never
+// collide on DownHash. Zobrist hashing makes this exact — the hashes differ
+// by the flipped link's salt, which is never zero.
+func TestDownHashSingleLinkNeverCollides(t *testing.T) {
+	hx := small2DHyperX()
+	for _, l := range hx.Links {
+		if LinkDownSalt(l.ID) == 0 {
+			t.Fatalf("link %d has zero salt", l.ID)
+		}
+	}
+	rng := sim.NewRand(99)
+	for trial := 0; trial < 50; trial++ {
+		for _, l := range hx.Links {
+			l.Down = rng.Float64() < 0.3
+		}
+		base := hx.DownHash()
+		for _, l := range hx.Links {
+			l.Down = !l.Down
+			if hx.DownHash() == base {
+				t.Fatalf("trial %d: flipping link %d did not change hash %#x", trial, l.ID, base)
+			}
+			l.Down = !l.Down
+		}
+	}
+}
+
 func TestKindIndexesDense(t *testing.T) {
 	hx := small2DHyperX()
 	for i, s := range hx.Switches() {

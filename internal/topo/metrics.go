@@ -5,54 +5,59 @@ import "fmt"
 // Structural metrics used to validate the built topologies against the
 // numbers the paper reports in Sec. 2.2/2.3.
 
-// HopDistances returns, for a source switch, the minimal switch-hop count to
-// every other switch over live links (BFS). Unreachable switches get -1.
-func HopDistances(g *Graph, src NodeID) map[NodeID]int {
-	dist := map[NodeID]int{src: 0}
-	frontier := []NodeID{src}
-	for len(frontier) > 0 {
-		var next []NodeID
-		for _, cur := range frontier {
-			for _, l := range g.Nodes[cur].Ports {
-				if l == nil || l.Down {
-					continue
-				}
-				o := l.Other(cur)
-				if g.Nodes[o].Kind != Switch {
-					continue
-				}
-				if _, ok := dist[o]; ok {
-					continue
-				}
-				dist[o] = dist[cur] + 1
-				next = append(next, o)
+// hopBFS is the package's one switch-level breadth-first search: it
+// walks live switch-to-switch links from switch src. dist needs one entry
+// per node; on return it holds each reached switch's hop count from src
+// and -1 everywhere else (unreached switches, terminals). It returns the
+// number of switches reached, src included, and the largest hop count
+// among them.
+func hopBFS(g *Graph, src NodeID, dist []int) (reached, far int) {
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := append(make([]NodeID, 0, g.NumSwitches()), src)
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		for _, l := range g.Nodes[cur].Ports {
+			if l == nil || l.Down {
+				continue
 			}
+			o := l.Other(cur)
+			if g.Nodes[o].Kind != Switch || dist[o] >= 0 {
+				continue
+			}
+			dist[o] = dist[cur] + 1
+			queue = append(queue, o)
 		}
-		frontier = next
 	}
-	for _, s := range g.Switches() {
-		if _, ok := dist[s]; !ok {
-			dist[s] = -1
-		}
-	}
+	return len(queue), dist[queue[len(queue)-1]]
+}
+
+// HopDistances returns the minimal switch-hop count over live links from
+// switch src to every node, indexed by NodeID: -1 for unreachable switches
+// and for terminals.
+func HopDistances(g *Graph, src NodeID) []int {
+	dist := make([]int, len(g.Nodes))
+	hopBFS(g, src, dist)
 	return dist
 }
 
 // Diameter returns the maximal minimal switch-hop distance between any two
 // switches, or -1 if the switch fabric is disconnected.
 func Diameter(g *Graph) int {
-	max := 0
+	dist := make([]int, len(g.Nodes))
+	diam := 0
 	for _, s := range g.Switches() {
-		for _, d := range HopDistances(g, s) {
-			if d < 0 {
-				return -1
-			}
-			if d > max {
-				max = d
-			}
+		reached, far := hopBFS(g, s, dist)
+		if reached < g.NumSwitches() {
+			return -1
+		}
+		if far > diam {
+			diam = far
 		}
 	}
-	return max
+	return diam
 }
 
 // BisectionRatio computes the bandwidth of a bisection cut relative to full
