@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same commands (.github/workflows/ci.yml).
 
-.PHONY: all build test race vet fmt hxbench-test bench examples check
+.PHONY: all build test race vet fmt hxbench-test fuzz bench examples check
 
 all: check
 
@@ -23,6 +23,12 @@ hxbench-test:
 race:
 	go test -race ./internal/...
 
+# fuzz explores solver instances past the property suite's seeds. go test
+# alone runs only the committed corpus (internal/flow/testdata/fuzz); a
+# failing input found here is written there.
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzSolverEquivalence$$' -fuzztime 10s ./internal/flow
+
 # bench runs every figure, ablation and extension benchmark once as an
 # experiment driver and fails if any of them fails. No baseline is kept:
 # host speed is measured by hxbench (hxbench/README.md).
@@ -38,6 +44,6 @@ examples:
 	go run ./examples/adaptive-routing
 	go run ./examples/dual-plane -small
 
-check: fmt vet build test hxbench-test race bench examples
+check: fmt vet build test hxbench-test race fuzz bench examples
 	go run ./cmd/topocheck -degrade -1 -seed 42
 	go run ./cmd/topocheck -planes ft:ftree,hyperx:parx

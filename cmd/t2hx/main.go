@@ -870,13 +870,15 @@ func cmdDegraded(args []string) error {
 }
 
 // printCacheStats summarizes the process-wide table cache after a sweep:
-// the hit rate says how much routing work the cells shared.
+// the hit rate says how much routing work the cells shared. It goes to
+// stderr because at -j > 1 the totals depend on which worker reaches a
+// table first, and stdout must be identical at any -j.
 func printCacheStats() {
 	s := exp.DefaultTableCache.Stats()
 	if s.Lookups() == 0 {
 		return
 	}
-	fmt.Printf("table cache: %d hits / %d lookups (%.1f%% hit rate), %d evictions\n",
+	fmt.Fprintf(os.Stderr, "table cache: %d hits / %d lookups (%.1f%% hit rate), %d evictions\n",
 		s.Hits, s.Lookups(), 100*s.HitRate(), s.Evictions)
 }
 

@@ -90,7 +90,9 @@ func t2hx(t *testing.T, args ...string) (int, string) {
 }
 
 // Every subcommand runs end to end at -small scale, writing its artifacts
-// into a temporary directory.
+// into a temporary directory. None prints the process-wide table-cache
+// totals on stdout: at -j 2 (sweep, degraded) they vary between runs of
+// the same command, and stdout must be identical at any -j.
 func TestSubcommandsRunSmall(t *testing.T) {
 	dir := t.TempDir()
 	out := func(name string) string { return filepath.Join(dir, name) }
@@ -124,6 +126,9 @@ func TestSubcommandsRunSmall(t *testing.T) {
 		code, stdout := t2hx(t, c.args...)
 		if code != 0 || !strings.Contains(stdout, c.want) {
 			t.Errorf("t2hx %s: exit %d, stdout lacks %q:\n%s", strings.Join(c.args, " "), code, c.want, stdout)
+		}
+		if strings.Contains(stdout, "table cache:") {
+			t.Errorf("t2hx %s: stdout carries the table-cache totals:\n%s", strings.Join(c.args, " "), stdout)
 		}
 		for _, name := range c.files {
 			if fi, err := os.Stat(out(name)); err != nil || fi.Size() == 0 {

@@ -9,10 +9,26 @@ import (
 	"github.com/hpcsim/t2hx/internal/topo"
 )
 
+// dfssspRouter routes terminal pairs of hx over its DFSSSP tables.
+func dfssspRouter(tb testing.TB, hx *topo.HyperX) func(src, dst topo.NodeID) []topo.ChannelID {
+	tb.Helper()
+	tbl, err := route.DFSSSP(hx.Graph, 0, 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func(src, dst topo.NodeID) []topo.ChannelID {
+		p, err := tbl.Path(src, tbl.BaseLID[tbl.TermIndex(dst)])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return p
+	}
+}
+
 // churnPaths builds nflows terminal-to-terminal paths on hx. "local" pins
 // every flow to one of 12 disjoint adjacent-switch cables (12 contention
 // components); "uniform" routes strided terminal pairs over DFSSSP tables
-// (one network-spanning component).
+// (on churnHX, 59 contention components of at most 12 channels).
 func churnPaths(tb testing.TB, hx *topo.HyperX, pattern string, nflows int) [][]topo.ChannelID {
 	tb.Helper()
 	g := hx.Graph
@@ -45,21 +61,13 @@ func churnPaths(tb testing.TB, hx *topo.HyperX, pattern string, nflows int) [][]
 			})
 		}
 	case "uniform":
-		tbl, err := route.DFSSSP(g, 0, 8)
-		if err != nil {
-			tb.Fatal(err)
-		}
+		route := dfssspRouter(tb, hx)
 		terms := hx.Terminals()
 		for i := 0; len(paths) < nflows; i++ {
 			src, dst := terms[i%len(terms)], terms[(i*7+3)%len(terms)]
-			if src == dst {
-				continue
+			if src != dst {
+				paths = append(paths, route(src, dst))
 			}
-			p, err := tbl.Path(src, tbl.BaseLID[tbl.TermIndex(dst)])
-			if err != nil {
-				tb.Fatal(err)
-			}
-			paths = append(paths, p)
 		}
 	default:
 		tb.Fatalf("unknown churn pattern %q", pattern)

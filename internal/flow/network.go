@@ -15,14 +15,15 @@
 // and gives the GC nothing to trace.
 //
 // One incremental solver computes the allocation (solver_incremental.go,
-// DESIGN.md §7): a min-heap over channel fair shares replaces the linear
-// bottleneck scan, and each settle re-solves only the connected region of
-// the flow/channel contention graph reachable from the channels whose flow
-// membership actually changed. Because distinct components of that graph
-// share no channels, the restricted re-solve is exactly the global max-min
-// allocation; when the dirty region spans the whole network it degenerates
-// into a (heap-driven) full solve. The tests hold it to a from-scratch
-// progressive-filling oracle and a max-min certificate.
+// DESIGN.md §7): each settle re-solves only the connected region of the
+// flow/channel contention graph reachable from the channels whose flow
+// membership actually changed, one component at a time, picking each
+// bottleneck by a linear scan over the component's live channels. Because
+// distinct components of that graph share no channels, the restricted
+// re-solve is exactly the global max-min allocation; when the dirty region
+// spans the whole network it degenerates into a full solve. The tests hold
+// it to a from-scratch progressive-filling oracle and a max-min
+// certificate.
 package flow
 
 import (
@@ -86,16 +87,14 @@ type Network struct {
 	// stamped in the current solve.
 	residual    []float64
 	unfrozenCnt []int32
-	chanGen     []uint32
-	pushedGen   []uint32
 	// Scratch reused across solves. regionChans/regionFlows hold the
 	// dirty region segmented into connected components; comps spans both.
-	// scratch is the progressive-filling scratch (share heap, tie buffer,
-	// freeze set).
+	// liveChans holds the solving component's channels that still carry
+	// unfrozen flows.
 	regionChans []topo.ChannelID
 	regionFlows []int32
 	comps       []component
-	scratch     solverScratch
+	liveChans   []topo.ChannelID
 	doneScratch []int32
 	cbScratch   []func(at sim.Time)
 	// doneHeap orders predicted completion times; entries invalidate

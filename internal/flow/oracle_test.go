@@ -20,8 +20,10 @@ import (
 // share and subtract it along their paths. Shares within 1e-9 relative of
 // the smallest count as tied and the smallest channel ID among them wins,
 // so the returned bottlenecks are comparable with the solver's, not only
-// the rates. Pass paths in flow start order: flows on a bottleneck freeze
-// in slice order, which then matches the solver's float arithmetic.
+// the rates. Paths may come in any order: the flows on a bottleneck freeze
+// in slice order, and each subtracts the same share along its path, so the
+// result is bit-identical for every order
+// (TestSolverMatchesOracleOnLargeComponents).
 func maxMinOracle(caps []float64, paths [][]topo.ChannelID) ([]float64, []topo.ChannelID) {
 	residual := append([]float64(nil), caps...)
 	unfrozen := make([]int, len(caps))
@@ -159,5 +161,50 @@ func TestCertificateCatchesCorruptAllocations(t *testing.T) {
 	}
 	if err := certifyMaxMin(n); err != nil {
 		t.Fatalf("restored allocation rejected: %v", err)
+	}
+}
+
+// TestEpsilonTieTakesSmallestChannelID pins the bottleneck rule on one
+// flow over channels X < Y, where Y is a node channel whose capacity, and
+// so whose fair share, is exactly smaller than X's. Within shareEps the
+// shares tie: X, the smaller ID, is the bottleneck and the flow freezes
+// at X's own share. Beyond shareEps, Y's smaller share wins. The solver
+// and maxMinOracle must agree exactly either way.
+func TestEpsilonTieTakesSmallestChannelID(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		scale float64 // Y's capacity relative to X's
+		tied  bool
+	}{
+		{"within shareEps", 1 - 1e-10, true},
+		{"beyond shareEps", 1 - 1e-8, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, fwd, _ := lineGraph(1000)
+			e := sim.NewEngine()
+			n := NewNetwork(e, g)
+			x := fwd[1]
+			y := n.AddNodeChannels(1, n.caps[x]*c.scale)
+			if !(x < y && n.caps[y] < n.caps[x]) || sharesEqual(n.caps[y], n.caps[x]) != c.tied {
+				t.Fatalf("setup: X=%d cap %v, Y=%d cap %v, tied %v",
+					x, n.caps[x], y, n.caps[y], sharesEqual(n.caps[y], n.caps[x]))
+			}
+			want := y
+			if c.tied {
+				want = x
+			}
+			path := []topo.ChannelID{y, x}
+			id := n.Start(path, 1e9, func(sim.Time) {})
+			e.RunUntil(0)
+			idx, _ := n.lookup(id)
+			if rate, bott := n.tab.rate[idx], n.tab.bott[idx]; bott != want || rate != n.caps[want] {
+				t.Errorf("flow froze at %v on channel %d, want %v on %d", rate, bott, n.caps[want], want)
+			}
+			rates, bott := maxMinOracle(n.caps, [][]topo.ChannelID{path})
+			if rates[0] != n.tab.rate[idx] || bott[0] != n.tab.bott[idx] {
+				t.Errorf("solver froze at %v on %d, oracle at %v on %d",
+					n.tab.rate[idx], n.tab.bott[idx], rates[0], bott[0])
+			}
+		})
 	}
 }

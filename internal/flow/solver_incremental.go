@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"math"
+
 	"github.com/hpcsim/t2hx/internal/sim"
 	"github.com/hpcsim/t2hx/internal/topo"
 )
@@ -18,25 +20,26 @@ import (
 //     global max-min allocation decomposes per component; re-solving the
 //     touched components from scratch while keeping every other flow's
 //     rate is exactly the global solution. When the dirty region spans
-//     the whole network this degenerates into a full (heap-driven) solve.
-//     The region is discovered segmented into its connected components,
-//     which are solved one after another in ascending root order
-//     (DESIGN.md §12).
-//  3. Heaps for both bottleneck selection (shareHeap over channel fair
-//     shares, lazily invalidated by chanGen) and completion scheduling
-//     (doneHeap over predicted finish times, lazily invalidated by
-//     tab.doneGen), replacing the linear scans. Both heaps are hand-rolled
-//     over value slices: container/heap's interface Push/Pop boxes every
-//     entry, and at 100k-flow churn those boxes were most of the solver's
-//     allocation bill.
+//     the whole network this degenerates into a full solve. The region
+//     is discovered segmented into its connected components, which are
+//     solved one after another in ascending root order (DESIGN.md §12).
+//  3. The bottleneck search scans only the component's live channels,
+//     those still carrying unfrozen flows, and drops each channel once its
+//     last flow freezes. Components are small (tens of channels, a freeze
+//     or two), so the scan costs less than building a heap over them
+//     would. Completion scheduling uses doneHeap over predicted finish
+//     times, lazily invalidated by tab.doneGen, hand-rolled over a value
+//     slice: container/heap's interface Push/Pop boxes every entry, and at
+//     100k-flow churn those boxes were most of the solver's allocation
+//     bill.
 //
-// Determinism: region channels are initialized and frozen in an order
-// fixed by (share, channel ID) with the epsilon tie-break, and flows on a
-// bottleneck freeze in start (seq) order, so the float arithmetic — and
-// therefore rates, XmitWait attribution and event timing — is
-// reproducible. The epsilon tie-break only looks among one component's
-// channels, which is why components are solved separately rather than
-// from one heap over the whole region.
+// Determinism: bottlenecks freeze in an order fixed by (share, channel
+// ID) with the epsilon tie-break, so the float arithmetic — and therefore
+// rates, XmitWait attribution and event timing — is reproducible. The
+// flows on one bottleneck may freeze in any order: each subtracts the same
+// share from every channel it crosses. The epsilon tie-break only looks
+// among one component's channels, which is why components are solved
+// separately rather than by one scan over the whole region.
 
 // chanSlot is one entry of a channel's flow membership list; hop is the
 // flow's path index for this channel, so a swap-remove can repair the
@@ -46,74 +49,6 @@ import (
 type chanSlot struct {
 	idx int32 // flow table slot
 	hop int32 // index into the flow's path for this channel
-}
-
-// shareEntry is a (fair share, channel) candidate in the bottleneck heap;
-// stale entries are recognized by gen != chanGen[c].
-type shareEntry struct {
-	share float64
-	c     topo.ChannelID
-	gen   uint32
-}
-
-// shareHeap is a hand-rolled min-heap of shareEntry values ordered by
-// (share, channel ID).
-type shareHeap []shareEntry
-
-func (h shareHeap) less(i, j int) bool {
-	if h[i].share != h[j].share {
-		return h[i].share < h[j].share
-	}
-	return h[i].c < h[j].c
-}
-
-func (h *shareHeap) push(e shareEntry) {
-	s := append(*h, e)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.less(i, p) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-	*h = s
-}
-
-func (h *shareHeap) pop() shareEntry {
-	s := *h
-	e := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	s.down(0)
-	return e
-}
-
-func (h shareHeap) down(i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(h) && h.less(r, l) {
-			m = r
-		}
-		if !h.less(m, i) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-func (h shareHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
 }
 
 // doneEntry is a predicted flow completion; stale entries are recognized
@@ -199,15 +134,6 @@ type component struct {
 	flowLen int32
 }
 
-// solverScratch is the progressive-filling scratch reused across
-// component solves: the bottleneck share heap, the epsilon-tie candidate
-// buffer and the freeze set.
-type solverScratch struct {
-	shareHeap  shareHeap
-	tieScratch []shareEntry
-	freeze     []int32
-}
-
 // ensureChanArrays grows the per-channel solver arrays to cover every
 // capacity slot (AddNodeChannels appends after construction).
 func (n *Network) ensureChanArrays() {
@@ -222,8 +148,6 @@ func (n *Network) ensureChanArrays() {
 	n.regionStamp = append(n.regionStamp, make([]uint64, grow-len(n.regionStamp))...)
 	n.residual = append(n.residual, make([]float64, grow-len(n.residual))...)
 	n.unfrozenCnt = append(n.unfrozenCnt, make([]int32, grow-len(n.unfrozenCnt))...)
-	n.chanGen = append(n.chanGen, make([]uint32, grow-len(n.chanGen))...)
-	n.pushedGen = append(n.pushedGen, make([]uint32, grow-len(n.pushedGen))...)
 }
 
 // dirtyChan records a membership change on c for the next recompute.
@@ -387,104 +311,77 @@ func (n *Network) discoverComponents() []component {
 
 // solveComponent progressively fills one component. It writes only the
 // component's own per-channel solver arrays and per-flow SoA entries.
+// liveChans holds the component's channels that still carry unfrozen
+// flows; each freeze scans it for the bottleneck and drops the channels
+// the freeze emptied.
 func (n *Network) solveComponent(comp *component) {
 	t := &n.tab
-	sc := &n.scratch
 	chans := n.regionChans[comp.chanOff : comp.chanOff+comp.chanLen]
 	flows := n.regionFlows[comp.flowOff : comp.flowOff+comp.flowLen]
-	h := &sc.shareHeap
-	*h = (*h)[:0]
+	live := n.liveChans[:0]
 	for _, c := range chans {
 		cnt := int32(len(n.chanFlows[c]))
 		n.residual[c] = n.caps[c]
 		n.unfrozenCnt[c] = cnt
-		n.chanGen[c]++
 		if cnt > 0 {
 			if n.cc != nil {
 				n.cc.NoteActive(c, int(cnt))
 			}
-			n.pushedGen[c] = n.chanGen[c]
-			*h = append(*h, shareEntry{share: n.caps[c] / float64(cnt), c: c, gen: n.chanGen[c]})
+			live = append(live, c)
 		}
 	}
-	h.init()
 	for _, idx := range flows {
 		t.rate[idx] = -1 // unfrozen
 	}
-	remaining := len(flows)
-	for remaining > 0 {
-		e, ok := n.popValidShare()
-		if !ok {
-			panic("flow: unfrozen flows but no bottleneck channel")
-		}
-		// Epsilon tie-break: gather every live candidate whose share is
-		// equal to the minimum within tolerance and freeze the smallest
-		// channel ID, so last-ulp share differences cannot flip the
-		// bottleneck choice. Candidates are held aside and re-queued
-		// after the choice (re-queueing inside the scan would just pop
-		// the same minimum again).
-		best := e
-		ties := sc.tieScratch[:0]
-		for len(*h) > 0 {
-			top := (*h)[0]
-			if top.gen != n.chanGen[top.c] {
-				h.pop()
+	for remaining := len(flows); remaining > 0; {
+		// Drop the channels whose flows are all frozen and find the exact
+		// minimum fair share among the rest.
+		low := math.Inf(1)
+		k := 0
+		for _, c := range live {
+			if n.unfrozenCnt[c] == 0 {
 				continue
 			}
-			if !sharesEqual(top.share, e.share) {
-				break
-			}
-			h.pop()
-			if top.c < best.c {
-				ties = append(ties, best)
-				best = top
-			} else {
-				ties = append(ties, top)
+			live[k] = c
+			k++
+			if s := n.residual[c] / float64(n.unfrozenCnt[c]); s < low {
+				low = s
 			}
 		}
-		remaining -= n.freezeChannel(best.c, best.share)
-		for _, tie := range ties {
-			if tie.gen == n.chanGen[tie.c] {
-				sc.shareHeap.push(tie)
+		live = live[:k]
+		if k == 0 {
+			panic("flow: unfrozen flows but no bottleneck channel")
+		}
+		// Epsilon tie-break: among the shares equal to the minimum within
+		// tolerance, the smallest channel ID is the bottleneck and freezes
+		// at its own share, so last-ulp share differences cannot flip the
+		// bottleneck choice.
+		bott, share := topo.ChannelID(math.MaxInt32), 0.0
+		for _, c := range live {
+			if c >= bott {
+				continue
+			}
+			if s := n.residual[c] / float64(n.unfrozenCnt[c]); sharesEqual(s, low) {
+				bott, share = c, s
 			}
 		}
-		sc.tieScratch = ties[:0]
+		remaining -= n.freezeChannel(bott, share)
 	}
+	n.liveChans = live[:0]
 }
 
-// popValidShare pops heap entries until one reflects current state.
-func (n *Network) popValidShare() (shareEntry, bool) {
-	h := &n.scratch.shareHeap
-	for len(*h) > 0 {
-		e := h.pop()
-		if e.gen == n.chanGen[e.c] {
-			return e, true
-		}
-	}
-	return shareEntry{}, false
-}
-
-// freezeChannel freezes every unfrozen flow crossing bott at share (in
-// start order, for deterministic float arithmetic), updates residuals
-// and re-queues the touched channels on the share heap. Returns the number
-// frozen.
+// freezeChannel freezes every unfrozen flow crossing bott at share and
+// subtracts share along their paths. Returns the number frozen. Every flow
+// subtracts the same share, so residuals, unfrozen counts and rates come
+// out bit-identical whatever order the flows are visited in.
 func (n *Network) freezeChannel(bott topo.ChannelID, share float64) int {
 	t := &n.tab
-	sc := &n.scratch
-	fs := sc.freeze[:0]
+	frozen := 0
 	for _, sl := range n.chanFlows[bott] {
-		if t.rate[sl.idx] < 0 {
-			fs = append(fs, sl.idx)
+		idx := sl.idx
+		if t.rate[idx] >= 0 {
+			continue
 		}
-	}
-	// Insertion sort by seq: bottleneck freeze sets are usually small, and
-	// membership order is insertion order, already mostly sorted.
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && t.seq[fs[j]] < t.seq[fs[j-1]]; j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
-	for _, idx := range fs {
 		t.rate[idx] = share
 		t.bott[idx] = bott
 		for _, c := range t.path(idx) {
@@ -493,24 +390,10 @@ func (n *Network) freezeChannel(bott topo.ChannelID, share float64) int {
 				n.residual[c] = 0
 			}
 			n.unfrozenCnt[c]--
-			n.chanGen[c]++
 		}
+		frozen++
 	}
-	// Re-queue each touched channel once, at its updated share.
-	for _, idx := range fs {
-		for _, c := range t.path(idx) {
-			if n.unfrozenCnt[c] > 0 && n.pushedGen[c] != n.chanGen[c] {
-				n.pushedGen[c] = n.chanGen[c]
-				sc.shareHeap.push(shareEntry{
-					share: n.residual[c] / float64(n.unfrozenCnt[c]),
-					c:     c,
-					gen:   n.chanGen[c],
-				})
-			}
-		}
-	}
-	sc.freeze = fs[:0]
-	return len(fs)
+	return frozen
 }
 
 // scheduleNextDone points the completion event at the earliest live

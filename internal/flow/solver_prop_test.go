@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -263,5 +264,85 @@ func TestSolverEquivalenceProperty(t *testing.T) {
 	const instances = 120
 	for seed := uint64(0); seed < instances; seed++ {
 		runPropInstance(t, seed, genInstance(seed))
+	}
+}
+
+// FuzzSolverEquivalence runs the property suite's check on the instance
+// genInstance derives from a fuzzed seed. The committed corpus
+// (testdata/fuzz/FuzzSolverEquivalence) holds seeds past the suite's 120,
+// which go test runs as ordinary tests; make fuzz explores further.
+func FuzzSolverEquivalence(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		runPropInstance(t, seed, genInstance(seed))
+	})
+}
+
+// TestSolverMatchesOracleOnLargeComponents runs 300 flows between random
+// terminal pairs, routed over DFSSSP tables, with mixed sizes and staggered
+// starts on churnHX's 6x4 T=4 HyperX. One contention component then spans
+// over 300 channels and a settled allocation has about 100 bottlenecks, far
+// past the property suite's components and the strided "uniform" churn
+// pairs' (at most 12 channels). After every settle the allocation must
+// match the oracle, and the oracle must return bit-identical rates and
+// bottlenecks when it visits the flows in reversed order: every flow frozen
+// on a bottleneck subtracts the same share from each channel it crosses, so
+// the order the flows freeze in changes no bit. Links run at the property
+// suite's 1 MB/s rather than QDR's, because certifyMaxMin orders rates to
+// 1e-9 absolute, below one ulp of a QDR-scale rate.
+func TestSolverMatchesOracleOnLargeComponents(t *testing.T) {
+	const (
+		seed   = 1
+		nflows = 300
+	)
+	hx := topo.NewHyperX(topo.HyperXConfig{S: []int{6, 4}, T: 4, Bandwidth: 1e6, Latency: 0})
+	route := dfssspRouter(t, hx)
+	terms := hx.Terminals()
+	eng := sim.NewEngine()
+	net := NewNetwork(eng, hx.Graph)
+	r := sim.NewRand(seed)
+	for k := 0; k < nflows; k++ {
+		src, dst := terms[r.Intn(len(terms))], terms[r.Intn(len(terms))]
+		if src == dst {
+			continue
+		}
+		p, size := route(src, dst), math.Pow(10, 4+2*r.Float64())
+		eng.Schedule(sim.Time(r.Float64()*0.05), func(*sim.Engine) {
+			net.Start(p, size, func(sim.Time) {})
+		})
+	}
+	seen := make([]int32, len(net.caps))
+	isBott := make([]bool, len(net.caps))
+	var maxChans, maxBotts int
+	for eng.Step() {
+		if net.settleEv != 0 {
+			continue
+		}
+		checkAgainstOracle(t, seed, net, seen)
+		for _, c := range net.comps {
+			maxChans = max(maxChans, int(c.chanLen))
+		}
+		var live [][]topo.ChannelID
+		clear(isBott)
+		botts := 0
+		for _, idx := range net.tab.liveList {
+			live = append(live, net.tab.path(idx))
+			if b := net.tab.bott[idx]; !isBott[b] {
+				isBott[b] = true
+				botts++
+			}
+		}
+		maxBotts = max(maxBotts, botts)
+		rates, bott := maxMinOracle(net.caps, live)
+		slices.Reverse(live)
+		revRates, revBott := maxMinOracle(net.caps, live)
+		for i, j := 0, len(live)-1; j >= 0; i, j = i+1, j-1 {
+			if rates[i] != revRates[j] || bott[i] != revBott[j] {
+				t.Fatalf("t=%v: oracle froze flow %d at %v on %d in order, at %v on %d reversed",
+					eng.Now(), i, rates[i], bott[i], revRates[j], revBott[j])
+			}
+		}
+	}
+	if maxChans < 250 || maxBotts < 60 {
+		t.Errorf("largest component %d channels, most bottlenecks %d: want at least 250 and 60", maxChans, maxBotts)
 	}
 }

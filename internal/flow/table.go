@@ -56,9 +56,9 @@ type flowTable struct {
 	live []bool
 	// seq is the flow's monotonic start sequence. Handles stopped being
 	// monotonic when slots became recyclable, so every ordering the
-	// solvers used to derive from FlowID — freeze order on a bottleneck,
-	// completion-callback order, done-heap tie-breaks — orders by seq,
-	// which is still exactly "start order".
+	// solver used to derive from FlowID — completion-callback order and
+	// done-heap tie-breaks — orders by seq, which is still exactly "start
+	// order".
 	seq       []uint64
 	remaining []float64 // bytes left to transfer
 	rate      []float64 // current bytes/s (max-min share)
