@@ -1,5 +1,6 @@
 // Package t2hx's benchmark harness: one testing.B benchmark per paper
-// table/figure (regenerating it at CI scale; full scale via cmd/figures),
+// table/figure (measuring it at CI scale; full scale via
+// `go run ./cmd/figures <figure>`, e.g. `figures 4 -coll alltoall`),
 // plus ablation benches for the design choices called out in DESIGN.md.
 // Reported custom metrics carry the reproduction's headline numbers so a
 // `go test -bench` run doubles as a shape check. They are experiment
@@ -29,45 +30,40 @@ import (
 
 func benchSession() *figures.Session {
 	return figures.NewSession(figures.Params{
-		Out: io.Discard, Small: true, Trials: 1, Seed: 1,
+		Small: true, Trials: 1, Seed: 1,
 		Sizes: []int64{64, 1 << 20}, EBBSamples: 20,
 		CapacityWindow: sim.Minute,
 	})
 }
 
-// BenchmarkTable1 regenerates the PARX LID-selection matrices.
+// BenchmarkTable1 renders the PARX LID-selection matrices.
 func BenchmarkTable1(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
-		if err := s.Table1(); err != nil {
-			b.Fatal(err)
-		}
+		figures.Table1(io.Discard)
 	}
 }
 
-// BenchmarkFig1MpiGraph regenerates the three mpiGraph heatmaps and
-// reports the PARX recovery over minimal routing.
+// BenchmarkFig1MpiGraph measures the three mpiGraph heatmaps and reports
+// the PARX recovery over minimal routing.
 func BenchmarkFig1MpiGraph(b *testing.B) {
 	var rec float64
 	for i := 0; i < b.N; i++ {
-		s := benchSession()
-		avgs, err := s.Fig1Averages()
+		g, err := benchSession().Fig1()
 		if err != nil {
 			b.Fatal(err)
 		}
-		rec = avgs[2]/avgs[1] - 1
+		rec = g.Results[2].AvgGiB/g.Results[1].AvgGiB - 1
 	}
 	b.ReportMetric(100*rec, "%PARX-recovery")
 }
 
-// BenchmarkFig4 regenerates one IMB gain grid per collective.
+// BenchmarkFig4 measures one IMB gain grid per collective.
 func BenchmarkFig4(b *testing.B) {
 	for _, coll := range []string{"bcast", "gather", "scatter", "reduce", "allreduce", "alltoall"} {
 		coll := coll
 		b.Run(coll, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := benchSession()
-				if err := s.Fig4(coll); err != nil {
+				if _, err := benchSession().Fig4(coll); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -75,46 +71,42 @@ func BenchmarkFig4(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5aBaidu regenerates the ring-allreduce gain grid.
+// BenchmarkFig5aBaidu measures the ring-allreduce gain grid.
 func BenchmarkFig5aBaidu(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := benchSession()
 		s.P.Sizes = []int64{1024, 1 << 20}
-		if err := s.Fig5a(); err != nil {
+		if _, err := s.Fig5a(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFig5bBarrier regenerates the Barrier whiskers.
+// BenchmarkFig5bBarrier measures the Barrier whiskers.
 func BenchmarkFig5bBarrier(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSession()
-		if err := s.Fig5b(); err != nil {
+		if _, err := benchSession().Fig5b(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFig5cEBB regenerates the effective-bisection-bandwidth
-// whiskers.
+// BenchmarkFig5cEBB measures the effective-bisection-bandwidth whiskers.
 func BenchmarkFig5cEBB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSession()
-		if err := s.Fig5c(); err != nil {
+		if _, err := benchSession().Fig5c(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFig6 regenerates one whisker panel per application (Fig. 6a-l).
+// BenchmarkFig6 measures one whisker panel per application (Fig. 6a-l).
 func BenchmarkFig6(b *testing.B) {
 	for _, a := range workloads.Registry() {
 		a := a
 		b.Run(a.Abbrev, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := benchSession()
-				if err := s.Fig6(a.Abbrev); err != nil {
+				if _, err := benchSession().Fig6(a.Abbrev); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -122,19 +114,17 @@ func BenchmarkFig6(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7Capacity regenerates the capacity table at CI scale and
+// BenchmarkFig7Capacity measures the capacity table at CI scale and
 // reports the HyperX/DFSSSP/linear gain over the baseline.
 func BenchmarkFig7Capacity(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		s := benchSession()
-		totals, err := s.Fig7Totals()
+		c, err := benchSession().Fig7()
 		if err != nil {
 			b.Fatal(err)
 		}
-		base := totals["Fat-Tree / ftree / linear"]
-		if base > 0 {
-			gain = float64(totals["HyperX / DFSSSP / linear"])/float64(base) - 1
+		if base := c.Results[0].Total; base > 0 {
+			gain = float64(c.Results[2].Total)/float64(base) - 1
 		}
 	}
 	b.ReportMetric(100*gain, "%HX-throughput-gain")

@@ -49,10 +49,10 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"github.com/hpcsim/t2hx/internal/cli"
 	"github.com/hpcsim/t2hx/internal/exp"
 	"github.com/hpcsim/t2hx/internal/fabric"
 	"github.com/hpcsim/t2hx/internal/place"
-	"github.com/hpcsim/t2hx/internal/prof"
 	"github.com/hpcsim/t2hx/internal/sim"
 	"github.com/hpcsim/t2hx/internal/telemetry"
 	"github.com/hpcsim/t2hx/internal/topo"
@@ -60,120 +60,19 @@ import (
 )
 
 // subcommands lists the experiments in usage order.
-var subcommands = []struct {
-	name, summary string
-	run           func(args []string) error
-}{
-	{"list", "list combos and benchmarks", cmdList},
-	{"run", "one benchmark on one combo or -planes machine", cmdRun},
-	{"sweep", "one benchmark over every paper combo x -sizes on the -j pool", cmdSweep},
-	{"faults", "inject runtime link failures mid-run and re-sweep, per combo", cmdFaults},
-	{"degraded", "seeded failure-chain survival sweep on the HyperX plane", cmdDegraded},
-	{"scale", "windowed endurance run on a large HyperX (default 32832 terminals)", cmdScale},
+var subcommands = []cli.Command{
+	{Name: "list", Summary: "list combos and benchmarks", Run: cmdList},
+	{Name: "run", Summary: "one benchmark on one combo or -planes machine", Run: cmdRun},
+	{Name: "sweep", Summary: "one benchmark over every paper combo x -sizes on the -j pool", Run: cmdSweep},
+	{Name: "faults", Summary: "inject runtime link failures mid-run and re-sweep, per combo", Run: cmdFaults},
+	{Name: "degraded", Summary: "seeded failure-chain survival sweep on the HyperX plane", Run: cmdDegraded},
+	{Name: "scale", Summary: "windowed endurance run on a large HyperX (default 32832 terminals)", Run: cmdScale},
 }
 
 func main() { os.Exit(dispatch(os.Args[1:])) }
 
-// errUsage is a command-line mistake that has already been reported
-// together with the flag list; dispatch exits 2 for it, as the flag
-// package does.
-var errUsage = errors.New("usage")
-
-// dispatch runs the subcommand that args[0] names and maps its error to
-// the exit status: 0 on success or -h, 2 for a command-line mistake, 1 for
-// a failed run.
-func dispatch(args []string) int {
-	if len(args) > 0 {
-		for _, c := range subcommands {
-			if c.name != args[0] {
-				continue
-			}
-			err := c.run(args[1:])
-			switch {
-			case err == nil || errors.Is(err, flag.ErrHelp):
-				return 0
-			case errors.Is(err, errUsage):
-				return 2
-			}
-			fmt.Fprintln(os.Stderr, "t2hx:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "t2hx: unknown subcommand %q\n", args[0])
-	}
-	fmt.Fprintln(os.Stderr, "usage: t2hx <subcommand> [flags]; t2hx <subcommand> -h lists its flags")
-	for _, c := range subcommands {
-		fmt.Fprintf(os.Stderr, "  %-9s %s\n", c.name, c.summary)
-	}
-	return 2
-}
-
-// newFlagSet returns a subcommand's flag set; parse errors come back to
-// the subcommand instead of exiting.
-func newFlagSet(name string) *flag.FlagSet {
-	return flag.NewFlagSet("t2hx "+name, flag.ContinueOnError)
-}
-
-// parse reads a subcommand's arguments, which are flags only.
-func parse(fs *flag.FlagSet, args []string) error {
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return errUsage // the flag package printed it with the flag list
-	}
-	if fs.NArg() > 0 {
-		return usagef(fs, "unexpected argument %q", fs.Arg(0))
-	}
-	return nil
-}
-
-// usagef reports a command-line mistake the way the flag package reports
-// an undefined flag: the message, then the subcommand's flag list.
-func usagef(fs *flag.FlagSet, format string, args ...any) error {
-	fmt.Fprintf(fs.Output(), format+"\n", args...)
-	fs.Usage()
-	return errUsage
-}
-
-// addProfFlags registers the profiling flags and returns a wrapper that
-// runs a subcommand's body under the profilers they select. The profilers
-// stop however the body returns, so an error exit still flushes the CPU
-// profile.
-func addProfFlags(fs *flag.FlagSet) func(body func() error) error {
-	var o prof.Options
-	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
-	fs.StringVar(&o.MemProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
-	fs.StringVar(&o.HTTPAddr, "pprof-http", "", "serve net/http/pprof on this address (e.g. localhost:6060) for live inspection")
-	return func(body func() error) error {
-		s, err := prof.Start(o)
-		if err != nil {
-			return err
-		}
-		if o.HTTPAddr != "" {
-			fmt.Fprintf(os.Stderr, "pprof serving on http://%s/debug/pprof/\n", s.Addr())
-		}
-		err = body()
-		return errors.Join(err, s.Stop())
-	}
-}
-
-// machineFlags pick the planes' scale, seed and missing cables.
-type machineFlags struct {
-	small, noDegrade bool
-	seed             uint64
-}
-
-func addMachineFlags(fs *flag.FlagSet) *machineFlags {
-	m := &machineFlags{}
-	fs.BoolVar(&m.small, "small", false, "use the 32-node test planes")
-	fs.Uint64Var(&m.seed, "seed", 1, "master seed")
-	fs.BoolVar(&m.noDegrade, "no-degrade", false, "ideal fabric without missing cables")
-	return m
-}
-
-func (m *machineFlags) config() exp.MachineConfig {
-	return exp.MachineConfig{Degrade: !m.noDegrade, Seed: m.seed, Small: m.small}
-}
+// dispatch runs the subcommand args[0] names and returns the exit status.
+func dispatch(args []string) int { return cli.Dispatch("t2hx", subcommands, args) }
 
 // comboFlags describe a custom combo, which replaces the -combo selection.
 type comboFlags struct {
@@ -356,13 +255,7 @@ func (t *telFlags) attach(m *exp.Machine, msgr fabric.Messenger) (recorder, erro
 		}
 		return c, err
 	case *fabric.MultiFabric:
-		gs := make([]*topo.Graph, len(m.Planes))
-		names := make([]string, len(m.Planes))
-		for i, p := range m.Planes {
-			gs[i] = p.G
-			names[i] = p.Spec.Label()
-		}
-		tm := telemetry.NewMulti(gs, names, t.options())
+		tm := m.PlaneTelemetry(t.options())
 		if err := t.openSinks(tm, ""); err != nil {
 			return nil, err
 		}
@@ -489,7 +382,7 @@ func (f *runnerFlags) runner(seed uint64) (r exp.Runner, finish func() error, er
 }
 
 func cmdList(args []string) error {
-	if err := parse(newFlagSet("list"), args); err != nil {
+	if err := cli.Parse(cli.NewFlagSet("t2hx", "list"), args); err != nil {
 		return err
 	}
 	fmt.Println("Combos (Sec. 4.4.3 plus the dual-plane machine):")
@@ -510,7 +403,7 @@ func cmdList(args []string) error {
 // or a multi-plane machine built from -planes specs, and prints per-trial
 // metrics with whisker statistics.
 func cmdRun(args []string) error {
-	fs := newFlagSet("run")
+	fs := cli.NewFlagSet("t2hx", "run")
 	comboIdx := fs.Int64("combo", 0, "combo index (see t2hx list)")
 	cf := addComboFlags(fs)
 	planesF := fs.String("planes", "", "multi-plane machine: comma-separated topology:routing[:name] specs (e.g. ft:updown,hyperx:parx); overrides -combo and -topo")
@@ -518,14 +411,14 @@ func cmdRun(args []string) error {
 	wl := addBenchFlags(fs, "", trialBenches+", ebb, mpigraph")
 	trials := fs.Int("trials", 3, "repetitions")
 	samples := fs.Int("samples", 100, "eBB bisection samples")
-	mf := addMachineFlags(fs)
+	mf := cli.AddMachineFlags(fs, true)
 	tel := addTelFlags(fs)
-	profile := addProfFlags(fs)
-	if err := parse(fs, args); err != nil {
+	profile := cli.AddProfFlags(fs)
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if wl.bench == "" {
-		return usagef(fs, "run needs a -bench")
+		return cli.Usagef(fs, "run needs a -bench")
 	}
 	return profile(func() error {
 		build, unit, err := resolve(wl.bench, wl.size)
@@ -551,7 +444,7 @@ func cmdRun(args []string) error {
 				Policy:    *policy,
 			}
 		}
-		cfg := mf.config()
+		cfg := mf.Config()
 		cfg.Policy = *policy
 		m, err := exp.BuildMachine(combo, cfg)
 		if err != nil {
@@ -566,9 +459,9 @@ func cmdRun(args []string) error {
 			fmt.Printf("combo: %s  plane: %s (%d nodes)\n", combo.Name, m.G.Name, m.G.NumTerminals())
 		}
 		if build != nil {
-			return runTrials(m, wl.n, *trials, mf.seed, build, unit, tel)
+			return runTrials(m, wl.n, *trials, mf.Seed, build, unit, tel)
 		}
-		return runSampled(m, wl, *samples, mf.seed, tel)
+		return runSampled(m, wl, *samples, mf.Seed, tel)
 	})
 }
 
@@ -585,7 +478,7 @@ func runTrials(m *exp.Machine, n, trials int, seed uint64,
 		attachErr error
 	)
 	vals, _, err := exp.RunTrials(exp.TrialSpec{
-		Machine: m, Nodes: n, Trials: trials, Seed: seed, Jitter: 0.02, Build: build,
+		Machine: m, Nodes: n, Trials: trials, Seed: seed, Jitter: exp.TrialJitter, Build: build,
 		Attach: func(t int, msgr fabric.Messenger) {
 			if t == last {
 				lastMsgr = msgr
@@ -682,18 +575,18 @@ func comboSlug(c exp.Combo) string {
 // re-sweep latency stats, damage counters, and goodput before/during/after
 // the outage window.
 func cmdFaults(args []string) error {
-	fs := newFlagSet("faults")
+	fs := cli.NewFlagSet("t2hx", "faults")
 	combosF := fs.String("combo", "0,2,4", "comma-separated combo indexes (see t2hx list); the default is the paper's headline trio, ftree vs DFSSSP vs PARX")
 	cf := addComboFlags(fs)
 	wl := addBenchFlags(fs, "imb:alltoall", trialBenches)
 	failures := fs.Int("failures", 0, "runtime link failures to inject (0 = paper count: 15 HyperX / 197 Fat-Tree)")
 	detect := fs.Duration("detect", 0, "SM failure-detection delay (0 = 1ms default)")
 	sweepLat := fs.Duration("sweep-latency", 0, "SM re-sweep latency before tables go live (0 = 4ms default)")
-	mf := addMachineFlags(fs)
+	mf := cli.AddMachineFlags(fs, true)
 	rf := addRunnerFlags(fs, 0)
 	tel := addTelFlags(fs)
-	profile := addProfFlags(fs)
-	if err := parse(fs, args); err != nil {
+	profile := cli.AddProfFlags(fs)
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	return profile(func() error {
@@ -716,7 +609,7 @@ func cmdFaults(args []string) error {
 			if (tel.metricsOut != "" || tel.traceOut != "") && slices.Contains(suffixes[:i], suffixes[i]) {
 				return fmt.Errorf("two combos would write the same %q output files; run them separately", suffixes[i])
 			}
-			m, err := exp.BuildMachine(c, mf.config())
+			m, err := exp.BuildMachine(c, mf.Config())
 			if err != nil {
 				return err
 			}
@@ -729,12 +622,12 @@ func cmdFaults(args []string) error {
 				return err
 			}
 			specs[i] = exp.FaultSpec{
-				Machine: m, Nodes: wl.n, Failures: n, Seed: mf.seed,
+				Machine: m, Nodes: wl.n, Failures: n, Seed: mf.Seed,
 				Detect: sim.Duration(detect.Seconds()), Sweep: sim.Duration(sweepLat.Seconds()),
 				Telemetry: col, Build: build,
 			}
 		}
-		r, finish, err := rf.runner(mf.seed)
+		r, finish, err := rf.runner(mf.Seed)
 		if err != nil {
 			return err
 		}
@@ -801,18 +694,17 @@ func faultCombos(list string, cf *comboFlags) ([]exp.Combo, error) {
 // one row per cell with goodput, re-sweep latency, unreachable-pair and
 // deadlock-margin columns.
 func cmdDegraded(args []string) error {
-	fs := newFlagSet("degraded")
+	fs := cli.NewFlagSet("t2hx", "degraded")
 	enginesF := fs.String("engines", "hxmin,hxnm", "comma-separated HyperX routing engines to compare")
 	countsF := fs.String("counts", "", "comma-separated failure counts (default 0,15,30,60,90; small planes 0,3,6,9,12)")
 	variants := fs.Int("variants", 25, "seeded degradation variants per cell")
 	wl := addBenchFlags(fs, "imb:alltoall", trialBenches)
 	detect := fs.Duration("detect", 0, "SM failure-detection delay (0 = 1ms default)")
 	sweepLat := fs.Duration("sweep-latency", 0, "SM re-sweep latency before tables go live (0 = 4ms default)")
-	small := fs.Bool("small", false, "use the 32-node test planes")
-	seed := fs.Uint64("seed", 1, "master seed")
+	mf := cli.AddMachineFlags(fs, false)
 	rf := addRunnerFlags(fs, defaultProgressInterval)
-	profile := addProfFlags(fs)
-	if err := parse(fs, args); err != nil {
+	profile := cli.AddProfFlags(fs)
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	return profile(func() error {
@@ -827,7 +719,7 @@ func cmdDegraded(args []string) error {
 			}
 		}
 		countsDefault := "0,15,30,60,90"
-		if *small {
+		if mf.Small {
 			countsDefault = "0,3,6,9,12"
 		}
 		counts, err := parseCounts(*countsF, countsDefault)
@@ -838,10 +730,10 @@ func cmdDegraded(args []string) error {
 			Engines:   engines,
 			Workloads: []exp.DegradedWorkload{{Name: wl.bench, Build: build}},
 			Counts:    counts, Variants: *variants,
-			Nodes: wl.n, Small: *small, Seed: *seed,
+			Nodes: wl.n, Small: mf.Small, Seed: mf.Seed,
 			Detect: sim.Duration(detect.Seconds()), SweepLatency: sim.Duration(sweepLat.Seconds()),
 		}
-		r, finish, err := rf.runner(*seed)
+		r, finish, err := rf.runner(mf.Seed)
 		if err != nil {
 			return err
 		}
@@ -913,18 +805,18 @@ func parseCounts(s, def string) ([]int, error) {
 // seeds derive from (-seed, cell index), so the table is bit-identical for
 // any -j.
 func cmdSweep(args []string) error {
-	fs := newFlagSet("sweep")
+	fs := cli.NewFlagSet("t2hx", "sweep")
 	wl := addBenchFlags(fs, "", trialBenches)
 	sizesF := fs.String("sizes", "", "comma-separated message sizes (default: the single -size)")
 	trials := fs.Int("trials", 3, "repetitions per cell")
-	mf := addMachineFlags(fs)
+	mf := cli.AddMachineFlags(fs, true)
 	rf := addRunnerFlags(fs, defaultProgressInterval)
-	profile := addProfFlags(fs)
-	if err := parse(fs, args); err != nil {
+	profile := cli.AddProfFlags(fs)
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if wl.bench == "" {
-		return usagef(fs, "sweep needs a -bench")
+		return cli.Usagef(fs, "sweep needs a -bench")
 	}
 	return profile(func() error {
 		sizes, err := parseSizes(*sizesF, wl.size)
@@ -941,13 +833,13 @@ func cmdSweep(args []string) error {
 				}
 				cells = append(cells, exp.SweepCell{
 					Label: fmt.Sprintf("%-34s %9d B", c.Name, sz),
-					Combo: c, Cfg: mf.config(),
-					Nodes: wl.n, Trials: *trials, Jitter: 0.02,
+					Combo: c, Cfg: mf.Config(),
+					Nodes: wl.n, Trials: *trials, Jitter: exp.TrialJitter,
 					Build: build,
 				})
 			}
 		}
-		r, finish, err := rf.runner(mf.seed)
+		r, finish, err := rf.runner(mf.Seed)
 		if err != nil {
 			return err
 		}
@@ -973,15 +865,15 @@ func cmdSweep(args []string) error {
 // variant) with live progress on stderr and a summary line of wall/sim
 // cost and peak RSS.
 func cmdScale(args []string) error {
-	fs := newFlagSet("scale")
+	fs := cli.NewFlagSet("t2hx", "scale")
 	t := fs.Int("t", 0, "terminals per switch (0 = 342)")
 	msgs := fs.Uint64("msgs", 0, "delivered-message budget (0 = 1e6)")
 	window := fs.Int("window", 0, "in-flight message window (0 = 256)")
 	size := fs.Int64("size", 64<<10, "message size in bytes")
 	routing := fs.String("routing", "", "table engine: hxmin (default) or sssp")
 	seed := fs.Uint64("seed", 1, "master seed")
-	profile := addProfFlags(fs)
-	if err := parse(fs, args); err != nil {
+	profile := cli.AddProfFlags(fs)
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	return profile(func() error {

@@ -129,13 +129,15 @@ func Run(m *exp.Machine, specs []AppSpec, window sim.Duration, seed uint64) (*Re
 		block := alloc[off : off+spec.Nodes]
 		off += spec.Nodes
 		runSeed := seed + uint64(i)*1_000_003
+		// One instance serves every relaunch: jobs only read their
+		// programs, and the jitter is drawn per run from runSeed.
+		inst := spec.Build(spec.Nodes)
 
 		var launch func()
 		launch = func() {
-			inst := spec.Build(spec.Nodes)
 			runSeed++
 			_, err := mpi.Launch(f, spec.Abbrev, block, inst.Progs, mpi.Options{
-				ComputeJitterSigma: 0.02,
+				ComputeJitterSigma: exp.TrialJitter,
 				Seed:               runSeed,
 			}, func(r mpi.Result) {
 				if r.End <= sim.Time(window) {

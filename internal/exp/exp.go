@@ -16,6 +16,7 @@ import (
 	"github.com/hpcsim/t2hx/internal/place"
 	"github.com/hpcsim/t2hx/internal/route"
 	"github.com/hpcsim/t2hx/internal/sim"
+	"github.com/hpcsim/t2hx/internal/telemetry"
 	"github.com/hpcsim/t2hx/internal/topo"
 	"github.com/hpcsim/t2hx/internal/workloads"
 )
@@ -210,6 +211,17 @@ func (m *Machine) NewMessenger(seed uint64) (fabric.Messenger, error) {
 	return m.NewMultiFabric(seed)
 }
 
+// PlaneTelemetry builds one collector per plane of the machine, named by
+// plane, for a multi-plane messenger's AttachTelemetry.
+func (m *Machine) PlaneTelemetry(opts telemetry.Options) *telemetry.Multi {
+	gs := make([]*topo.Graph, len(m.Planes))
+	names := make([]string, len(m.Planes))
+	for i, p := range m.Planes {
+		gs[i], names[i] = p.G, p.Spec.Label()
+	}
+	return telemetry.NewMulti(gs, names, opts)
+}
+
 // Place selects n nodes per the combo's placement strategy.
 func (m *Machine) Place(n int, seed uint64) ([]topo.NodeID, error) {
 	return place.Place(m.Combo.Placement, m.G.Terminals(), n, seed)
@@ -269,6 +281,10 @@ func Gain(baseline, candidate float64, better workloads.Direction) float64 {
 	return baseline/candidate - 1
 }
 
+// TrialJitter is the compute-phase lognormal sigma of repeated
+// measurements: the paper's run-to-run variability.
+const TrialJitter = 0.02
+
 // TrialSpec describes one measurement cell: a workload instance run some
 // number of times on a machine.
 type TrialSpec struct {
@@ -279,11 +295,9 @@ type TrialSpec struct {
 	// Jitter is the lognormal sigma for compute phases; the paper's
 	// run-to-run variability. Zero keeps runs identical.
 	Jitter float64
-	// Build constructs the workload instance. Instances are read-only at
-	// run time (mpi.Run never mutates Progs), so with Jitter == 0 RunTrials
-	// builds once and reuses the instance across all trials. With jitter
-	// enabled it rebuilds per trial, preserving the historical behaviour
-	// for Build closures that carry their own per-call randomness.
+	// Build constructs the workload instance, once per cell: instances are
+	// read-only at run time (mpi.Run never mutates Progs), and jitter is
+	// drawn by the run, not the builder.
 	Build func(n int) (*workloads.Instance, error)
 	// Attach, when set, observes each trial's fresh transport before the
 	// run starts — the hook the CLI uses to attach a telemetry collector
@@ -305,16 +319,12 @@ func RunTrials(spec TrialSpec) ([]float64, *workloads.Instance, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	inst, err := spec.Build(spec.Nodes)
+	if err != nil {
+		return nil, nil, err
+	}
 	var vals []float64
-	var inst *workloads.Instance
 	for t := 0; t < spec.Trials; t++ {
-		if inst == nil || spec.Jitter != 0 {
-			// Jitter-free trials share one instance (see TrialSpec.Build).
-			inst, err = spec.Build(spec.Nodes)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
 		f, err := spec.Machine.NewMessenger(spec.Seed + uint64(t)*7919)
 		if err != nil {
 			return nil, nil, err

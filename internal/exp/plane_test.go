@@ -11,20 +11,8 @@ import (
 	"github.com/hpcsim/t2hx/internal/mpi"
 	"github.com/hpcsim/t2hx/internal/sim"
 	"github.com/hpcsim/t2hx/internal/telemetry"
-	"github.com/hpcsim/t2hx/internal/topo"
 	"github.com/hpcsim/t2hx/internal/workloads"
 )
-
-// planeTelemetry builds a Multi over the machine's planes for tests.
-func planeTelemetry(m *Machine, opts telemetry.Options) *telemetry.Multi {
-	gs := make([]*topo.Graph, len(m.Planes))
-	names := make([]string, len(m.Planes))
-	for i, p := range m.Planes {
-		gs[i] = p.G
-		names[i] = p.Spec.Label()
-	}
-	return telemetry.NewMulti(gs, names, opts)
-}
 
 // msgLines returns the "msg" lines of a streamed JSONL metrics document.
 func msgLines(t *testing.T, doc []byte) [][]byte {
@@ -90,7 +78,7 @@ func TestSinglePlaneMultiFabricMatchesFabric(t *testing.T) {
 				if mf.NumPlanes() != 1 || mf.PolicyName() != "single" {
 					t.Fatalf("single-plane machine gave %d planes, policy %s", mf.NumPlanes(), mf.PolicyName())
 				}
-				tm := planeTelemetry(m, opts)
+				tm := m.PlaneTelemetry(opts)
 				tm.SetSink(telemetry.NewJSONLSink(&docM))
 				if err := mf.AttachTelemetry(tm); err != nil {
 					t.Fatal(err)
@@ -145,7 +133,7 @@ func TestDualPlaneSizeSplitConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := planeTelemetry(m, telemetry.Options{Counters: true, Messages: true, Trace: true})
+	tm := m.PlaneTelemetry(telemetry.Options{Counters: true, Messages: true, Trace: true})
 	traces := make([]bytes.Buffer, mf.NumPlanes())
 	for p := range traces {
 		tm.ForPlane(p).SetTraceSink(telemetry.NewTraceSink(&traces[p]))
@@ -259,7 +247,7 @@ func TestFailoverSurvivesFullPlaneOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := planeTelemetry(m, telemetry.Options{Messages: true})
+	tm := m.PlaneTelemetry(telemetry.Options{Messages: true})
 	if err := mf.AttachTelemetry(tm); err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,12 @@ package figures
 
 import (
 	"fmt"
+	"io"
+	"strconv"
 
 	"github.com/hpcsim/t2hx/internal/exp"
 	"github.com/hpcsim/t2hx/internal/fabric"
+	"github.com/hpcsim/t2hx/internal/sim"
 	"github.com/hpcsim/t2hx/internal/telemetry"
 	"github.com/hpcsim/t2hx/internal/workloads"
 )
@@ -17,15 +20,25 @@ const countersGroup = 4
 // countersMsgSize is the per-sender payload of the counters figure.
 const countersMsgSize = 1 << 20
 
-// FigCounters renders the observability figure the paper built from
-// perfquery sweeps (Sec. 2): per-link utilization heatmaps (switch x
-// switch XmitData) and top-channel counter tables, Fat-Tree/ftree vs
-// HyperX/DFSSSP, under a congesting workload. op selects an IMB
-// collective; the default "" runs the grouped shift-incast, whose
-// signature is the figure's point — the fat-tree funnels the incasts
-// through shared downward links (one hot channel with several converging
-// flows) while the HyperX spreads them across direct dimension links.
-func (s *Session) FigCounters(op string) error {
+// Counters is the counters figure's measurement: one instrumented run per
+// combo under the same workload.
+type Counters struct {
+	Bench  string
+	Nodes  int
+	Panels []CounterPanel
+}
+
+// CounterPanel is one combo's channel counters at the end of its run.
+type CounterPanel struct {
+	Combo   exp.Combo
+	Chans   *telemetry.ChannelCounters
+	Elapsed sim.Duration
+}
+
+// incastNodes is the rank count of the counters and planes figures: 64
+// (32 on the small planes), capped at MaxNodes and rounded down to whole
+// incast groups.
+func (s *Session) incastNodes() int {
 	n := 64
 	if s.P.Small {
 		n = 32
@@ -33,53 +46,99 @@ func (s *Session) FigCounters(op string) error {
 	if s.P.MaxNodes > 0 && n > s.P.MaxNodes {
 		n = s.P.MaxNodes
 	}
-	n -= n % countersGroup
-	bench := "shift-incast group " + fmt.Sprint(countersGroup)
+	return n - n%countersGroup
+}
+
+// FigCounters measures the observability figure the paper built from
+// perfquery sweeps (Sec. 2): per-link utilization heatmaps (switch x
+// switch XmitData) and top-channel counter tables, Fat-Tree/ftree vs
+// HyperX/DFSSSP, under a congesting workload. op selects an IMB
+// collective; the default "" runs the grouped shift-incast, whose
+// signature is the figure's point — the fat-tree funnels the incasts
+// through shared downward links (one hot channel with several converging
+// flows) while the HyperX spreads them across direct dimension links.
+func (s *Session) FigCounters(op string) (*Counters, error) {
+	cs := &Counters{Bench: "shift-incast group " + fmt.Sprint(countersGroup), Nodes: s.incastNodes()}
 	build := func(nn int) (*workloads.Instance, error) {
 		return workloads.BuildGroupedIncast(nn, countersGroup, countersMsgSize)
 	}
 	if op != "" {
-		bench = "imb:" + op
+		cs.Bench = "imb:" + op
 		build = func(nn int) (*workloads.Instance, error) {
 			return workloads.BuildIMB(op, nn, countersMsgSize)
 		}
 	}
-	s.header(fmt.Sprintf("Counters: per-link utilization under %s, %d nodes", bench, n))
 	combos := exp.PaperCombos()
-	k := s.sink("counters_"+csvName(bench), "combo", "from", "to", "bytes", "wait_s", "hwm")
 	for _, c := range []exp.Combo{combos[0], combos[2]} {
-		m, err := s.Machine(c)
+		_, _, cols, err := s.countersRun(c, cs.Nodes, build)
 		if err != nil {
+			return nil, err
+		}
+		cs.Panels = append(cs.Panels, CounterPanel{Combo: c, Chans: cols[0].Chans, Elapsed: cols[0].Now()})
+	}
+	return cs, nil
+}
+
+// countersRun runs one trial of build on c's machine with channel
+// counters on every plane, and returns its score, its messenger and one
+// collector per plane.
+func (s *Session) countersRun(c exp.Combo, n int, build func(n int) (*workloads.Instance, error)) (
+	float64, fabric.Messenger, []*telemetry.Collector, error) {
+
+	m, err := s.Machine(c)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	var msgr fabric.Messenger
+	var cols []*telemetry.Collector
+	vals, _, err := exp.RunTrials(exp.TrialSpec{
+		Machine: m, Nodes: n, Trials: 1, Seed: s.P.Seed, Build: build,
+		Attach: func(_ int, f fabric.Messenger) {
+			msgr = f
+			opts := telemetry.Options{Counters: true}
+			if mf, ok := f.(*fabric.MultiFabric); ok {
+				tm := m.PlaneTelemetry(opts)
+				if err := mf.AttachTelemetry(tm); err != nil {
+					panic(err) // lengths match by construction
+				}
+				cols = tm.Planes
+				return
+			}
+			cols = []*telemetry.Collector{telemetry.New(m.G, opts)}
+			f.(*fabric.Fabric).AttachTelemetry(cols[0])
+		},
+	})
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return vals[0], msgr, cols, nil
+}
+
+// Render prints each combo's switch heatmap and hottest channels, and
+// writes every channel with traffic to csvDir when set.
+func (cs *Counters) Render(w io.Writer, csvDir string) error {
+	header(w, fmt.Sprintf("Counters: per-link utilization under %s, %d nodes", cs.Bench, cs.Nodes))
+	var rows [][]string
+	for _, p := range cs.Panels {
+		fmt.Fprintf(w, "\n%s: switch-to-switch XmitData heatmap (rows = source switch)\n", p.Combo.Name)
+		switchHeatmap(w, p.Chans.SwitchMatrix())
+		fmt.Fprintln(w)
+		if err := telemetry.FprintHotLinks(w, p.Chans, 10, p.Elapsed); err != nil {
 			return err
 		}
-		var col *telemetry.Collector
-		_, _, err = exp.RunTrials(exp.TrialSpec{
-			Machine: m, Nodes: n, Trials: 1, Seed: s.P.Seed, Build: build,
-			Attach: func(_ int, msgr fabric.Messenger) {
-				col = telemetry.New(m.G, telemetry.Options{Counters: true})
-				msgr.(*fabric.Fabric).AttachTelemetry(col)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		s.printf("\n%s: switch-to-switch XmitData heatmap (rows = source switch)\n", c.Name)
-		s.switchHeatmap(col.Chans.SwitchMatrix())
-		s.printf("\n")
-		if err := telemetry.FprintHotLinks(s.P.Out, col.Chans, 10, col.Now()); err != nil {
-			return err
-		}
-		for _, h := range col.Chans.HotLinks(0, col.Now()) {
-			k.add(c.Name, h.From, h.To, h.Bytes, float64(h.Wait), int(h.HWM))
+		for _, h := range p.Chans.HotLinks(0, p.Elapsed) {
+			rows = append(rows, []string{p.Combo.Name, h.From, h.To, ftoa(h.Bytes),
+				ftoa(float64(h.Wait)), strconv.Itoa(int(h.HWM))})
 		}
 	}
-	return k.flush()
+	return writeCSV(csvDir, "counters_"+csvName(cs.Bench),
+		[]string{"combo", "from", "to", "bytes", "wait_s", "hwm"}, rows)
 }
 
 // switchHeatmap prints the switch x switch byte matrix with Fig. 1's
 // bucket notation: '.' for an idle cell, 1..9 for the fraction of the
 // hottest cell, '#' above 95%.
-func (s *Session) switchHeatmap(m [][]float64) {
+func switchHeatmap(w io.Writer, m [][]float64) {
 	var max float64
 	for _, row := range m {
 		for _, v := range row {
@@ -89,7 +148,7 @@ func (s *Session) switchHeatmap(m [][]float64) {
 		}
 	}
 	if max <= 0 {
-		s.printf("(no inter-switch traffic)\n")
+		fmt.Fprintln(w, "(no inter-switch traffic)")
 		return
 	}
 	for _, row := range m {
@@ -97,17 +156,17 @@ func (s *Session) switchHeatmap(m [][]float64) {
 			frac := v / max
 			switch {
 			case v == 0:
-				s.printf(".")
+				fmt.Fprint(w, ".")
 			case frac > 0.95:
-				s.printf("#")
+				fmt.Fprint(w, "#")
 			default:
 				d := int(frac * 10)
 				if d == 0 {
 					d = 1 // traffic present: never render as idle
 				}
-				s.printf("%d", d)
+				fmt.Fprintf(w, "%d", d)
 			}
 		}
-		s.printf("\n")
+		fmt.Fprintln(w)
 	}
 }

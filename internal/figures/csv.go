@@ -1,86 +1,35 @@
 package figures
 
 import (
+	"bytes"
 	"encoding/csv"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
-
-	"github.com/hpcsim/t2hx/internal/exp"
 )
 
-// CSV side-channel: when CSVDir is set on Params, every figure also writes
-// its data series as CSV files (one per figure, long format), so the
-// regenerated rows/series are machine-comparable against the paper's
-// plots.
+// CSV side-channel: given a directory, every figure's Render also writes
+// its data series there as one CSV file in long format, so the regenerated
+// rows/series are machine-comparable against the paper's plots.
 
-// csvSink buffers rows for one figure.
-type csvSink struct {
-	dir  string
-	name string
-	head []string
-	rows [][]string
-}
-
-func (s *Session) sink(name string, head ...string) *csvSink {
-	if s.P.CSVDir == "" {
+// writeCSV writes dir/name.csv; a no-op when dir is empty.
+func writeCSV(dir, name string, head []string, rows [][]string) error {
+	if dir == "" {
 		return nil
 	}
-	return &csvSink{dir: s.P.CSVDir, name: name, head: head}
-}
-
-func (k *csvSink) add(vals ...any) {
-	if k == nil {
-		return
-	}
-	row := make([]string, len(vals))
-	for i, v := range vals {
-		switch x := v.(type) {
-		case string:
-			row[i] = x
-		case int:
-			row[i] = strconv.Itoa(x)
-		case int64:
-			row[i] = strconv.FormatInt(x, 10)
-		case float64:
-			row[i] = strconv.FormatFloat(x, 'g', 8, 64)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	k.rows = append(k.rows, row)
-}
-
-func (k *csvSink) flush() error {
-	if k == nil {
-		return nil
-	}
-	if err := os.MkdirAll(k.dir, 0o755); err != nil {
+	var buf bytes.Buffer
+	w := csv.NewWriter(&buf)
+	w.Write(head) //nolint:errcheck // sticky; WriteAll reports it
+	if err := w.WriteAll(rows); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(k.dir, k.name+".csv"))
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	w := csv.NewWriter(f)
-	err = w.Write(k.head)
-	if err == nil {
-		err = w.WriteAll(k.rows)
-	}
-	if err == nil {
-		w.Flush()
-		err = w.Error()
-	}
-	// A failed Close (buffered data hitting a full disk) must fail the
-	// figure, not vanish.
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	// WriteFile reports a failed Close (buffered data hitting a full disk)
+	// too, so it fails the figure rather than vanishing.
+	return os.WriteFile(filepath.Join(dir, name+".csv"), buf.Bytes(), 0o666)
 }
 
-// writeWhiskerCSV is used by whisker-style figures.
-func writeWhiskerCSV(k *csvSink, combo exp.Combo, nodes int, st exp.Stats, gain float64) {
-	k.add(combo.Name, nodes, st.Min, st.Q1, st.Median, st.Q3, st.Max, gain)
-}
+// ftoa formats a CSV value.
+func ftoa(x float64) string { return strconv.FormatFloat(x, 'g', 8, 64) }

@@ -2,6 +2,8 @@ package figures
 
 import (
 	"fmt"
+	"io"
+	"strconv"
 	"text/tabwriter"
 
 	"github.com/hpcsim/t2hx/internal/capacity"
@@ -10,94 +12,96 @@ import (
 	"github.com/hpcsim/t2hx/internal/workloads"
 )
 
-// Fig7 regenerates the capacity/throughput comparison: completed runs per
+// Capacity is Fig. 7's measurement: completed runs per application for
+// each combo.
+type Capacity struct {
+	// Nodes is the size of the application mix; Window the capacity
+	// window.
+	Nodes  int
+	Window sim.Duration
+	Combos []exp.Combo
+	// Order lists the mix's applications in table order.
+	Order   []string
+	Results []*capacity.Result
+}
+
+// Fig7 measures the capacity/throughput comparison: completed runs per
 // application for each of the five combos over the (configurable) window.
 // The paper's headline: HyperX/DFSSSP/linear finishes 12.7% more jobs than
 // the Fat-Tree baseline, and MILC collapses under random placement.
-func (s *Session) Fig7() error {
+func (s *Session) Fig7() (*Capacity, error) {
 	mix := s.capacityMix()
-	s.header(fmt.Sprintf("Figure 7: capacity evaluation (%d apps, %d nodes, %.0f min window)",
-		len(mix), capacity.TotalNodes(mix), float64(s.P.CapacityWindow)/60))
-	combos := exp.PaperCombos()
-	results, err := s.capacityRuns(combos, mix)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(s.P.Out, 4, 0, 1, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(w, "app\t")
-	for _, c := range combos {
-		fmt.Fprintf(w, "%s\t", shortCombo(c))
-	}
-	fmt.Fprintln(w)
-	order := capacity.Order()
+	c := &Capacity{Nodes: capacity.TotalNodes(mix), Window: s.P.CapacityWindow,
+		Combos: exp.PaperCombos(), Order: capacity.Order()}
 	if s.P.Small {
-		order = nil
+		c.Order = nil
 		for _, sp := range mix {
-			order = append(order, sp.Abbrev)
+			c.Order = append(c.Order, sp.Abbrev)
 		}
 	}
-	for _, app := range order {
-		fmt.Fprintf(w, "%s\t", app)
-		for _, res := range results {
-			fmt.Fprintf(w, "%d\t", res.Runs[app])
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "TOTAL\t")
-	for _, res := range results {
-		fmt.Fprintf(w, "%d\t", res.Total)
-	}
-	fmt.Fprintln(w)
-	w.Flush()
-	if base := results[0].Total; base > 0 {
-		for i, c := range combos[1:] {
-			s.printf("%s vs baseline: %+.1f%%\n", c.Name,
-				100*(float64(results[i+1].Total)/float64(base)-1))
-		}
-	}
-	return nil
-}
-
-// Fig7Totals runs the capacity study and returns per-combo totals (tests).
-func (s *Session) Fig7Totals() (map[string]int, error) {
-	combos := exp.PaperCombos()
-	results, err := s.capacityRuns(combos, s.capacityMix())
-	if err != nil {
-		return nil, err
-	}
-	totals := make(map[string]int, len(combos))
-	for i, c := range combos {
-		totals[c.Name] = results[i].Total
-	}
-	return totals, nil
-}
-
-// capacityMix is the Fig. 7 application mix: the paper's, or a 4-app mix
-// on the small planes.
-func (s *Session) capacityMix() []capacity.AppSpec {
-	if s.P.Small {
-		return smallMixFor(s.P)
-	}
-	return capacity.PaperMix()
-}
-
-// capacityRuns runs the capacity study once per combo, as cells over the
-// session's worker pool. capacity.Run only reads its machine, so the
-// cells share the cached ones, and every combo keeps seed P.Seed: the
-// results are the same at any -j.
-func (s *Session) capacityRuns(combos []exp.Combo, mix []capacity.AppSpec) ([]*capacity.Result, error) {
-	return exp.ForEach(s.runner(), len(combos), func(i int) string { return combos[i].Name },
+	// capacity.Run only reads its machine, so the combos run as cells over
+	// the session's pool on the cached machines, and every combo keeps seed
+	// P.Seed: the results are the same at any -j.
+	var err error
+	c.Results, err = exp.ForEach(s.runner(), len(c.Combos), func(i int) string { return c.Combos[i].Name },
 		func(i int, _ uint64) (*capacity.Result, error) {
-			m, err := s.Machine(combos[i])
+			m, err := s.Machine(c.Combos[i])
 			if err != nil {
 				return nil, err
 			}
 			return capacity.Run(m, mix, s.P.CapacityWindow, s.P.Seed)
 		})
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
-// smallMixFor is a 4-app mix sized for the 32-node test planes.
-func smallMixFor(p Params) []capacity.AppSpec {
+// Render prints the runs table with its totals and each combo's gain over
+// the baseline, and writes the runs to csvDir when set.
+func (c *Capacity) Render(w io.Writer, csvDir string) error {
+	header(w, fmt.Sprintf("Figure 7: capacity evaluation (%d apps, %d nodes, %.0f min window)",
+		len(c.Order), c.Nodes, float64(c.Window)/60))
+	tw := tabwriter.NewWriter(w, 4, 0, 1, ' ', tabwriter.AlignRight)
+	fmt.Fprintf(tw, "app\t")
+	for _, cb := range c.Combos {
+		fmt.Fprintf(tw, "%s\t", shortCombo(cb))
+	}
+	fmt.Fprintln(tw)
+	for _, app := range c.Order {
+		fmt.Fprintf(tw, "%s\t", app)
+		for _, res := range c.Results {
+			fmt.Fprintf(tw, "%d\t", res.Runs[app])
+		}
+		fmt.Fprintln(tw)
+	}
+	fmt.Fprintf(tw, "TOTAL\t")
+	for _, res := range c.Results {
+		fmt.Fprintf(tw, "%d\t", res.Total)
+	}
+	fmt.Fprintln(tw)
+	tw.Flush()
+	if base := c.Results[0].Total; base > 0 {
+		for i, cb := range c.Combos[1:] {
+			fmt.Fprintf(w, "%s vs baseline: %+.1f%%\n", cb.Name,
+				100*(float64(c.Results[i+1].Total)/float64(base)-1))
+		}
+	}
+	var rows [][]string
+	for i, cb := range c.Combos {
+		for _, app := range c.Order {
+			rows = append(rows, []string{cb.Name, app, strconv.Itoa(c.Results[i].Runs[app])})
+		}
+	}
+	return writeCSV(csvDir, "Fig7", []string{"combo", "app", "runs"}, rows)
+}
+
+// capacityMix is the Fig. 7 application mix: the paper's, or a 4-app mix
+// sized for the 32-node test planes.
+func (s *Session) capacityMix() []capacity.AppSpec {
+	if !s.P.Small {
+		return capacity.PaperMix()
+	}
 	quick := workloads.BuildOpts{IterScale: 0.1, ComputeScale: 1, Prolog: 2 * sim.Second}
 	var mix []capacity.AppSpec
 	for _, ab := range []string{"AMG", "CoMD", "MILC", "GraD"} {

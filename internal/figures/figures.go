@@ -2,14 +2,16 @@
 // evaluation (Sec. 5) on the simulated planes: Fig. 1 (mpiGraph heatmaps),
 // Table 1 (PARX LID selection), Fig. 4 (IMB collective gain grids),
 // Fig. 5a-c (Baidu allreduce, Barrier, eBB), Fig. 6 (proxy apps and x500)
-// and Fig. 7 (capacity throughput). Output is plain text (grids and
-// whisker rows) written to an io.Writer, so the same code serves the CLI
-// and the benchmark harness.
+// and Fig. 7 (capacity throughput). Each Session figure method measures
+// and returns a typed result; the result's Render writes the plain-text
+// figure (grids and whisker rows) and, given a directory, its data series
+// as CSV. The benchmark harness and the tests read the results directly.
 package figures
 
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"text/tabwriter"
 
@@ -23,8 +25,6 @@ import (
 
 // Params configure a regeneration session.
 type Params struct {
-	// Out receives the rendered figures.
-	Out io.Writer
 	// MaxNodes caps the scaling ladders (672 reproduces the paper; lower
 	// values produce faster, truncated figures).
 	MaxNodes int
@@ -40,21 +40,17 @@ type Params struct {
 	EBBSamples int
 	// Sizes optionally restricts the IMB/Baidu message-size ladders.
 	Sizes []int64
-	// Jitter is the compute-phase lognormal sigma.
-	Jitter float64
 	// PARXDemands re-routes PARX with each workload's captured
 	// communication profile before measuring it (the paper's SAR-style
 	// workflow, Sec. 4.4.3). Costly at full scale.
 	PARXDemands bool
 	// CapacityWindow overrides the 3 h capacity window of Fig. 7.
 	CapacityWindow sim.Duration
-	// CSVDir, when set, additionally writes each figure's data series as
-	// CSV files into that directory.
-	CSVDir string
 	// Workers sizes the measurement worker pool for the grid/whisker
-	// figures; <= 0 uses GOMAXPROCS. Output is identical at any setting:
-	// cells are measured in parallel but every cell's seed derives from
-	// (Seed, node count), and rendering happens afterwards in figure order.
+	// figures, Fig. 7 and the degraded sweep; <= 0 uses GOMAXPROCS.
+	// Results are identical at any setting: cells are measured in parallel
+	// but every cell's seed derives from (Seed, node count), and results
+	// keep figure order.
 	Workers int
 }
 
@@ -75,9 +71,6 @@ func (p Params) withDefaults() Params {
 		if p.Small {
 			p.EBBSamples = 50
 		}
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.02
 	}
 	if p.CapacityWindow == 0 {
 		p.CapacityWindow = capacity.Window
@@ -166,92 +159,125 @@ func (s *Session) cell(c exp.Combo, n int, build func(n int) (*workloads.Instanc
 	}
 	vals, _, err := exp.RunTrials(exp.TrialSpec{
 		Machine: m, Nodes: n, Trials: s.P.Trials, Seed: s.P.Seed + uint64(n),
-		Jitter: s.P.Jitter, Build: build,
+		Jitter: exp.TrialJitter, Build: build,
 	})
 	return vals, err
 }
 
-func (s *Session) printf(format string, args ...any) {
-	fmt.Fprintf(s.P.Out, format, args...)
-}
-
 // header prints a figure banner.
-func (s *Session) header(title string) {
-	s.printf("\n===== %s =====\n", title)
+func header(w io.Writer, title string) {
+	fmt.Fprintf(w, "\n===== %s =====\n", title)
 }
 
-// gainGrid renders a Fig. 4-style grid: rows = message sizes, columns =
-// node counts, entries = relative gain vs. the baseline combo.
-func (s *Session) gainGrid(title string, sizes []int64, nodes []int,
-	measure func(c exp.Combo, n int, size int64) (float64, error),
-	better workloads.Direction) error {
+// GainGrid is a Fig. 4-style measurement: one value per (combo, message
+// size, node count) cell, each combo compared against the first.
+type GainGrid struct {
+	// Banner heads the figure; Title heads each combo's grid and names the
+	// CSV file.
+	Banner, Title string
+	Combos        []exp.Combo
+	Sizes         []int64
+	Nodes         []int
+	// Values holds the cells combo-major, then by size, then by nodes.
+	Values []float64
+	// Better is the metric's direction: both grids plot latencies.
+	Better workloads.Direction
+}
 
-	combos := exp.PaperCombos()
-	base := combos[0]
-	// Measure every (combo, size, node) cell over the session's pool, then
-	// render the grids from the finished slice. Cell values depend only on
-	// the session seed and the cell's own coordinates (s.cell seeds trials
-	// with Seed+nodes), so the worker count never changes the figure.
-	type coord struct {
-		c  exp.Combo
-		sz int64
-		n  int
+// Value is the measured value of one cell.
+func (g *GainGrid) Value(ci, si, ni int) float64 {
+	return g.Values[(ci*len(g.Sizes)+si)*len(g.Nodes)+ni]
+}
+
+// Gain is combo ci's gain over the first combo at one cell.
+func (g *GainGrid) Gain(ci, si, ni int) float64 {
+	return exp.Gain(g.Value(0, si, ni), g.Value(ci, si, ni), g.Better)
+}
+
+// gainGrid measures every (combo, size, node) cell over the session's
+// pool: build makes a cell's workload, reduce turns its trials into the
+// plotted value, and P.Sizes, when set, replaces sizes. Cell values depend
+// only on the session seed and the cell's own coordinates (s.cell seeds
+// trials with Seed+nodes), so the worker count never changes the grid.
+func (s *Session) gainGrid(banner, title string, sizes []int64,
+	build func(n int, size int64) (*workloads.Instance, error),
+	reduce func(exp.Stats) float64) (*GainGrid, error) {
+
+	if s.P.Sizes != nil {
+		sizes = s.P.Sizes
 	}
-	cs := make([]coord, 0, len(combos)*len(sizes)*len(nodes))
-	for _, c := range combos {
-		for _, sz := range sizes {
-			for _, n := range nodes {
-				cs = append(cs, coord{c, sz, n})
-			}
-		}
-	}
-	vals, err := exp.ForEach(s.runner(), len(cs), nil,
+	g := &GainGrid{Banner: banner, Title: title, Combos: exp.PaperCombos(),
+		Sizes: sizes, Nodes: s.ladder(false), Better: workloads.LowerIsBetter}
+	per := len(g.Sizes) * len(g.Nodes)
+	vals, err := exp.ForEach(s.runner(), len(g.Combos)*per, nil,
 		func(i int, _ uint64) (float64, error) {
-			v, err := measure(cs[i].c, cs[i].n, cs[i].sz)
+			c, sz, n := g.Combos[i/per], g.Sizes[i%per/len(g.Nodes)], g.Nodes[i%len(g.Nodes)]
+			vals, err := s.cell(c, n, func(n int) (*workloads.Instance, error) { return build(n, sz) })
 			if err != nil {
-				return 0, fmt.Errorf("%s %s n=%d size=%d: %w", title, cs[i].c.Name, cs[i].n, cs[i].sz, err)
+				return 0, fmt.Errorf("%s %s n=%d size=%d: %w", title, c.Name, n, sz, err)
 			}
-			return v, nil
+			return reduce(exp.Summarize(vals)), nil
 		})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cellAt := func(ci, si, ni int) float64 { return vals[(ci*len(sizes)+si)*len(nodes)+ni] }
-
-	k := s.sink(csvName(title), "combo", "msgsize", "nodes", "value", "gain")
-	for ci, c := range combos[1:] {
-		s.printf("\n--- %s: %s (gain vs %s) ---\n", title, c.Name, base.Name)
-		w := tabwriter.NewWriter(s.P.Out, 4, 0, 1, ' ', tabwriter.AlignRight)
-		fmt.Fprintf(w, "msgsize\\nodes\t")
-		for _, n := range nodes {
-			fmt.Fprintf(w, "%d\t", n)
-		}
-		fmt.Fprintln(w)
-		for si, sz := range sizes {
-			fmt.Fprintf(w, "%d\t", sz)
-			for ni, n := range nodes {
-				v := cellAt(ci+1, si, ni)
-				g := exp.Gain(cellAt(0, si, ni), v, better)
-				fmt.Fprintf(w, "%+.2f\t", g)
-				k.add(c.Name, sz, n, v, g)
-			}
-			fmt.Fprintln(w)
-		}
-		w.Flush()
-	}
-	return k.flush()
+	g.Values = vals
+	return g, nil
 }
 
-// whiskerRows renders Fig. 5b/6-style whisker tables: one row per
-// (combo, nodes) with min/q1/median/q3/max and gain-of-best.
-func (s *Session) whiskerRows(title, unit string, nodes []int,
+// Render prints one gain grid per non-baseline combo (rows = message
+// sizes, columns = node counts) and writes the cells to csvDir when set.
+func (g *GainGrid) Render(w io.Writer, csvDir string) error {
+	header(w, g.Banner)
+	var rows [][]string
+	base := g.Combos[0]
+	for ci := 1; ci < len(g.Combos); ci++ {
+		c := g.Combos[ci]
+		fmt.Fprintf(w, "\n--- %s: %s (gain vs %s) ---\n", g.Title, c.Name, base.Name)
+		tw := tabwriter.NewWriter(w, 4, 0, 1, ' ', tabwriter.AlignRight)
+		fmt.Fprintf(tw, "msgsize\\nodes\t")
+		for _, n := range g.Nodes {
+			fmt.Fprintf(tw, "%d\t", n)
+		}
+		fmt.Fprintln(tw)
+		for si, sz := range g.Sizes {
+			fmt.Fprintf(tw, "%d\t", sz)
+			for ni, n := range g.Nodes {
+				gain := g.Gain(ci, si, ni)
+				fmt.Fprintf(tw, "%+.2f\t", gain)
+				rows = append(rows, []string{c.Name, strconv.FormatInt(sz, 10), strconv.Itoa(n),
+					ftoa(g.Value(ci, si, ni)), ftoa(gain)})
+			}
+			fmt.Fprintln(tw)
+		}
+		tw.Flush()
+	}
+	return writeCSV(csvDir, csvName(g.Title), []string{"combo", "msgsize", "nodes", "value", "gain"}, rows)
+}
+
+// Whiskers is a Fig. 5b/6-style measurement: one row per (combo, nodes).
+type Whiskers struct {
+	Title, Unit string
+	Rows        []WhiskerRow
+}
+
+// WhiskerRow is one cell's trial distribution and the gain of its best
+// value over the first combo's best at the same node count.
+type WhiskerRow struct {
+	Combo exp.Combo
+	Nodes int
+	Stats exp.Stats
+	Gain  float64
+}
+
+// whiskers measures every (combo, nodes) cell over the session's pool (see
+// gainGrid for the determinism argument).
+func (s *Session) whiskers(title, unit string, nodes []int,
 	measure func(c exp.Combo, n int) ([]float64, error),
-	better workloads.Direction) error {
+	better workloads.Direction) (*Whiskers, error) {
 
 	combos := exp.PaperCombos()
-	// Measure all (combo, nodes) rows over the pool before rendering (see
-	// gainGrid for the determinism argument).
-	rows, err := exp.ForEach(s.runner(), len(combos)*len(nodes), nil,
+	vals, err := exp.ForEach(s.runner(), len(combos)*len(nodes), nil,
 		func(i int, _ uint64) ([]float64, error) {
 			c, n := combos[i/len(nodes)], nodes[i%len(nodes)]
 			vals, err := measure(c, n)
@@ -261,29 +287,40 @@ func (s *Session) whiskerRows(title, unit string, nodes []int,
 			return vals, nil
 		})
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	baseBest := make(map[int]float64)
-	s.header(title)
-	k := s.sink(csvName(title), "combo", "nodes", "min", "q1", "median", "q3", "max", "gain")
-	w := tabwriter.NewWriter(s.P.Out, 4, 0, 1, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(w, "combo\tnodes\tmin\tq1\tmedian\tq3\tmax\tgain\t[%s]\n", unit)
-	for ci, c := range combos {
-		for ni, n := range nodes {
-			st := exp.Summarize(rows[ci*len(nodes)+ni])
-			best := st.Best(better)
-			if ci == 0 {
-				baseBest[n] = best
-			}
-			g := exp.Gain(baseBest[n], best, better)
-			fmt.Fprintf(w, "%s\t%d\t%.4g\t%.4g\t%.4g\t%.4g\t%.4g\t%+.2f\t\n",
-				c.Name, n, st.Min, st.Q1, st.Median, st.Q3, st.Max, g)
-			writeWhiskerCSV(k, c, n, st, g)
+	wh := &Whiskers{Title: title, Unit: unit}
+	baseBest := make([]float64, len(nodes)) // the first combo's rows come first
+	for i, v := range vals {
+		ni := i % len(nodes)
+		st := exp.Summarize(v)
+		best := st.Best(better)
+		if i < len(nodes) {
+			baseBest[ni] = best
 		}
+		wh.Rows = append(wh.Rows, WhiskerRow{Combo: combos[i/len(nodes)], Nodes: nodes[ni],
+			Stats: st, Gain: exp.Gain(baseBest[ni], best, better)})
 	}
-	w.Flush()
-	return k.flush()
+	return wh, nil
+}
+
+// Render prints the whisker table (min/q1/median/q3/max and gain) and
+// writes it to csvDir when set.
+func (wh *Whiskers) Render(w io.Writer, csvDir string) error {
+	header(w, wh.Title)
+	var rows [][]string
+	tw := tabwriter.NewWriter(w, 4, 0, 1, ' ', tabwriter.AlignRight)
+	fmt.Fprintf(tw, "combo\tnodes\tmin\tq1\tmedian\tq3\tmax\tgain\t[%s]\n", wh.Unit)
+	for _, r := range wh.Rows {
+		st := r.Stats
+		fmt.Fprintf(tw, "%s\t%d\t%.4g\t%.4g\t%.4g\t%.4g\t%.4g\t%+.2f\t\n",
+			r.Combo.Name, r.Nodes, st.Min, st.Q1, st.Median, st.Q3, st.Max, r.Gain)
+		rows = append(rows, []string{r.Combo.Name, strconv.Itoa(r.Nodes),
+			ftoa(st.Min), ftoa(st.Q1), ftoa(st.Median), ftoa(st.Q3), ftoa(st.Max), ftoa(r.Gain)})
+	}
+	tw.Flush()
+	return writeCSV(csvDir, csvName(wh.Title),
+		[]string{"combo", "nodes", "min", "q1", "median", "q3", "max", "gain"}, rows)
 }
 
 // csvName slugs a figure title into a file name.
@@ -303,30 +340,29 @@ func csvName(title string) string {
 }
 
 // Table1 prints the PARX LID-selection matrices (Sec. 3.2.1, Table 1).
-func (s *Session) Table1() error {
-	s.header("Table 1: PARX virtual destination LID choice")
+func Table1(w io.Writer) {
+	header(w, "Table 1: PARX virtual destination LID choice")
 	for _, large := range []bool{false, true} {
 		kind := "(a) small messages"
 		if large {
 			kind = "(b) large messages"
 		}
-		s.printf("\n%s\n      ", kind)
+		fmt.Fprintf(w, "\n%s\n      ", kind)
 		for d := core.Q0; d <= core.Q3; d++ {
-			s.printf("%6s", d)
+			fmt.Fprintf(w, "%6s", d)
 		}
-		s.printf("\n")
+		fmt.Fprintf(w, "\n")
 		for src := core.Q0; src <= core.Q3; src++ {
-			s.printf("  %s:", src)
+			fmt.Fprintf(w, "  %s:", src)
 			for dst := core.Q0; dst <= core.Q3; dst++ {
 				ch := core.LIDChoices(src, dst, large)
 				cell := fmt.Sprintf("%d", ch[0])
 				if len(ch) == 2 {
 					cell = fmt.Sprintf("%d|%d", ch[0], ch[1])
 				}
-				s.printf("%6s", cell)
+				fmt.Fprintf(w, "%6s", cell)
 			}
-			s.printf("\n")
+			fmt.Fprintf(w, "\n")
 		}
 	}
-	return nil
 }

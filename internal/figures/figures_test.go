@@ -2,24 +2,56 @@ package figures
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func smallSession(t *testing.T, buf *bytes.Buffer) *Session {
+func smallSession(t *testing.T) *Session {
 	t.Helper()
 	return NewSession(Params{
-		Out: buf, Small: true, Trials: 2, Seed: 9, Degrade: false,
+		Small: true, Trials: 2, Seed: 9, Degrade: false,
 		Sizes: []int64{64, 65536}, PARXDemands: true,
 	})
 }
 
-func TestTable1Renders(t *testing.T) {
+// render renders r into a string, with its CSV written to dir.
+func render(t *testing.T, r interface {
+	Render(w io.Writer, csvDir string) error
+}, dir string) string {
+	t.Helper()
 	var buf bytes.Buffer
-	s := smallSession(t, &buf)
-	if err := s.Table1(); err != nil {
+	if err := r.Render(&buf, dir); err != nil {
 		t.Fatal(err)
 	}
+	return buf.String()
+}
+
+// readCSV returns the rows of dir/name.csv after its header, which must be
+// head.
+func readCSV(t *testing.T, dir, name string, head ...string) [][]string {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, name+".csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 || strings.Join(rows[0], ",") != strings.Join(head, ",") {
+		t.Fatalf("%s.csv header %v, want %v", name, rows[:min(len(rows), 1)], head)
+	}
+	return rows[1:]
+}
+
+func TestTable1Renders(t *testing.T) {
+	var buf bytes.Buffer
+	Table1(&buf)
 	out := buf.String()
 	for _, want := range []string{"(a) small messages", "(b) large messages", "1|3", "0|2"} {
 		if !strings.Contains(out, want) {
@@ -28,35 +60,46 @@ func TestTable1Renders(t *testing.T) {
 	}
 }
 
+// Fig. 1's ordering comes from the one measurement that is also rendered,
+// and its CSV holds every ordered rank pair of each combo.
 func TestFig1SmallShowsPARXRecovery(t *testing.T) {
-	var buf bytes.Buffer
-	s := smallSession(t, &buf)
-	avgs, err := s.Fig1Averages()
+	g, err := smallSession(t).Fig1()
 	if err != nil {
 		t.Fatal(err)
 	}
+	ft, hx, parx := g.Results[0].AvgGiB, g.Results[1].AvgGiB, g.Results[2].AvgGiB
 	// The paper's ordering: Fat-Tree > PARX > minimal HyperX.
-	if !(avgs[0] > avgs[1]) {
-		t.Errorf("Fat-Tree avg %.2f not above minimal HyperX %.2f", avgs[0], avgs[1])
+	if !(ft > hx) {
+		t.Errorf("Fat-Tree avg %.2f not above minimal HyperX %.2f", ft, hx)
 	}
-	if !(avgs[2] > avgs[1]) {
-		t.Errorf("PARX avg %.2f did not recover over minimal HyperX %.2f", avgs[2], avgs[1])
+	if !(parx > hx) {
+		t.Errorf("PARX avg %.2f did not recover over minimal HyperX %.2f", parx, hx)
 	}
-	if err := s.Fig1(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "PARX recovery") {
+	dir := t.TempDir()
+	if !strings.Contains(render(t, g, dir), "PARX recovery") {
 		t.Error("Fig. 1 output missing recovery line")
+	}
+	if rows := readCSV(t, dir, "Fig1", "combo", "src", "dst", "gib_per_s"); len(rows) != 3*8*7 {
+		t.Errorf("Fig1.csv has %d rows, want %d", len(rows), 3*8*7)
 	}
 }
 
 func TestFig4GridRenders(t *testing.T) {
-	var buf bytes.Buffer
-	s := smallSession(t, &buf)
-	if err := s.Fig4("bcast"); err != nil {
+	g, err := smallSession(t).Fig4("bcast")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	if want := len(g.Combos) * len(g.Sizes) * len(g.Nodes); len(g.Values) != want {
+		t.Fatalf("grid holds %d values, want %d", len(g.Values), want)
+	}
+	for si := range g.Sizes {
+		for ni := range g.Nodes {
+			if gain := g.Gain(0, si, ni); gain != 0 {
+				t.Errorf("baseline gain over itself %v, want 0", gain)
+			}
+		}
+	}
+	out := render(t, g, "")
 	if !strings.Contains(out, "HyperX / PARX / clustered") {
 		t.Error("Fig. 4 missing PARX grid")
 	}
@@ -66,69 +109,72 @@ func TestFig4GridRenders(t *testing.T) {
 }
 
 func TestFig5aRenders(t *testing.T) {
-	var buf bytes.Buffer
-	s := smallSession(t, &buf)
+	s := smallSession(t)
 	s.P.Sizes = []int64{1024}
-	if err := s.Fig5a(); err != nil {
+	g, err := s.Fig5a()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "Baidu") {
+	if !strings.Contains(render(t, g, ""), "Baidu") {
 		t.Error("Fig. 5a missing banner")
 	}
 }
 
+// Every PARX Barrier row is slower than the Fat-Tree baseline: the bfo
+// PML penalty the paper measured at 2.8-6.9x. At these settings the gains
+// read -0.69 to -0.73.
 func TestFig5bShowsPARXBarrierPenalty(t *testing.T) {
-	var buf bytes.Buffer
-	s := smallSession(t, &buf)
-	if err := s.Fig5b(); err != nil {
+	wh, err := smallSession(t).Fig5b()
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "Barrier") {
-		t.Fatal("missing banner")
-	}
-	// The PARX rows must exist and carry negative gains (bfo penalty).
-	found := false
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "PARX") && strings.Contains(line, "-0.") {
-			found = true
+	parx := 0
+	for _, r := range wh.Rows {
+		if r.Combo.Routing != "parx" {
+			continue
+		}
+		parx++
+		if !(r.Gain < 0) {
+			t.Errorf("PARX barrier at %d nodes: gain %+.2f, want a slowdown", r.Nodes, r.Gain)
 		}
 	}
-	if !found {
-		t.Errorf("PARX barrier rows show no slowdown:\n%s", out)
+	if parx == 0 {
+		t.Fatalf("no PARX rows in %d whisker rows", len(wh.Rows))
+	}
+	if !strings.Contains(render(t, wh, ""), "Barrier") {
+		t.Error("missing banner")
 	}
 }
 
 func TestFig5cRenders(t *testing.T) {
-	var buf bytes.Buffer
-	s := smallSession(t, &buf)
+	s := smallSession(t)
 	s.P.EBBSamples = 10
-	if err := s.Fig5c(); err != nil {
+	wh, err := s.Fig5c()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "bisection") {
+	if !strings.Contains(render(t, wh, ""), "bisection") {
 		t.Error("Fig. 5c missing banner")
 	}
 }
 
 func TestFig6RendersApp(t *testing.T) {
-	var buf bytes.Buffer
-	s := smallSession(t, &buf)
-	if err := s.Fig6("CoMD"); err != nil {
+	s := smallSession(t)
+	wh, err := s.Fig6("CoMD")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	out := render(t, wh, "")
 	if !strings.Contains(out, "CoMD") || !strings.Contains(out, "median") {
 		t.Errorf("Fig. 6 output malformed:\n%s", out)
 	}
-	if err := s.Fig6("nope"); err == nil {
+	if _, err := s.Fig6("nope"); err == nil {
 		t.Error("unknown app accepted")
 	}
 }
 
 func TestFig7SmallRuns(t *testing.T) {
-	var buf bytes.Buffer
-	s := smallSession(t, &buf)
+	s := smallSession(t)
 	// The small mix completes about a hundred runs per combo, and the
 	// combos finish within two runs of each other. The totals are pinned so
 	// a refactor cannot move them silently, and the combos run as pool
@@ -142,23 +188,28 @@ func TestFig7SmallRuns(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		s.P.Workers = workers
-		totals, err := s.Fig7Totals()
+		c, err := s.Fig7()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(totals) != len(want) {
-			t.Fatalf("-j %d: totals for %d combos, want %d", workers, len(totals), len(want))
+		if len(c.Results) != len(want) {
+			t.Fatalf("-j %d: totals for %d combos, want %d", workers, len(c.Results), len(want))
 		}
-		for name, w := range want {
-			if got, ok := totals[name]; !ok || got != w {
-				t.Errorf("-j %d: %s completed %d runs, want %d", workers, name, got, w)
+		for i, cb := range c.Combos {
+			if got, w := c.Results[i].Total, want[cb.Name]; got != w {
+				t.Errorf("-j %d: %s completed %d runs, want %d", workers, cb.Name, got, w)
 			}
 		}
-	}
-	if err := s.Fig7(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "TOTAL") {
-		t.Error("Fig. 7 missing totals row")
+		if workers > 1 {
+			continue
+		}
+		dir := t.TempDir()
+		if !strings.Contains(render(t, c, dir), "TOTAL") {
+			t.Error("Fig. 7 missing totals row")
+		}
+		rows := readCSV(t, dir, "Fig7", "combo", "app", "runs")
+		if len(rows) != len(c.Combos)*len(c.Order) || rows[0][0] != c.Combos[0].Name || rows[0][1] != c.Order[0] {
+			t.Errorf("Fig7.csv rows %v, want one per combo and app in table order", rows)
+		}
 	}
 }

@@ -2,12 +2,12 @@ package figures
 
 import (
 	"fmt"
+	"io"
+	"strconv"
 	"text/tabwriter"
 
 	"github.com/hpcsim/t2hx/internal/exp"
 	"github.com/hpcsim/t2hx/internal/fabric"
-	"github.com/hpcsim/t2hx/internal/telemetry"
-	"github.com/hpcsim/t2hx/internal/topo"
 	"github.com/hpcsim/t2hx/internal/workloads"
 )
 
@@ -16,6 +16,27 @@ import (
 // low-diameter HyperX rail.
 const planesSmallMsg = 512
 
+// PlaneShares is the planes figure's measurement: how each machine's
+// traffic split over its planes at each message size.
+type PlaneShares struct {
+	Nodes int
+	Rows  []PlaneShare
+}
+
+// PlaneShare is one plane's part of one run; a single-plane machine has
+// one row with an empty Plane.
+type PlaneShare struct {
+	Machine string
+	Size    int64
+	// Score is the run's us/op.
+	Score float64
+	Plane string
+	Msgs  uint64
+	// XmitBytes is the plane's XmitData, Share its fraction of the
+	// machine's.
+	XmitBytes, Share float64
+}
+
 // FigPlanes compares the counters figure's grouped shift-incast run on
 // each rail alone against the dual-plane TSUBAME2 machine, at a
 // latency-bound and a bandwidth-bound message size. The dual-plane rows
@@ -23,84 +44,60 @@ const planesSmallMsg = 512
 // almost entirely over the diameter-2 HyperX plane while the 1 MiB incast
 // rides the full-bisection Fat-Tree, so each rail's XmitData share flips
 // between the two sizes.
-func (s *Session) FigPlanes() error {
-	n := 64
-	if s.P.Small {
-		n = 32
-	}
-	if s.P.MaxNodes > 0 && n > s.P.MaxNodes {
-		n = s.P.MaxNodes
-	}
-	n -= n % countersGroup
-	s.header(fmt.Sprintf("Planes: single- vs dual-plane shift-incast (group %d), %d nodes", countersGroup, n))
-	k := s.sink("planes", "machine", "size", "score", "plane", "msgs", "xmit_bytes", "share")
+func (s *Session) FigPlanes() (*PlaneShares, error) {
+	ps := &PlaneShares{Nodes: s.incastNodes()}
 	combos := exp.PaperCombos()
-	cases := []exp.Combo{combos[0], combos[4], exp.DualPlaneCombo()}
-	w := tabwriter.NewWriter(s.P.Out, 4, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "machine\tsize\tus/op\tplane\tmsgs\txmit MiB\tshare")
-	for _, c := range cases {
-		m, err := s.Machine(c)
-		if err != nil {
-			return err
-		}
+	for _, c := range []exp.Combo{combos[0], combos[4], exp.DualPlaneCombo()} {
 		for _, size := range []int64{planesSmallMsg, countersMsgSize} {
-			var col *telemetry.Collector
-			var tm *telemetry.Multi
-			var mf *fabric.MultiFabric
-			var single *fabric.Fabric
-			vals, _, err := exp.RunTrials(exp.TrialSpec{
-				Machine: m, Nodes: n, Trials: 1, Seed: s.P.Seed,
-				Build: func(nn int) (*workloads.Instance, error) {
-					return workloads.BuildGroupedIncast(nn, countersGroup, size)
-				},
-				Attach: func(_ int, msgr fabric.Messenger) {
-					switch f := msgr.(type) {
-					case *fabric.MultiFabric:
-						mf = f
-						gs := make([]*topo.Graph, len(m.Planes))
-						names := make([]string, len(m.Planes))
-						for i, p := range m.Planes {
-							gs[i] = p.G
-							names[i] = p.Spec.Label()
-						}
-						tm = telemetry.NewMulti(gs, names, telemetry.Options{Counters: true})
-						if err := f.AttachTelemetry(tm); err != nil {
-							panic(err) // lengths match by construction
-						}
-					case *fabric.Fabric:
-						single = f
-						col = telemetry.New(m.G, telemetry.Options{Counters: true})
-						f.AttachTelemetry(col)
-					}
-				},
+			score, msgr, cols, err := s.countersRun(c, ps.Nodes, func(nn int) (*workloads.Instance, error) {
+				return workloads.BuildGroupedIncast(nn, countersGroup, size)
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
-			score := vals[0]
-			const mib = 1 << 20
-			if tm != nil {
-				total := tm.TotalXmitData()
-				for p, cl := range tm.Planes {
-					share := 0.0
+			var total float64
+			for _, cl := range cols {
+				total += cl.Chans.TotalXmitData()
+			}
+			for p, cl := range cols {
+				row := PlaneShare{Machine: c.Name, Size: size, Score: score, XmitBytes: cl.Chans.TotalXmitData(), Share: 1}
+				if mf, ok := msgr.(*fabric.MultiFabric); ok {
+					row.Plane, row.Msgs, row.Share = cl.PlaneName, mf.PlaneMessages[p], 0
 					if total > 0 {
-						share = cl.Chans.TotalXmitData() / total
+						row.Share = row.XmitBytes / total
 					}
-					fmt.Fprintf(w, "%s\t%d\t%.4g\t%s\t%d\t%.2f\t%.1f%%\n",
-						c.Name, size, score, cl.PlaneName, mf.PlaneMessages[p],
-						cl.Chans.TotalXmitData()/mib, 100*share)
-					k.add(c.Name, size, score, cl.PlaneName, int(mf.PlaneMessages[p]),
-						cl.Chans.TotalXmitData(), share)
+				} else {
+					row.Msgs = msgr.(*fabric.Fabric).Messages
 				}
-			} else {
-				fmt.Fprintf(w, "%s\t%d\t%.4g\t%s\t%d\t%.2f\t%.1f%%\n",
-					c.Name, size, score, "(single)", single.Messages,
-					col.Chans.TotalXmitData()/mib, 100.0)
-				k.add(c.Name, size, score, "single", int(single.Messages),
-					col.Chans.TotalXmitData(), 1.0)
+				ps.Rows = append(ps.Rows, row)
 			}
 		}
-		w.Flush()
 	}
-	return k.flush()
+	return ps, nil
+}
+
+// Render prints one table block per machine and writes the rows to
+// csvDir when set.
+func (ps *PlaneShares) Render(w io.Writer, csvDir string) error {
+	header(w, fmt.Sprintf("Planes: single- vs dual-plane shift-incast (group %d), %d nodes", countersGroup, ps.Nodes))
+	var rows [][]string
+	tw := tabwriter.NewWriter(w, 4, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "machine\tsize\tus/op\tplane\tmsgs\txmit MiB\tshare")
+	for i, r := range ps.Rows {
+		plane, csvPlane := r.Plane, r.Plane
+		if plane == "" {
+			plane, csvPlane = "(single)", "single"
+		}
+		const mib = 1 << 20
+		fmt.Fprintf(tw, "%s\t%d\t%.4g\t%s\t%d\t%.2f\t%.1f%%\n",
+			r.Machine, r.Size, r.Score, plane, r.Msgs, r.XmitBytes/mib, 100*r.Share)
+		rows = append(rows, []string{r.Machine, strconv.FormatInt(r.Size, 10), ftoa(r.Score), csvPlane,
+			strconv.FormatUint(r.Msgs, 10), ftoa(r.XmitBytes), ftoa(r.Share)})
+		// Each machine's block is aligned on its own, the header with the
+		// first.
+		if i+1 == len(ps.Rows) || ps.Rows[i+1].Machine != r.Machine {
+			tw.Flush()
+		}
+	}
+	return writeCSV(csvDir, "planes", []string{"machine", "size", "score", "plane", "msgs", "xmit_bytes", "share"}, rows)
 }

@@ -77,7 +77,9 @@ func maxMinOracle(caps []float64, paths [][]topo.ChannelID) ([]float64, []topo.C
 // positive rate, and every flow's recorded bottleneck — the channel its
 // XmitWait is charged to — is on its path, is saturated, and carries no
 // flow with a higher rate. Capacity and saturation are checked to 1e-9
-// relative, rate order to 1e-9 absolute.
+// relative, rate order to shareEps relative: that is the solver's own tie
+// tolerance, under which an epsilon-tied bottleneck freezes at its own
+// share, so two rates on one channel may legitimately differ by that much.
 func certifyMaxMin(n *Network) error {
 	t := &n.tab
 	usage := make([]float64, len(n.caps))
@@ -114,7 +116,7 @@ func certifyMaxMin(n *Network) error {
 			return fmt.Errorf("flow %d: bottleneck %d not on its path", id, b)
 		case usage[b] < n.caps[b]*(1-1e-9):
 			return fmt.Errorf("flow %d: bottleneck %d not saturated: %v < %v", id, b, usage[b], n.caps[b])
-		case r < maxRate[b]-1e-9:
+		case r < maxRate[b]*(1-shareEps):
 			return fmt.Errorf("flow %d: bottleneck %d carries a higher rate %v > %v", id, b, maxRate[b], r)
 		}
 	}
@@ -161,6 +163,30 @@ func TestCertificateCatchesCorruptAllocations(t *testing.T) {
 	}
 	if err := certifyMaxMin(n); err != nil {
 		t.Fatalf("restored allocation rejected: %v", err)
+	}
+}
+
+// TestCertificateAtQDRRates certifies allocations at QDR link rates,
+// where one ulp of a rate is far above any absolute tolerance near 1e-9:
+// 300 flows between random terminal pairs over DFSSSP base-LID paths on
+// churnHX, settled at t=0, for five seeds.
+func TestCertificateAtQDRRates(t *testing.T) {
+	hx := churnHX()
+	route := dfssspRouter(t, hx)
+	terms := hx.Terminals()
+	for seed := uint64(1); seed <= 5; seed++ {
+		eng := sim.NewEngine()
+		net := NewNetwork(eng, hx.Graph)
+		r := sim.NewRand(seed)
+		for k := 0; k < 300; k++ {
+			if src, dst := terms[r.Intn(len(terms))], terms[r.Intn(len(terms))]; src != dst {
+				net.Start(route(src, dst), 1e12, func(sim.Time) {})
+			}
+		}
+		eng.RunUntil(0)
+		if err := certifyMaxMin(net); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
 	}
 }
 
