@@ -21,7 +21,7 @@ hxbench-test:
 	cd hxbench && go vet ./... && go test ./...
 
 race:
-	go test -race ./internal/...
+	go test -race ./internal/... ./cmd/...
 
 # fuzz explores solver instances past the property suite's seeds. go test
 # alone runs only the committed corpus (internal/flow/testdata/fuzz); a

@@ -9,6 +9,7 @@ package exp
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/hpcsim/t2hx/internal/core"
 	"github.com/hpcsim/t2hx/internal/fabric"
@@ -118,7 +119,9 @@ type MachineConfig struct {
 // BuildMachine constructs every plane of a combo. The plane list resolves
 // as MachineConfig.Planes, then Combo.Planes, then the single plane named
 // by Combo.Topology/Routing; all planes must attach the same number of
-// terminals.
+// terminals. The machine is the caller's own: runs that set its links
+// down (fault scenarios, degraded variants) build it here, while runs
+// that only read a machine share one through a MachineCache.
 func BuildMachine(c Combo, cfg MachineConfig) (*Machine, error) {
 	m := &Machine{Combo: c, Cfg: cfg}
 	specs := cfg.Planes
@@ -144,6 +147,47 @@ func BuildMachine(c Combo, cfg MachineConfig) (*Machine, error) {
 	}
 	m.G, m.HX, m.FT, m.Tables = prim.G, prim.HX, prim.FT, prim.Tables
 	return m, nil
+}
+
+// MachineCache shares built machines between runs that only read them.
+// Get builds each (combo, config) once, under a per-key sync.Once as
+// TableCache builds tables, and hands every caller the same *Machine.
+// A cached machine is read-only: callers place ranks on it and build
+// their own engine, fabric and telemetry over it, but must not set its
+// links down. A config with Demands (PARX's traffic profile) bypasses
+// the cache, as it bypasses TableCache. The zero value is ready to use.
+type MachineCache struct {
+	mu      sync.Mutex
+	entries map[string]*machineEntry
+}
+
+type machineEntry struct {
+	once sync.Once
+	m    *Machine
+	err  error
+}
+
+// Get returns the machine BuildMachine(c, cfg) builds, building it on the
+// first call for its key. Build errors are cached for the key as well.
+func (mc *MachineCache) Get(c Combo, cfg MachineConfig) (*Machine, error) {
+	if cfg.Demands != nil {
+		return BuildMachine(c, cfg)
+	}
+	// Every field of both values, Combo.Planes included, is part of the
+	// key: the machine carries the combo (placement, policy) along.
+	key := fmt.Sprintf("%#v|%#v", c, cfg)
+	mc.mu.Lock()
+	e, ok := mc.entries[key]
+	if !ok {
+		if mc.entries == nil {
+			mc.entries = make(map[string]*machineEntry)
+		}
+		e = &machineEntry{}
+		mc.entries[key] = e
+	}
+	mc.mu.Unlock()
+	e.once.Do(func() { e.m, e.err = BuildMachine(c, cfg) })
+	return e.m, e.err
 }
 
 // Primary returns the machine's primary plane (Planes[0]).

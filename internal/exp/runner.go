@@ -26,10 +26,11 @@ func CellSeed(baseSeed uint64, index int) uint64 {
 
 // Cell is one unit of sweep work: typically a (combo, workload, size)
 // trial block. Run receives the cell's deterministic seed and must create
-// every piece of simulator state it needs (engine, fabric, telemetry)
+// the mutable simulator state it needs (engine, fabric, telemetry)
 // itself — workers share nothing mutable, which is what makes the pool
-// race-free. Frozen routing tables obtained through the TableCache are the
-// only cross-worker sharing, and they are read-only.
+// race-free. Machines from a MachineCache and the frozen routing tables
+// of the TableCache are shared across workers read-only: Run must not
+// change a shared machine's link state.
 type Cell struct {
 	// Label names the cell in errors and in RunnerStats.LastLabel.
 	Label string
@@ -307,9 +308,10 @@ func ForEach[T any](r Runner, n int, label func(i int) string, fn func(i int, se
 }
 
 // SweepCell is one cell of an experiment sweep: a machine configuration
-// plus a workload trial block. The machine is built inside the worker so
-// simulator state stays private; routing tables are shared read-only via
-// the table cache.
+// plus a workload trial block. Cells with equal Combo and Cfg run on one
+// machine, built once per sweep and shared read-only; each trial builds
+// its own engine and fabric over it. Attach must therefore not change
+// the machine's link state.
 type SweepCell struct {
 	Label  string
 	Combo  Combo
@@ -335,14 +337,16 @@ type SweepResult struct {
 // RunSweep executes every cell over the runner's pool. Each cell's trials
 // run under its deterministic seed, so the per-cell metric vectors are
 // bit-identical for any worker count (test-enforced by
-// TestSweepDeterministicAcrossWorkers).
+// TestSweepDeterministicAcrossWorkers). The cells' machines come from one
+// MachineCache per call (TestRunSweepSharesMachines).
 func RunSweep(r Runner, cells []SweepCell) ([]SweepResult, error) {
+	var machines MachineCache
 	rcells := make([]Cell, len(cells))
 	for i := range cells {
 		i := i
 		c := cells[i]
 		rcells[i] = Cell{Label: c.Label, Run: func(seed uint64) (any, error) {
-			m, err := BuildMachine(c.Combo, c.Cfg)
+			m, err := machines.Get(c.Combo, c.Cfg)
 			if err != nil {
 				return nil, err
 			}

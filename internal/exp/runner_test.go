@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"github.com/hpcsim/t2hx/internal/core"
 	"github.com/hpcsim/t2hx/internal/fabric"
 	"github.com/hpcsim/t2hx/internal/telemetry"
+	"github.com/hpcsim/t2hx/internal/topo"
 	"github.com/hpcsim/t2hx/internal/workloads"
 )
 
@@ -68,7 +71,7 @@ func miniSweepCells(cols []*telemetry.Collector) []SweepCell {
 // TestSweepDeterministicAcrossWorkers is the issue's acceptance test: the
 // mini-sweep must produce byte-identical metric vectors and identical
 // telemetry conservation sums at -j 1 and -j 8. Runs under -race in CI
-// (make race covers ./internal/...).
+// (make race covers ./internal/... and ./cmd/...).
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) ([]SweepResult, []float64) {
 		cols := make([]*telemetry.Collector, 10)
@@ -114,6 +117,124 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		if seqSums[i] <= 0 {
 			t.Errorf("cell %d (%s): conservation sum %v, want > 0", i, seq[i].Label, seqSums[i])
 		}
+	}
+}
+
+// messengerGraphs returns the graph of every plane a run's messenger
+// drives, plane 0 first.
+func messengerGraphs(f fabric.Messenger) []*topo.Graph {
+	switch f := f.(type) {
+	case *fabric.Fabric:
+		return []*topo.Graph{f.G}
+	case *fabric.MultiFabric:
+		gs := make([]*topo.Graph, f.NumPlanes())
+		for p := range gs {
+			gs[p] = f.Plane(p).G
+		}
+		return gs
+	}
+	return nil
+}
+
+// RunSweep builds each distinct (combo, config) machine once and shares
+// it: every cell of one machine runs on the same graphs, every plane is
+// routed once (one table-cache lookup per plane of each distinct
+// machine), no cell changes a shared graph's link state, and a PARX
+// Demands config, which the machine cache cannot key, gets a machine of
+// its own in every cell.
+func TestRunSweepSharesMachines(t *testing.T) {
+	const nodes, trials, reps = 8, 2, 2
+	demands := make(core.Demands, 32) // the small planes' terminals
+	for i := range demands {
+		demands[i] = make([]uint8, 32)
+	}
+	demands[0][1] = 255
+	cfgs := []MachineConfig{{Small: true, Degrade: true, Seed: 7}, {Small: true, Seed: 3}}
+	build := func(n int) (*workloads.Instance, error) { return workloads.BuildIMB("alltoall", n, 4096) }
+
+	type machineKey struct {
+		combo string
+		cfg   int // index into cfgs; -1 for the Demands config
+	}
+	var cells []SweepCell
+	var keys []machineKey
+	add := func(c Combo, cfg MachineConfig, k machineKey) {
+		for rep := 0; rep < reps; rep++ {
+			cells = append(cells, SweepCell{Label: fmt.Sprintf("%s cfg %d rep %d", c.Name, k.cfg, rep),
+				Combo: c, Cfg: cfg, Nodes: nodes, Trials: trials, Build: build})
+			keys = append(keys, k)
+		}
+	}
+	for ci, cfg := range cfgs {
+		for _, c := range AllCombos() {
+			add(c, cfg, machineKey{c.Name, ci})
+		}
+	}
+	parx := PaperCombos()[4]
+	add(parx, MachineConfig{Small: true, Degrade: true, Seed: 7, Demands: demands}, machineKey{parx.Name, -1})
+
+	graphs := make([][]*topo.Graph, len(cells)) // trial 0's planes
+	downs := make([][]uint64, len(cells))       // their DownHash at attach
+	for i := range cells {
+		i := i
+		cells[i].Attach = func(trial int, f fabric.Messenger) {
+			gs := messengerGraphs(f)
+			if trial > 0 {
+				if !slices.Equal(gs, graphs[i]) {
+					t.Errorf("%s: trial %d runs on other graphs than trial 0", cells[i].Label, trial)
+				}
+				return
+			}
+			graphs[i] = gs
+			for _, g := range gs {
+				downs[i] = append(downs[i], g.DownHash())
+			}
+		}
+	}
+	before := DefaultTableCache.Stats().Lookups()
+	if _, err := RunSweep(Runner{Workers: 8, BaseSeed: 1}, cells); err != nil {
+		t.Fatal(err)
+	}
+	lookups := DefaultTableCache.Stats().Lookups() - before
+
+	first := map[machineKey][]*topo.Graph{}
+	owner := map[*topo.Graph]int{} // first cell seen on each graph
+	var wantLookups uint64
+	for i, k := range keys {
+		gs := graphs[i]
+		if len(gs) == 0 {
+			t.Fatalf("%s: Attach saw no graph", cells[i].Label)
+		}
+		shared, ok := first[k]
+		switch {
+		case k.cfg >= 0 && ok:
+			if !slices.Equal(gs, shared) {
+				t.Errorf("%s: runs on other graphs than %s", cells[i].Label, cells[owner[shared[0]]].Label)
+			}
+		default:
+			// A newly built machine: its graphs are nobody else's.
+			for _, g := range gs {
+				if j, seen := owner[g]; seen {
+					t.Errorf("%s: shares a graph with %s", cells[i].Label, cells[j].Label)
+				}
+				owner[g] = i
+			}
+			if k.cfg >= 0 {
+				first[k] = gs
+				wantLookups += uint64(len(gs))
+			}
+		}
+		for p, g := range gs {
+			if h := g.DownHash(); h != downs[i][p] {
+				t.Errorf("%s: plane %d DownHash %#x after the sweep, %#x when the cell ran", cells[i].Label, p, h, downs[i][p])
+			}
+		}
+	}
+	if len(first) != len(cfgs)*len(AllCombos()) {
+		t.Errorf("%d distinct shared machines, want %d", len(first), len(cfgs)*len(AllCombos()))
+	}
+	if lookups != wantLookups {
+		t.Errorf("%d table-cache lookups, want %d: one per plane of each distinct machine", lookups, wantLookups)
 	}
 }
 

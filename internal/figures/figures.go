@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
 	"text/tabwriter"
 
 	"github.com/hpcsim/t2hx/internal/capacity"
@@ -81,16 +80,17 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Session caches built machines across figures.
+// Session shares built machines across figures and their concurrent
+// cells: each combo's machine is built once and only read, so neither a
+// figure nor its trials' Attach hooks may change its link state.
 type Session struct {
 	P        Params
-	mu       sync.Mutex // guards machines (cells measure concurrently)
-	machines map[string]*exp.Machine
+	machines exp.MachineCache
 }
 
 // NewSession prepares a regeneration session.
 func NewSession(p Params) *Session {
-	return &Session{P: p.withDefaults(), machines: make(map[string]*exp.Machine)}
+	return &Session{P: p.withDefaults()}
 }
 
 // runner is the pool the grid/whisker figures measure their cells over.
@@ -98,21 +98,14 @@ func (s *Session) runner() exp.Runner {
 	return exp.Runner{Workers: s.P.Workers, BaseSeed: s.P.Seed}
 }
 
-// Machine returns the (cached) plane for a combo.
+// machineConfig is the machine every figure measures on.
+func (s *Session) machineConfig() exp.MachineConfig {
+	return exp.MachineConfig{Degrade: s.P.Degrade, Seed: s.P.Seed, Small: s.P.Small}
+}
+
+// Machine returns the session's shared, read-only machine for a combo.
 func (s *Session) Machine(c exp.Combo) (*exp.Machine, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := s.machines[c.Name]; ok {
-		return m, nil
-	}
-	m, err := exp.BuildMachine(c, exp.MachineConfig{
-		Degrade: s.P.Degrade, Seed: s.P.Seed, Small: s.P.Small,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.machines[c.Name] = m
-	return m, nil
+	return s.machines.Get(c, s.machineConfig())
 }
 
 // parxMachineFor builds a demand-routed PARX plane for one workload
@@ -138,10 +131,9 @@ func (s *Session) parxMachineFor(c exp.Combo, progsBuild func(n int) (*workloads
 	if err := db.AddJob(norm, ranks); err != nil {
 		return nil, err
 	}
-	return exp.BuildMachine(c, exp.MachineConfig{
-		Degrade: s.P.Degrade, Seed: s.P.Seed, Small: s.P.Small,
-		Demands: db.Demands(),
-	})
+	cfg := s.machineConfig()
+	cfg.Demands = db.Demands()
+	return exp.BuildMachine(c, cfg)
 }
 
 // ladder returns the node-count ladder capped at MaxNodes.

@@ -49,19 +49,29 @@ func DegradeSwitchLinks(g *Graph, n int, seed uint64) ([]*Link, error) {
 // The graph is only probed and is left as it was. rng is consumed by one
 // Shuffle, so callers may keep drawing from it. A shortfall (connectivity
 // vetoed too many candidates) returns the partial chain and an error
-// wrapping ErrDegradeShortfall.
+// wrapping ErrDegradeShortfall; a fabric that starts disconnected keeps
+// no link at all.
+//
+// Each candidate (u, v) is probed by a search from u that stops at v:
+// taking one link out of a connected fabric disconnects it exactly when
+// its ends no longer reach each other. That needs a connected start,
+// which one whole-fabric search checks up front.
 func DegradeChain(g *Graph, n int, rng *sim.Rand) ([]LinkID, error) {
 	candidates := g.LiveSwitchLinks()
 	rng.Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
+	if !SwitchFabricConnected(g) {
+		candidates = nil
+	}
 	var chain []LinkID
+	dist := make([]int, len(g.Nodes))
 	for _, l := range candidates {
 		if len(chain) == n {
 			break
 		}
 		l.Down = true
-		if SwitchFabricConnected(g) {
+		if hopBFS(g, l.A, l.B, dist); dist[l.B] >= 0 {
 			chain = append(chain, l.ID)
 		} else {
 			l.Down = false
@@ -84,6 +94,6 @@ func SwitchFabricConnected(g *Graph) bool {
 	if len(switches) == 0 {
 		return true
 	}
-	reached, _ := hopBFS(g, switches[0], make([]int, len(g.Nodes)))
+	reached, _ := hopBFS(g, switches[0], -1, make([]int, len(g.Nodes)))
 	return reached == len(switches)
 }

@@ -128,3 +128,85 @@ func TestDegradeChainPrefixConnectivity(t *testing.T) {
 		}
 	}
 }
+
+// degradeChainWholeFabric is the failure planner with its former probe: a
+// whole-fabric search per candidate instead of a search from one end of
+// the candidate to the other. DegradeChain must pick the same chain.
+func degradeChainWholeFabric(g *Graph, n int, rng *sim.Rand) []LinkID {
+	candidates := g.LiveSwitchLinks()
+	rng.Shuffle(len(candidates), func(i, j int) {
+		candidates[i], candidates[j] = candidates[j], candidates[i]
+	})
+	var chain []LinkID
+	for _, l := range candidates {
+		if len(chain) == n {
+			break
+		}
+		l.Down = true
+		if SwitchFabricConnected(g) {
+			chain = append(chain, l.ID)
+		} else {
+			l.Down = false
+		}
+	}
+	for _, id := range chain {
+		g.Links[id].Down = false
+	}
+	return chain
+}
+
+// The targeted probe picks the chain the whole-fabric probe picks, on both
+// paper planes and both small planes, at their degradation counts and at
+// counts deep enough that connectivity vetoes candidates (the Fat-Tree at
+// 400 in 14 of the 20 seeds) or runs short (the small planes at 40). A
+// fabric that starts disconnected keeps no link under either probe.
+func TestDegradeChainMatchesWholeFabricProbe(t *testing.T) {
+	smallHX := func() *Graph {
+		return NewHyperX(HyperXConfig{S: []int{4, 4}, T: 2, Bandwidth: QDRBandwidth, Latency: QDRLinkLatency}).Graph
+	}
+	planes := []struct {
+		name   string
+		build  func() *Graph
+		counts []int
+	}{
+		{"paper hyperx", func() *Graph { return NewPaperHyperX(false, 0).Graph }, []int{PaperHyperXMissingAOCs}},
+		{"paper fattree", func() *Graph { return NewPaperFatTree(false, 0).Graph }, []int{PaperFatTreeMissingLinks, 400}},
+		{"small hyperx", smallHX, []int{2, 30, 40}},
+		{"small fattree", func() *Graph {
+			return NewXGFT(XGFTConfig{M: []int{2, 4, 4}, W: []int{1, 3, 2}, Bandwidth: QDRBandwidth, Latency: QDRLinkLatency}).Graph
+		}, []int{4, 20, 40}},
+		{"disconnected small hyperx", func() *Graph {
+			g := smallHX()
+			for _, l := range g.Nodes[g.Switches()[0]].Ports {
+				if g.Nodes[l.Other(g.Switches()[0])].Kind == Switch {
+					l.Down = true
+				}
+			}
+			return g
+		}, []int{0, 1, 5}},
+	}
+	for _, p := range planes {
+		g := p.build()
+		before := g.DownHash()
+		for _, n := range p.counts {
+			for seed := uint64(1); seed <= 20; seed++ {
+				want := degradeChainWholeFabric(g, n, sim.NewRand(seed))
+				got, err := DegradeChain(g, n, sim.NewRand(seed))
+				if len(got) != len(want) {
+					t.Fatalf("%s n=%d seed=%d: chain of %d links, whole-fabric probe keeps %d", p.name, n, seed, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s n=%d seed=%d: chain diverges at %d: link %d, whole-fabric probe keeps %d", p.name, n, seed, i, got[i], want[i])
+					}
+				}
+				if (len(got) < n) != errors.Is(err, ErrDegradeShortfall) || (err != nil && len(got) == n) {
+					t.Fatalf("%s n=%d seed=%d: %d links kept, err = %v", p.name, n, seed, len(got), err)
+				}
+				if g.DownHash() != before {
+					t.Fatalf("%s n=%d seed=%d: planning changed the link state", p.name, n, seed)
+				}
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ package topo
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/hpcsim/t2hx/internal/sim"
 )
@@ -99,6 +100,9 @@ type Graph struct {
 	// (terminals or switches), so routing state can live in flat slices
 	// instead of map[NodeID] lookups.
 	kindIdx []int32
+	// diameter memoises Diameter for one link state; adding a node or a
+	// link clears it.
+	diameter atomic.Pointer[diameterMemo]
 }
 
 // New returns an empty graph with the given name.
@@ -110,6 +114,7 @@ func New(name string) *Graph {
 func (g *Graph) AddNode(kind Kind, label string, coord ...int) *Node {
 	n := &Node{ID: NodeID(len(g.Nodes)), Kind: kind, Label: label, Coord: coord}
 	g.Nodes = append(g.Nodes, n)
+	g.diameter.Store(nil)
 	if kind == Terminal {
 		g.kindIdx = append(g.kindIdx, int32(len(g.terminals)))
 		g.terminals = append(g.terminals, n.ID)
@@ -134,6 +139,7 @@ func (g *Graph) Connect(a, b NodeID, bandwidth float64, latency sim.Duration) *L
 	g.Links = append(g.Links, l)
 	na.Ports = append(na.Ports, l)
 	nb.Ports = append(nb.Ports, l)
+	g.diameter.Store(nil)
 	return l
 }
 

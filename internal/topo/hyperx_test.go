@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +79,61 @@ func TestHyperXDiameterEqualsDimensions(t *testing.T) {
 	hx3 := NewHyperX(HyperXConfig{S: []int{3, 3, 3}, T: 1, Bandwidth: 1e9, Latency: 1e-7})
 	if d := Diameter(hx3.Graph); d != 3 {
 		t.Errorf("3-D HyperX diameter = %d, want 3", d)
+	}
+}
+
+// Diameter is kept per link state: links going down must lengthen it,
+// bringing them back must restore it, concurrent callers on one graph
+// share the memo without a race, and a node added later is counted.
+func TestDiameterFollowsLinkState(t *testing.T) {
+	hx := small2DHyperX()
+	if d := Diameter(hx.Graph); d != 2 {
+		t.Fatalf("healthy diameter = %d, want 2", d)
+	}
+	// Without its links to (1,0) and (0,1), switch (0,0) is three hops
+	// from (1,1).
+	a := hx.SwitchAt(0, 0)
+	var cut []*Link
+	for _, l := range hx.Nodes[a].Ports {
+		if o := l.Other(a); o == hx.SwitchAt(1, 0) || o == hx.SwitchAt(0, 1) {
+			cut = append(cut, l)
+		}
+	}
+	setDown := func(down bool) {
+		for _, l := range cut {
+			l.Down = down
+		}
+	}
+	setDown(true)
+	if d := Diameter(hx.Graph); d != 3 {
+		t.Fatalf("diameter with %d links down = %d, want 3", len(cut), d)
+	}
+	setDown(false)
+	if d := Diameter(hx.Graph); d != 2 {
+		t.Fatalf("diameter after restoring the links = %d, want 2", d)
+	}
+
+	setDown(true)
+	got := make([]int, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = Diameter(hx.Graph)
+		}()
+	}
+	wg.Wait()
+	for i, d := range got {
+		if d != 3 {
+			t.Errorf("concurrent call %d: diameter = %d, want 3", i, d)
+		}
+	}
+
+	// A switch added afterwards is unreachable until it is cabled.
+	hx.AddNode(Switch, "spare")
+	if d := Diameter(hx.Graph); d != -1 {
+		t.Fatalf("diameter with an uncabled switch = %d, want -1", d)
 	}
 }
 

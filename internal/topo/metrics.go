@@ -6,12 +6,13 @@ import "fmt"
 // numbers the paper reports in Sec. 2.2/2.3.
 
 // hopBFS is the package's one switch-level breadth-first search: it
-// walks live switch-to-switch links from switch src. dist needs one entry
+// walks live switch-to-switch links from switch src, and stops as soon as
+// it reaches switch dst (-1 walks the whole fabric). dist needs one entry
 // per node; on return it holds each reached switch's hop count from src
 // and -1 everywhere else (unreached switches, terminals). It returns the
 // number of switches reached, src included, and the largest hop count
 // among them.
-func hopBFS(g *Graph, src NodeID, dist []int) (reached, far int) {
+func hopBFS(g *Graph, src, dst NodeID, dist []int) (reached, far int) {
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -29,6 +30,9 @@ func hopBFS(g *Graph, src NodeID, dist []int) (reached, far int) {
 			}
 			dist[o] = dist[cur] + 1
 			queue = append(queue, o)
+			if o == dst {
+				return len(queue), dist[o]
+			}
 		}
 	}
 	return len(queue), dist[queue[len(queue)-1]]
@@ -39,24 +43,37 @@ func hopBFS(g *Graph, src NodeID, dist []int) (reached, far int) {
 // and for terminals.
 func HopDistances(g *Graph, src NodeID) []int {
 	dist := make([]int, len(g.Nodes))
-	hopBFS(g, src, dist)
+	hopBFS(g, src, -1, dist)
 	return dist
 }
 
+// diameterMemo is a Diameter result and the DownHash it was found at.
+type diameterMemo struct {
+	down uint64
+	diam int
+}
+
 // Diameter returns the maximal minimal switch-hop distance between any two
-// switches, or -1 if the switch fabric is disconnected.
+// switches, or -1 if the switch fabric is disconnected. The all-pairs
+// search runs once per link state: the result is kept on the graph under
+// its DownHash, stored atomically, so runs sharing a plane pay for it
+// once and a graph whose links go down or come back recomputes.
 func Diameter(g *Graph) int {
+	down := g.DownHash()
+	if m := g.diameter.Load(); m != nil && m.down == down {
+		return m.diam
+	}
 	dist := make([]int, len(g.Nodes))
 	diam := 0
 	for _, s := range g.Switches() {
-		reached, far := hopBFS(g, s, dist)
+		reached, far := hopBFS(g, s, -1, dist)
 		if reached < g.NumSwitches() {
-			return -1
+			diam = -1
+			break
 		}
-		if far > diam {
-			diam = far
-		}
+		diam = max(diam, far)
 	}
+	g.diameter.Store(&diameterMemo{down: down, diam: diam})
 	return diam
 }
 
