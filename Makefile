@@ -23,11 +23,13 @@ hxbench-test:
 race:
 	go test -race ./internal/... ./cmd/...
 
-# fuzz explores solver instances past the property suite's seeds. go test
-# alone runs only the committed corpus (internal/flow/testdata/fuzz); a
+# fuzz explores solver instances past the property suite's seeds, then
+# mutated routing tables against the pair-walk Validate. go test alone runs
+# only the committed corpora (internal/{flow,route}/testdata/fuzz); a
 # failing input found here is written there.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzSolverEquivalence$$' -fuzztime 10s ./internal/flow
+	go test -run '^$$' -fuzz '^FuzzValidateCertificate$$' -fuzztime 10s ./internal/route
 
 # bench runs every figure, ablation and extension benchmark once as an
 # experiment driver and fails if any of them fails. No baseline is kept:

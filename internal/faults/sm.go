@@ -35,6 +35,10 @@ type SMConfig struct {
 	// tables are rejected and the old ones kept — the invariant an SM must
 	// never break. Costs one LFT walk per (source switch, destination LID)
 	// and one SL lookup per terminal pair each sweep (route.Validate).
+	// Tables carrying a lane certificate (the lane-pass engines and ftree)
+	// are proven deadlock-free in that walk at O(hops) per key; others, and
+	// tables whose paths break their certificate, also insert every key's
+	// path into per-lane channel dependency graphs.
 	Revalidate bool
 	// MarginSamples, when positive, additionally scores the rebuilt tables'
 	// deadlock-freedom margin (route.DeadlockMargin with this sample cap)

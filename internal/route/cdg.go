@@ -1,7 +1,6 @@
 package route
 
 import (
-	"cmp"
 	"slices"
 
 	"github.com/hpcsim/t2hx/internal/topo"
@@ -37,8 +36,10 @@ type CDG struct {
 	epoch uint64
 	stack []topo.ChannelID
 
-	// AddEdge scratch: the affected regions and the order slots they share.
+	// AddEdge scratch: the affected regions, their sort keys and the order
+	// slots they share.
 	deltaF, deltaB []topo.ChannelID
+	keys           []uint64
 	slots          []int32
 
 	// AddPath scratch.
@@ -169,27 +170,36 @@ func (g *CDG) dfsB(u topo.ChannelID, lb int32) {
 }
 
 // reorder merges the affected regions so that every deltaB node precedes
-// every deltaF node, reusing the union of their order slots. Order values
-// are unique, so every sort here has exactly one result.
+// every deltaF node, reusing the union of their order slots. Each region
+// is sorted by order as packed ord<<32 | channel keys; order values are
+// unique, so each sort has exactly one result, and the two sorted slot
+// lists merge in one pass.
 func (g *CDG) reorder() {
-	byOrd := func(a, b topo.ChannelID) int { return cmp.Compare(g.ord[a], g.ord[b]) }
-	slices.SortFunc(g.deltaB, byOrd)
-	slices.SortFunc(g.deltaF, byOrd)
-	slots := g.slots[:0]
+	keys := g.keys[:0]
 	for _, n := range g.deltaB {
-		slots = append(slots, g.ord[n])
+		keys = append(keys, uint64(g.ord[n])<<32|uint64(n))
 	}
+	nb := len(keys)
 	for _, n := range g.deltaF {
-		slots = append(slots, g.ord[n])
+		keys = append(keys, uint64(g.ord[n])<<32|uint64(n))
 	}
-	slices.Sort(slots)
-	for i, n := range g.deltaB {
-		g.ord[n] = slots[i]
+	b, f := keys[:nb], keys[nb:]
+	slices.Sort(b)
+	slices.Sort(f)
+	slots := g.slots[:0]
+	for i, j := 0, 0; i < len(b) || j < len(f); {
+		if j == len(f) || i < len(b) && b[i] < f[j] {
+			slots = append(slots, int32(b[i]>>32))
+			i++
+		} else {
+			slots = append(slots, int32(f[j]>>32))
+			j++
+		}
 	}
-	for i, n := range g.deltaF {
-		g.ord[n] = slots[len(g.deltaB)+i]
+	for i, k := range keys {
+		g.ord[topo.ChannelID(uint32(k))] = slots[i]
 	}
-	g.slots = slots
+	g.keys, g.slots = keys, slots
 }
 
 // AddPath inserts all consecutive dependencies of a channel sequence,

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/hpcsim/t2hx/internal/topo"
@@ -38,31 +39,15 @@ type LinkMask func(l *topo.Link) bool
 // spEntry is the per-switch result of a destination-rooted shortest-path
 // computation. hops < 0 marks an unreached switch.
 type spEntry struct {
-	hops   int32
-	weight float64
-	// next is the channel a packet at this switch takes toward the
-	// destination switch.
-	next topo.ChannelID
-}
-
-// heapItem is one pending queue entry of the modified Dijkstra. Items are
-// kept by value in a manual binary heap — no per-item allocation, no
-// interface boxing — with lazy deletion via the done[] bitmap.
-type heapItem struct {
-	swIdx  int32
-	hops   int32
+	hops int32
+	// seq numbers the update that set the entry; within a hop level it
+	// breaks weight ties, first update first.
 	seq    int32
 	weight float64
-}
-
-func itemLess(a, b heapItem) bool {
-	if a.hops != b.hops {
-		return a.hops < b.hops
-	}
-	if a.weight != b.weight {
-		return a.weight < b.weight
-	}
-	return a.seq < b.seq
+	// next is the channel a packet at this switch takes toward the
+	// destination switch, and up the switch index it leads to.
+	next topo.ChannelID
+	up   int32
 }
 
 // SPTree is the shortest-path tree toward one destination switch, stored as
@@ -71,15 +56,15 @@ func itemLess(a, b heapItem) bool {
 // retain references afterwards.
 type SPTree struct {
 	entries []spEntry // by switch index; hops < 0 = unreached
-	done    []bool
-	heap    []heapItem
-	path    []topo.ChannelID // reusable tracePath buffer
-	reached int
+	// order lists the reached switch indexes in the order the search
+	// finalised them, the destination first: a switch's next hop leads to
+	// a switch listed before it.
+	order []int32
 }
 
 // Reached reports how many switches (including the destination) have a
 // path toward the destination.
-func (t *SPTree) Reached() int { return t.reached }
+func (t *SPTree) Reached() int { return len(t.order) }
 
 var spPool = sync.Pool{New: func() any { return new(SPTree) }}
 
@@ -87,61 +72,17 @@ func newSPTree(numSwitches int) *SPTree {
 	t := spPool.Get().(*SPTree)
 	if cap(t.entries) < numSwitches {
 		t.entries = make([]spEntry, numSwitches)
-		t.done = make([]bool, numSwitches)
 	}
 	t.entries = t.entries[:numSwitches]
-	t.done = t.done[:numSwitches]
 	for i := range t.entries {
 		t.entries[i] = spEntry{hops: -1}
-		t.done[i] = false
 	}
-	t.heap = t.heap[:0]
-	t.reached = 0
+	t.order = t.order[:0]
 	return t
 }
 
 // Release returns the tree's scratch buffers to the pool.
 func (t *SPTree) Release() { spPool.Put(t) }
-
-func (t *SPTree) push(it heapItem) {
-	h := append(t.heap, it)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !itemLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	t.heap = h
-}
-
-func (t *SPTree) pop() heapItem {
-	h := t.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && itemLess(h[l], h[m]) {
-			m = l
-		}
-		if r < n && itemLess(h[r], h[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	t.heap = h
-	return top
-}
 
 // shortestPathsTo computes, for every switch, the next-hop channel toward
 // dstSwitch, minimizing (hop count, accumulated channel weight) with
@@ -151,70 +92,75 @@ func (t *SPTree) pop() heapItem {
 //
 // This is the modified Dijkstra at the heart of (DF)SSSP and PARX: traffic
 // from switch u toward the destination uses channel u->parent(u), and the
-// weight consulted is that of the channel in travel direction. Heap ties
-// break on push order, which follows the index's port order. The caller
-// owns the returned tree and must Release it.
+// weight consulted is that of the channel in travel direction. Every
+// channel costs one hop, so the search finalises switches one hop level at
+// a time: expanding level h, in order, reaches level h+1, whose switches
+// are then ordered by (weight, seq). That is the order in which a heap
+// keyed on (hops, weight, push sequence) would pop them, so ties break on
+// update order, which follows the index's port order. The caller owns the
+// returned tree and must Release it.
 func shortestPathsTo(g *topo.Graph, ll *liveLinks, dstSwitch topo.NodeID, cw *ChannelWeights, mask LinkMask) *SPTree {
 	t := newSPTree(g.NumSwitches())
-	var seq int32
 	dstIdx := int32(g.SwitchIndex(dstSwitch))
-	t.entries[dstIdx] = spEntry{hops: 0, weight: 0, next: NoChannel}
-	t.reached++
-	t.push(heapItem{swIdx: dstIdx})
-	seq++
-	for len(t.heap) > 0 {
-		cur := t.pop()
-		if t.done[cur.swIdx] {
-			continue // lazy deletion: a better entry was already finalized
+	t.entries[dstIdx] = spEntry{next: NoChannel, up: -1}
+	t.order = append(t.order, dstIdx)
+	seq := int32(1)
+	byWeight := func(a, b int32) int {
+		ea, eb := &t.entries[a], &t.entries[b]
+		switch {
+		case ea.weight < eb.weight:
+			return -1
+		case ea.weight > eb.weight:
+			return 1
 		}
-		t.done[cur.swIdx] = true
-		// Expand neighbors u of cur: u would travel u->cur.
-		chs, tos := ll.of(int(cur.swIdx))
-		for i, c := range chs {
-			ui := tos[i]
-			if t.done[ui] {
-				continue
-			}
-			if mask != nil && !mask(g.Link(c)) {
-				continue
-			}
-			ch := c ^ 1 // channel in travel direction u -> cur
-			nh := cur.hops + 1
-			nw := cur.weight + cw.Get(ch)
-			old := t.entries[ui]
-			if old.hops < 0 || nh < old.hops || (nh == old.hops && nw < old.weight-1e-12) {
-				if old.hops < 0 {
-					t.reached++
+		return int(ea.seq - eb.seq)
+	}
+	for lo := 0; lo < len(t.order); {
+		hi := len(t.order)
+		for _, cur := range t.order[lo:hi] {
+			e := t.entries[cur]
+			nh := e.hops + 1
+			// Expand neighbors u of cur: u would travel u->cur. A neighbor
+			// already on this level or below keeps its entry.
+			chs, tos := ll.of(int(cur))
+			for i, c := range chs {
+				ui := tos[i]
+				old := &t.entries[ui]
+				if old.hops >= 0 && old.hops < nh {
+					continue
 				}
-				t.entries[ui] = spEntry{hops: nh, weight: nw, next: ch}
-				t.push(heapItem{swIdx: ui, hops: nh, weight: nw, seq: seq})
+				if mask != nil && !mask(g.Link(c)) {
+					continue
+				}
+				ch := c ^ 1 // channel in travel direction u -> cur
+				nw := e.weight + cw.Get(ch)
+				if old.hops < 0 {
+					t.order = append(t.order, ui)
+				} else if nw >= old.weight-1e-12 {
+					continue
+				}
+				*old = spEntry{hops: nh, seq: seq, weight: nw, next: ch, up: cur}
 				seq++
 			}
 		}
+		slices.SortFunc(t.order[hi:], byWeight)
+		lo = hi
 	}
 	return t
 }
 
-// tracePath follows next-hop entries from src switch to the destination
-// switch, returning the channel sequence. Returns nil if src has no entry.
-// The returned slice aliases the tree's scratch buffer: it is valid only
-// until the next tracePath call on the same tree or its Release.
-func tracePath(t *SPTree, g *topo.Graph, src topo.NodeID) []topo.ChannelID {
-	out := t.path[:0]
-	cur := src
-	for {
-		e := t.entries[g.SwitchIndex(cur)]
-		if e.hops < 0 {
-			return nil
-		}
-		if e.next == NoChannel {
-			t.path = out
-			return out
-		}
-		out = append(out, e.next)
-		cur = g.ChannelTo(e.next)
-		if len(out) > MaxHops {
-			panic("route: tracePath loop")
+// fold adds the tree's path weights to cw: sum[si] is the total weight of
+// the paths that start at switch si, and every channel of the tree gains
+// the weights of all paths that cross it. Walking the switches farthest
+// first, each passes its sum to the channel toward its parent and on to
+// the parent, one add per tree edge. fold consumes sum.
+func (t *SPTree) fold(sum []float64, cw *ChannelWeights) {
+	for i := len(t.order) - 1; i > 0; i-- {
+		si := t.order[i]
+		if s := sum[si]; s != 0 {
+			e := &t.entries[si]
+			cw.Add(e.next, s)
+			sum[e.up] += s
 		}
 	}
 }

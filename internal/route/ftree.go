@@ -13,7 +13,8 @@ import (
 // permutations), then descend along the unique down path. Missing links are
 // bypassed by the cheapest valley-free (up*down*) detour, so the result
 // stays loop- and deadlock-free on degraded fabrics — though, as the paper
-// observes, less balanced than SSSP there.
+// observes, less balanced than SSSP there. The tables carry the
+// valley-free rank as their lane certificate (valleyFreeRank).
 func FTree(ft *topo.FatTree, lmc uint8) (*Tables, error) {
 	t, err := newTables(ft.Graph, "ftree", lmc, nil)
 	if err != nil {
@@ -134,6 +135,26 @@ func FTree(ft *topo.FatTree, lmc uint8) (*Tables, error) {
 			}
 		}
 	}
+	t.laneRank = [][]int32{valleyFreeRank(ft)}
 	t.Freeze()
 	return t, nil
+}
+
+// valleyFreeRank ranks the switch channels of ft for the lane certificate
+// (Tables.laneRank): up channels by the level they leave, then down
+// channels by falling level. Every up*down* path climbs in rank, so this
+// one order proves FTree's single lane acyclic.
+func valleyFreeRank(ft *topo.FatTree) []int32 {
+	g := ft.Graph
+	top := int32(2 * ft.Height)
+	rank := make([]int32, 2*len(g.Links))
+	for _, l := range g.Links {
+		lo, hi := l.A, l.B
+		if ft.Level(lo) > ft.Level(hi) {
+			lo, hi = hi, lo
+		}
+		rank[l.Channel(lo)] = int32(ft.Level(lo))
+		rank[l.Channel(hi)] = top - int32(ft.Level(hi))
+	}
+	return rank
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/hpcsim/t2hx/internal/core"
 	"github.com/hpcsim/t2hx/internal/route"
+	"github.com/hpcsim/t2hx/internal/sim"
 	"github.com/hpcsim/t2hx/internal/topo"
 )
 
@@ -186,6 +187,67 @@ func TestLiveLinkEnginesMatchPortScans(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// SSSPCore folds the path weights of each destination up its shortest-path
+// tree, where the reference traces each source terminal's path. Under
+// integer weights from a seeded 0-255 demand matrix with zeros, a permuted
+// destination order and, optionally, a PARX-style mask that hides the
+// switch links inside one half of the lattice (the dimension picked by the
+// LID offset), both must build the same tables.
+func TestSSSPCoreFoldMatchesPathTrace(t *testing.T) {
+	for _, hx := range []*topo.HyperX{
+		degradedHyperX(t, []int{4, 4}, []int{2, 2}, 9, 5),
+		degradedHyperX(t, []int{3, 3, 3}, []int{2, 1, 2}, 12, 7),
+	} {
+		n := hx.NumTerminals()
+		r := sim.NewRand(11)
+		demand := make([][]float64, n)
+		for i := range demand {
+			demand[i] = make([]float64, n)
+			for j := range demand[i] {
+				if r.Intn(3) > 0 {
+					demand[i][j] = float64(r.Intn(256))
+				}
+			}
+		}
+		weight := func(src, dst topo.NodeID) float64 {
+			return demand[hx.TerminalIndex(src)][hx.TerminalIndex(dst)]
+		}
+		halfMask := func(_ topo.NodeID, off uint8) route.LinkMask {
+			d := int(off) % hx.Dims()
+			inHalf := func(n topo.NodeID) bool { return hx.Nodes[n].Coord[d] < hx.Cfg.S[d]/2 }
+			return func(l *topo.Link) bool {
+				if hx.Nodes[l.A].Kind != topo.Switch || hx.Nodes[l.B].Kind != topo.Switch {
+					return true
+				}
+				return !(inHalf(l.A) && inHalf(l.B))
+			}
+		}
+		for _, lmc := range []uint8{0, 2} {
+			for _, masked := range []bool{false, true} {
+				opts := route.SSSPOptions{PathWeight: weight, DstOrder: r.Perm(n)}
+				if masked {
+					opts.MaskFor = halfMask
+				}
+				got, err := route.NewTables(hx.Graph, "parx", lmc, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := route.NewTables(hx.Graph, "parx", lmc, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := route.SSSPCore(got, opts); err != nil {
+					t.Fatal(err)
+				}
+				route.RefSSSPCore(want, opts)
+				if d := firstTableDiff(got, want); d != "" {
+					t.Errorf("%v lmc=%d masked=%v: %s", hx.Cfg.S, lmc, masked, d)
+				}
+			}
+		}
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // reference the equivalence tests compare against. Every search for a
 // switch's live switch neighbours scans all of the switch's ports, hxnm
 // runs one BFS per destination terminal, and LASH one Dijkstra per
-// destination terminal.
+// destination terminal. The SSSP family's search is a heap Dijkstra, and
+// its balancing traces each source terminal's path.
 
 func refHXMin(hx *topo.HyperX, lmc uint8) (*Tables, error) {
 	t, err := newTables(hx.Graph, "hxmin", lmc, nil)
@@ -303,20 +304,26 @@ func refLASH(g *topo.Graph, lmc uint8, maxVL int) (*Tables, error) {
 	return t, nil
 }
 
+// refShortestPathsTo is the modified Dijkstra over a binary heap of
+// (hops, weight, push sequence) with lazy deletion, scanning every port of
+// the popped switch. It fills the tree's entries and its finalisation
+// order, which is all installLFT, tracePath and Reached read.
 func refShortestPathsTo(g *topo.Graph, dstSwitch topo.NodeID, cw *ChannelWeights, mask LinkMask) *SPTree {
 	t := newSPTree(g.NumSwitches())
+	done := make([]bool, g.NumSwitches())
+	var h refHeap
 	var seq int32
 	dstIdx := int32(g.SwitchIndex(dstSwitch))
-	t.entries[dstIdx] = spEntry{hops: 0, weight: 0, next: NoChannel}
-	t.reached++
-	t.push(heapItem{swIdx: dstIdx})
+	t.entries[dstIdx] = spEntry{hops: 0, weight: 0, next: NoChannel, up: -1}
+	h.push(heapItem{swIdx: dstIdx})
 	seq++
-	for len(t.heap) > 0 {
-		cur := t.pop()
-		if t.done[cur.swIdx] {
+	for len(h) > 0 {
+		cur := h.pop()
+		if done[cur.swIdx] {
 			continue
 		}
-		t.done[cur.swIdx] = true
+		done[cur.swIdx] = true
+		t.order = append(t.order, cur.swIdx)
 		curSw := g.Switches()[cur.swIdx]
 		for _, l := range g.Nodes[curSw].Ports {
 			if l == nil || l.Down {
@@ -324,7 +331,7 @@ func refShortestPathsTo(g *topo.Graph, dstSwitch topo.NodeID, cw *ChannelWeights
 			}
 			u := l.Other(curSw)
 			ui := g.SwitchIndex(u)
-			if ui < 0 || t.done[ui] {
+			if ui < 0 || done[ui] {
 				continue
 			}
 			if mask != nil && !mask(l) {
@@ -335,14 +342,93 @@ func refShortestPathsTo(g *topo.Graph, dstSwitch topo.NodeID, cw *ChannelWeights
 			nw := cur.weight + cw.Get(ch)
 			old := t.entries[ui]
 			if old.hops < 0 || nh < old.hops || (nh == old.hops && nw < old.weight-1e-12) {
-				if old.hops < 0 {
-					t.reached++
-				}
-				t.entries[ui] = spEntry{hops: nh, weight: nw, next: ch}
-				t.push(heapItem{swIdx: int32(ui), hops: nh, weight: nw, seq: seq})
+				t.entries[ui] = spEntry{hops: nh, weight: nw, next: ch, up: cur.swIdx}
+				h.push(heapItem{swIdx: int32(ui), hops: nh, weight: nw, seq: seq})
 				seq++
 			}
 		}
 	}
 	return t
+}
+
+// heapItem is one pending queue entry of refShortestPathsTo.
+type heapItem struct {
+	swIdx  int32
+	hops   int32
+	seq    int32
+	weight float64
+}
+
+func itemLess(a, b heapItem) bool {
+	if a.hops != b.hops {
+		return a.hops < b.hops
+	}
+	if a.weight != b.weight {
+		return a.weight < b.weight
+	}
+	return a.seq < b.seq
+}
+
+// refHeap is a binary min-heap of items by value.
+type refHeap []heapItem
+
+func (hp *refHeap) push(it heapItem) {
+	h := append(*hp, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !itemLess(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	*hp = h
+}
+
+func (hp *refHeap) pop() heapItem {
+	h := *hp
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < n && itemLess(h[l], h[m]) {
+			m = l
+		}
+		if r < n && itemLess(h[r], h[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*hp = h
+	return top
+}
+
+// tracePath follows next-hop entries from src switch to the destination
+// switch, returning the channel sequence. Returns nil if src has no entry.
+func tracePath(t *SPTree, g *topo.Graph, src topo.NodeID) []topo.ChannelID {
+	var out []topo.ChannelID
+	cur := src
+	for {
+		e := t.entries[g.SwitchIndex(cur)]
+		if e.hops < 0 {
+			return nil
+		}
+		if e.next == NoChannel {
+			return out
+		}
+		out = append(out, e.next)
+		cur = g.ChannelTo(e.next)
+		if len(out) > MaxHops {
+			panic("route: tracePath loop")
+		}
+	}
 }

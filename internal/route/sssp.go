@@ -12,7 +12,10 @@ type SSSPOptions struct {
 	MaskFor func(dst topo.NodeID, lidOffset uint8) LinkMask
 	// PathWeight returns the edge-update delta for the path src->dst
 	// (PARX: the normalized communication demand w in [0,255], or 1).
-	// nil means +1 for every path, the plain SSSP balancing rule.
+	// nil means +1 for every path, the plain SSSP balancing rule. Weights
+	// must be integer-valued: SSSPCore sums them per switch before adding
+	// them to the channels, which gives the per-path sums only while every
+	// sum is exact.
 	PathWeight func(src, dst topo.NodeID) float64
 	// DstOrder lists terminal indices in processing order; destinations
 	// with recorded demands are routed first by PARX so their paths see an
@@ -70,6 +73,12 @@ func NewTables(g *topo.Graph, engine string, lmc uint8, policy LIDPolicy) (*Tabl
 // demand-weighted) balanced shortest paths. With lmc > 0 every additional
 // LID of a terminal is routed as an independent destination (OpenSM
 // behaviour: "as if each virtual LID would be a physical endpoint").
+//
+// Balancing adds each source's path weight to every channel of its path.
+// The paths toward one LID form the shortest-path tree, so the weights are
+// summed per source switch and folded up the tree (SPTree.fold). Path
+// weights are integers, so every sum is exact and each channel gains what
+// adding the weights path by path would give it.
 func SSSPCore(t *Tables, opts SSSPOptions) error {
 	g := t.G
 	ll := newLiveLinks(g)
@@ -83,15 +92,29 @@ func SSSPCore(t *Tables, opts SSSPOptions) error {
 			order[i] = i
 		}
 	}
+	// swOf[i] is terminal i's switch index, -1 when it is detached;
+	// attached[si] counts the terminals of switch si, the path weights
+	// leaving it under unit weights.
+	swOf := make([]int32, len(terms))
+	attached := make([]float64, g.NumSwitches())
+	for i, tm := range terms {
+		swOf[i] = -1
+		if sw := g.SwitchOf(tm); sw >= 0 {
+			si := g.SwitchIndex(sw)
+			swOf[i] = int32(si)
+			attached[si]++
+		}
+	}
+	sum := make([]float64, g.NumSwitches())
 	for _, di := range order {
 		dst := terms[di]
-		dstSw := g.SwitchOf(dst)
-		if dstSw < 0 {
+		if swOf[di] < 0 {
 			// Detached terminal (e.g. its switch died): leave its LIDs
 			// unprogrammed so Validate reports them unreachable instead of
 			// failing the whole sweep.
 			continue
 		}
+		dstSw := g.Switches()[swOf[di]]
 		for off := 0; off < span; off++ {
 			lid := t.BaseLID[di] + LID(off)
 			var mask LinkMask
@@ -107,26 +130,19 @@ func SSSPCore(t *Tables, opts SSSPOptions) error {
 				sp = shortestPathsTo(g, ll, dstSw, cw, nil)
 			}
 			installLFT(t, lid, dstSw, dst, sp)
-			// Balancing: weight update per source path.
-			for _, src := range terms {
-				if src == dst {
-					continue
-				}
-				srcSw := g.SwitchOf(src)
-				if srcSw < 0 {
-					continue
-				}
-				w := 1.0
-				if opts.PathWeight != nil {
-					w = opts.PathWeight(src, dst)
-				}
-				if w == 0 {
-					continue
-				}
-				for _, c := range tracePath(sp, g, srcSw) {
-					cw.Add(c, w)
+			// Balancing. The destination's own switch starts no path, so
+			// its sum, which counts the destination, is never folded.
+			if opts.PathWeight == nil {
+				copy(sum, attached)
+			} else {
+				clear(sum)
+				for i, src := range terms {
+					if i != di && swOf[i] >= 0 {
+						sum[swOf[i]] += opts.PathWeight(src, dst)
+					}
 				}
 			}
+			sp.fold(sum, cw)
 			sp.Release()
 		}
 	}

@@ -54,8 +54,9 @@ func SequentialLIDs(lmc uint8) LIDPolicy {
 }
 
 // Tables is a complete routing configuration: LID assignment, per-switch
-// linear forwarding tables, and the virtual-lane (service-level) assignment
-// for deadlock avoidance.
+// linear forwarding tables, the virtual-lane (service-level) assignment
+// for deadlock avoidance and, from engines that prove their lanes acyclic,
+// the proof: one rank per channel and lane (laneRank).
 //
 // Tables are mutable only while an engine is building them. Every engine
 // calls Freeze before returning, after which SetNextHop/SetSL panic; a
@@ -86,6 +87,17 @@ type Tables struct {
 	// nil when the engine does not use VLs (single-lane routing).
 	sl    []uint8
 	NumVL int
+
+	// laneRank certifies that every lane's channel dependency graph is
+	// acyclic: on lane vl, every dependency of a routed path — two
+	// consecutive switch-to-switch channels (c1, c2) — has
+	// laneRank[vl][c1] < laneRank[vl][c2]. A channel past the end of a
+	// lane's ranks ranks -1. The lane pass stores each lane's
+	// Pearce-Kelly order here, and FTree its valley-free rank. Validate
+	// checks the ranks instead of building the lanes' CDGs, and builds
+	// them after all when a dependency breaks the order. nil when the
+	// engine keeps no certificate.
+	laneRank [][]int32
 
 	frozen bool
 }
@@ -250,7 +262,9 @@ func (t *Tables) Rebind(g *topo.Graph) *Tables {
 
 // MutableClone deep-copies the LFT and SL state into fresh unfrozen tables
 // bound to the same graph. Tests use it to corrupt routing state without
-// tripping the freeze guard or poisoning a cached original.
+// tripping the freeze guard or poisoning a cached original. The lane
+// certificate is shared, read-only: Validate checks it against the
+// clone's own paths.
 func (t *Tables) MutableClone() *Tables {
 	nt := *t
 	nt.frozen = false

@@ -26,15 +26,33 @@ type Report struct {
 // tables, checking reachability and loop-freedom, accumulating hop and
 // channel-load statistics, and checking that every virtual lane's CDG is
 // acyclic. Each (source switch, destination LID) key is walked once and
-// counted for each of its source terminals; SLs are checked per pair, and
-// each key's path is offered once to each lane its pairs use (see
-// laneCDGs), so the report is the pair walk's. On error the report is
-// incomplete.
+// counted for each of its source terminals, and SLs are checked per pair,
+// so the report is the pair walk's. On error the report is incomplete.
+//
+// Tables with a lane certificate (Tables.laneRank) are proven deadlock-free
+// in the same walk: each key's path is checked against the ranks of each
+// lane its pairs use, which builds no graph. Tables without one, and
+// tables whose paths break theirs, have each key's path offered once to
+// each lane's CDG (laneCDGs) — the latter in a second walk — so a wrong
+// certificate costs time but never the verdict.
 func Validate(t *Tables) (Report, error) {
+	rep, _, err := validate(t)
+	return rep, err
+}
+
+// validate is Validate, also reporting whether the lane certificate alone
+// proved the lanes acyclic.
+func validate(t *Tables) (rep Report, certified bool, err error) {
 	g := t.G
-	rep := Report{Engine: t.Engine, VLs: max(t.NumVL, 1)}
+	rep = Report{Engine: t.Engine, VLs: max(t.NumVL, 1)}
 	load := make([]int, 2*len(g.Links))
-	lanes := newLaneCDGs(g, rep.VLs)
+	isSwitch := SwitchChannelPred(g)
+	certified = t.laneRank != nil
+	var lanes *laneCDGs
+	if !certified {
+		lanes = newLaneCDGs(g, rep.VLs)
+	}
+	var used []uint8
 	w := newKeyWalk(t, 1<<t.LMC, false)
 	// A detached source terminal reaches none of the other terminals' LIDs.
 	rep.Unreachable = (len(t.BaseLID) - w.attached) * (len(t.BaseLID) - 1) << t.LMC
@@ -52,16 +70,27 @@ func Validate(t *Tables) (Report, error) {
 			rep.MaxSwitchHops = h
 		}
 		for _, c := range k.path {
-			if lanes.isSwitch(c) {
+			if isSwitch(c) {
 				load[c] += k.pairs
 			}
 		}
-		if pos, sl := lanes.add(w, k); pos >= 0 && (badPos < 0 || pos < badPos) {
+		var pos int
+		var sl uint8
+		used, pos, sl = w.keyLanes(k, rep.VLs, used)
+		if pos >= 0 && (badPos < 0 || pos < badPos) {
 			badPos, badSL = pos, sl
+		}
+		for _, vl := range used {
+			switch {
+			case lanes != nil:
+				lanes.offer(vl, k.path)
+			case certified:
+				certified = t.ranksRise(vl, k.path, isSwitch)
+			}
 		}
 	})
 	if badPos >= 0 {
-		return rep, fmt.Errorf("route: SL %d beyond NumVL %d", badSL, rep.VLs)
+		return rep, false, fmt.Errorf("route: SL %d beyond NumVL %d", badSL, rep.VLs)
 	}
 	for _, l := range load {
 		if l > rep.MaxChannelLoad {
@@ -71,8 +100,12 @@ func Validate(t *Tables) (Report, error) {
 	if rep.Paths > 0 {
 		rep.AvgSwitchHops = float64(totalHops) / float64(rep.Paths)
 	}
-	rep.DeadlockFree = !lanes.cyclic
-	return rep, nil
+	if lanes == nil && !certified {
+		// A dependency broke the certificate: the lanes' CDGs decide.
+		lanes = laneCDGsOf(w)
+	}
+	rep.DeadlockFree = lanes == nil || !lanes.cyclic
+	return rep, certified, nil
 }
 
 // ChannelLoads returns the per-channel path counts for base-LID routing —
@@ -110,21 +143,15 @@ const DefaultMarginSamples = 2048
 // tolerate before needing more VLs. Candidates already present as edges are
 // excluded (they are spent slack). When candidates exceed maxSamples
 // (<= 0 selects DefaultMarginSamples), a deterministic stride sample is
-// scored instead.
+// scored instead. A lane certificate proves acyclicity but answers no
+// reachability question, so the lanes' CDGs are always built here.
 func DeadlockMargin(t *Tables, maxSamples int) float64 {
 	if maxSamples <= 0 {
 		maxSamples = DefaultMarginSamples
 	}
 	g := t.G
-	lanes := newLaneCDGs(g, max(t.NumVL, 1))
-	w := newKeyWalk(t, 1<<t.LMC, false)
-	w.each(func(k *pathKey) {
-		// Unreachable pairs contribute no dependencies. Pairs whose SL lies
-		// beyond NumVL are skipped: Validate flags them.
-		if k.err == nil {
-			lanes.add(w, k)
-		}
-	})
+	// Unreachable pairs contribute no dependencies.
+	lanes := laneCDGsOf(newKeyWalk(t, 1<<t.LMC, false))
 	// A switch's incoming live switch channels are its outgoing ones
 	// reversed, in the same port order.
 	ll := newLiveLinks(g)

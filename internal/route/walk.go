@@ -3,6 +3,7 @@ package route
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/hpcsim/t2hx/internal/topo"
@@ -145,19 +146,47 @@ func (w *keyWalk) pos(srcIdx int, k *pathKey) int {
 	return (srcIdx*len(w.t.BaseLID)+k.dst)<<w.t.LMC + k.off
 }
 
-// laneCDGs builds one CDG per virtual lane from the paths of a key walk,
-// offering each key's path once to each lane its pairs use. A lane only
-// gains edges, so a path it rejected once it rejects again, and a path it
-// accepted adds nothing when repeated: skipping the repeats leaves every
-// lane as the pair walk left it. Some AddPath fails exactly when a lane's
-// union of paths is cyclic, in any order; cyclic records that.
+// keyLanes lists in buf the lanes below n that the source terminals of k
+// use, each once, in the order of their first pair. It also returns the
+// pair position and SL of the key's first source terminal whose SL lies
+// at n or beyond, or position -1; such pairs are not listed.
 //
 // Engines give all source terminals of a key one SL, so each lane receives
 // its paths in pair-walk order. Hand-set SLs that differ between the
 // sources of a key reach their lanes at the key's first pair, not at the
-// first pair using the lane: the verdict stays the same, but a cyclic lane
-// may keep another acyclic subset of its paths, and DeadlockMargin may
-// then differ from the pair walk's.
+// first pair using the lane.
+func (w *keyWalk) keyLanes(k *pathKey, n int, buf []uint8) (lanes []uint8, badPos int, badSL uint8) {
+	t := w.t
+	lanes, badPos = buf[:0], -1
+	if t.sl == nil {
+		return append(lanes, 0), -1, 0 // no SL table: every pair is on lane 0
+	}
+	for _, src := range k.srcs {
+		if src == k.dstNode {
+			continue
+		}
+		vl := t.SL(src, k.lid)
+		switch {
+		case int(vl) >= n:
+			if badPos < 0 {
+				badPos, badSL = w.pos(t.G.TerminalIndex(src), k), vl
+			}
+		case !slices.Contains(lanes, vl):
+			lanes = append(lanes, vl)
+		}
+	}
+	return lanes, badPos, badSL
+}
+
+// laneCDGs builds one CDG per virtual lane from the paths of a key walk,
+// offering each key's path once to each lane its pairs use (keyLanes). A
+// lane only gains edges, so a path it rejected once it rejects again, and a
+// path it accepted adds nothing when repeated: skipping the repeats leaves
+// every lane as the pair walk left it. Some AddPath fails exactly when a
+// lane's union of paths is cyclic, in any order; cyclic records that. With
+// hand-set SLs that differ between the sources of a key, the verdict stays
+// the pair walk's, but a cyclic lane may keep another acyclic subset of its
+// paths, and DeadlockMargin may then differ from the pair walk's.
 type laneCDGs struct {
 	lanes    []*CDG
 	isSwitch func(topo.ChannelID) bool
@@ -173,32 +202,25 @@ func newLaneCDGs(g *topo.Graph, n int) *laneCDGs {
 	return l
 }
 
-// add offers the path of key k to the lanes its source terminals use. It
-// returns the pair position and SL of the key's first source terminal
-// whose SL lies beyond the lanes, or position -1; such pairs are not
-// offered.
+// laneCDGsOf builds the lane CDGs of the tables w walks, one per lane of
+// their NumVL. Pairs whose SL lies beyond the lanes are skipped: Validate
+// flags them.
+func laneCDGsOf(w *keyWalk) *laneCDGs {
+	l := newLaneCDGs(w.t.G, max(w.t.NumVL, 1))
+	w.each(func(k *pathKey) {
+		if k.err == nil {
+			l.add(w, k)
+		}
+	})
+	return l
+}
+
+// add offers the path of key k to the lanes its source terminals use, and
+// returns keyLanes' first SL beyond the lanes.
 func (l *laneCDGs) add(w *keyWalk, k *pathKey) (badPos int, badSL uint8) {
-	t := w.t
-	if t.sl == nil {
-		l.offer(0, k.path) // no SL table: every pair is on lane 0
-		return -1, 0
-	}
-	badPos = -1
-	l.used = l.used[:0]
-	for _, src := range k.srcs {
-		if src == k.dstNode {
-			continue
-		}
-		vl := t.SL(src, k.lid)
-		switch {
-		case int(vl) >= len(l.lanes):
-			if badPos < 0 {
-				badPos, badSL = w.pos(t.G.TerminalIndex(src), k), vl
-			}
-		case !slices.Contains(l.used, vl):
-			l.used = append(l.used, vl)
-			l.offer(vl, k.path)
-		}
+	l.used, badPos, badSL = w.keyLanes(k, len(l.lanes), l.used)
+	for _, vl := range l.used {
+		l.offer(vl, k.path)
 	}
 	return badPos, badSL
 }
@@ -207,6 +229,32 @@ func (l *laneCDGs) offer(vl uint8, p []topo.ChannelID) {
 	if !l.lanes[vl].AddPath(p, l.isSwitch) {
 		l.cyclic = true
 	}
+}
+
+// ranksRise reports whether every dependency of path p — two consecutive
+// switch-to-switch channels, as CDG.AddPath forms them — rises in rank on
+// lane vl of t's certificate. A lane without ranks ranks every channel -1,
+// so any dependency on it fails.
+func (t *Tables) ranksRise(vl uint8, p []topo.ChannelID, isSwitch func(topo.ChannelID) bool) bool {
+	var rank []int32
+	if int(vl) < len(t.laneRank) {
+		rank = t.laneRank[vl]
+	}
+	prev := int32(math.MinInt32) // below every rank: the first channel has no dependency
+	for _, c := range p {
+		if !isSwitch(c) {
+			continue
+		}
+		r := int32(-1)
+		if int(c) < len(rank) {
+			r = rank[c]
+		}
+		if r <= prev {
+			return false
+		}
+		prev = r
+	}
+	return true
 }
 
 // assignLanes spreads the tables' paths over at most maxVL virtual lanes
@@ -223,6 +271,9 @@ func (l *laneCDGs) offer(vl uint8, p []topo.ChannelID) {
 // they rejected the first, and the lane that took the first takes the
 // repeat unchanged. Lane 0 is the SL default and is not written, so a
 // single-lane result materializes no SL table.
+//
+// Each lane's topological order (CDG.ord) becomes the tables' lane
+// certificate (Tables.laneRank); the rest of the lanes' CDGs is dropped.
 func assignLanes(t *Tables, maxVL int, tolerant bool) error {
 	w := newKeyWalk(t, 1<<t.LMC, true)
 	lay := newLayering(t.G, maxVL)
@@ -281,6 +332,10 @@ func assignLanes(t *Tables, maxVL int, tolerant bool) error {
 			t.Engine, maxVL, failed, total)
 	}
 	t.NumVL = len(lay.lanes)
+	t.laneRank = make([][]int32, len(lay.lanes))
+	for vl, lane := range lay.lanes {
+		t.laneRank[vl] = lane.ord
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/hpcsim/t2hx/internal/mpi"
 	"github.com/hpcsim/t2hx/internal/sim"
@@ -55,6 +56,13 @@ func BuildIMB(op string, n int, size int64) (*Instance, error) {
 	for i := 0; i < iters; i++ {
 		if err := one(); err != nil {
 			return nil, err
+		}
+		if i == 0 {
+			// Every iteration appends the ops of the first: grow each
+			// rank's program once for the rest.
+			for _, p := range b.Progs {
+				p.Ops = slices.Grow(p.Ops, (iters-1)*len(p.Ops))
+			}
 		}
 	}
 	return &Instance{Progs: b.Progs, Ops: iters}, nil
