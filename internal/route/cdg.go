@@ -16,6 +16,15 @@ import (
 // edge either succeeds in amortized small cost or reports that it would
 // close a cycle, in which case the graph is left unchanged.
 //
+// AddPath also records the dependencies it refused on the committed edges
+// alone, before adding any edge of the path at hand. Committed edges are
+// never removed (a rollback removes only the edges of the path it rolls
+// back), so the cycle such a refusal found stays, and AddPath refuses the
+// recorded dependency again without a search. A refusal that may run
+// through the path's own edges is not recorded: a rollback removes them.
+// A refused dependency never touches the order, so the record changes no
+// result, only the work.
+//
 // Storage is dense: channel IDs are small and contiguous (they index the
 // topology's link array), so adjacency, order, and DFS-visited state are
 // slices indexed by topo.ChannelID rather than nested maps. Per-channel
@@ -43,13 +52,28 @@ type CDG struct {
 	slots          []int32
 
 	// AddPath scratch.
-	fabric []topo.ChannelID
-	added  [][2]topo.ChannelID
+	added [][2]topo.ChannelID
+	// refused[u] lists the v of each refused dependency u->v that the
+	// committed edges alone close a cycle through. nil until the first
+	// such refusal.
+	refused [][]topo.ChannelID
 }
 
 // NewCDG returns an empty channel dependency graph.
 func NewCDG() *CDG {
 	return &CDG{}
+}
+
+// newCDG returns an empty CDG whose per-channel arrays have room for the
+// given number of channels: a lane over a graph's channels then grows them
+// without reallocating.
+func newCDG(channels int) *CDG {
+	return &CDG{
+		ord:  make([]int32, 0, channels),
+		succ: make([][]topo.ChannelID, 0, channels),
+		pred: make([][]topo.ChannelID, 0, channels),
+		seen: make([]uint64, 0, channels),
+	}
 }
 
 // grow extends the per-channel arrays to cover c.
@@ -202,38 +226,62 @@ func (g *CDG) reorder() {
 	g.keys, g.slots = keys, slots
 }
 
-// AddPath inserts all consecutive dependencies of a channel sequence,
-// rolling back any edges it added if one of them would close a cycle.
-// It returns false (and leaves the graph unchanged) on cycle.
+// AddPath inserts the dependencies between consecutive channels of span,
+// rolling back any edges it added if one of them would close a cycle. It
+// returns false (and leaves the edges unchanged) on cycle.
 //
-// Only switch-to-switch channels participate: injection (terminal->switch)
-// and delivery (switch->terminal) channels cannot be part of a credit
-// cycle, matching how OpenSM builds its CDG.
-func (g *CDG) AddPath(path []topo.ChannelID, isSwitchChannel func(topo.ChannelID) bool) bool {
-	fabric := g.fabric[:0]
-	for _, c := range path {
-		if isSwitchChannel(c) {
-			fabric = append(fabric, c)
-		}
-	}
-	g.fabric = fabric
+// span holds a path's switch-to-switch channels only: injection
+// (terminal->switch) and delivery (switch->terminal) channels cannot be
+// part of a credit cycle, matching how OpenSM builds its CDG. Of a path
+// Tables.Path returns, that is path[1:len(path)-1].
+func (g *CDG) AddPath(span []topo.ChannelID) bool {
 	added := g.added[:0]
-	for i := 0; i+1 < len(fabric); i++ {
-		u, v := fabric[i], fabric[i+1]
+	for i := 0; i+1 < len(span); i++ {
+		u, v := span[i], span[i+1]
 		if g.HasEdge(u, v) {
 			continue
 		}
+		if g.refuses(u, v) {
+			return g.rollback(added)
+		}
 		if !g.AddEdge(u, v) {
-			for _, e := range added {
-				g.removeEdge(e[0], e[1])
+			if len(added) == 0 {
+				g.refuse(u, v)
 			}
-			g.added = added[:0]
-			return false
+			return g.rollback(added)
 		}
 		added = append(added, [2]topo.ChannelID{u, v})
 	}
 	g.added = added[:0]
 	return true
+}
+
+// rollback removes the edges AddPath added for the path it refuses, and
+// returns false.
+func (g *CDG) rollback(added [][2]topo.ChannelID) bool {
+	for _, e := range added {
+		g.removeEdge(e[0], e[1])
+	}
+	g.added = added[:0]
+	return false
+}
+
+// refuses reports whether u->v is a recorded refusal.
+func (g *CDG) refuses(u, v topo.ChannelID) bool {
+	return int(u) < len(g.refused) && slices.Contains(g.refused[u], v)
+}
+
+// refuse records u->v, which the committed edges alone refused. The record
+// is allocated on the first refusal, so a lane that refuses no path never
+// pays for it.
+func (g *CDG) refuse(u, v topo.ChannelID) {
+	if g.refused == nil {
+		g.refused = make([][]topo.ChannelID, len(g.ord))
+	}
+	for int(u) >= len(g.refused) { // a self-loop is refused before u is a node
+		g.refused = append(g.refused, nil)
+	}
+	g.refused[u] = append(g.refused[u], v)
 }
 
 func (g *CDG) removeEdge(u, v topo.ChannelID) {
@@ -332,17 +380,26 @@ func SwitchChannelPred(g *topo.Graph) func(topo.ChannelID) bool {
 }
 
 // AssignLayers distributes paths over virtual lanes so that each lane's CDG
-// is acyclic — the DFSSSP scheme. paths may contain nil entries (skipped).
-// assign is called with the path index and the chosen lane. It returns the
-// number of lanes used, or an error-index >= 0 of the first path that could
-// not be placed within maxVL lanes (-1 on success).
+// is acyclic — the DFSSSP scheme. paths may contain nil entries (skipped);
+// only their switch-to-switch channels take part. assign is called with the
+// path index and the chosen lane. It returns the number of lanes used, or
+// an error-index >= 0 of the first path that could not be placed within
+// maxVL lanes (-1 on success).
 func AssignLayers(g *topo.Graph, paths [][]topo.ChannelID, maxVL int, assign func(i, vl int)) (lanes int, failed int) {
 	l := newLayering(g, maxVL)
+	isSwitch := SwitchChannelPred(g)
+	var span []topo.ChannelID
 	for i, p := range paths {
 		if p == nil {
 			continue
 		}
-		vl := l.place(p)
+		span = span[:0]
+		for _, c := range p {
+			if isSwitch(c) {
+				span = append(span, c)
+			}
+		}
+		vl := l.place(span)
 		if vl < 0 {
 			return len(l.lanes), i
 		}
@@ -355,28 +412,28 @@ func AssignLayers(g *topo.Graph, paths [][]topo.ChannelID, maxVL int, assign fun
 // lane whose CDG stays acyclic with it, and a new lane opens while fewer
 // than maxVL exist.
 type layering struct {
-	lanes    []*CDG
-	maxVL    int
-	isSwitch func(topo.ChannelID) bool
+	lanes           []*CDG
+	maxVL, channels int
 }
 
 func newLayering(g *topo.Graph, maxVL int) *layering {
-	return &layering{lanes: []*CDG{NewCDG()}, maxVL: maxVL, isSwitch: SwitchChannelPred(g)}
+	channels := 2 * len(g.Links)
+	return &layering{lanes: []*CDG{newCDG(channels)}, maxVL: maxVL, channels: channels}
 }
 
-// place returns the lane p joins, or -1 when no lane within maxVL can take
-// it.
-func (l *layering) place(p []topo.ChannelID) int {
+// place returns the lane the path with switch channels span joins, or -1
+// when no lane within maxVL can take it.
+func (l *layering) place(span []topo.ChannelID) int {
 	for vl, lane := range l.lanes {
-		if lane.AddPath(p, l.isSwitch) {
+		if lane.AddPath(span) {
 			return vl
 		}
 	}
 	if len(l.lanes) >= l.maxVL {
 		return -1
 	}
-	l.lanes = append(l.lanes, NewCDG())
-	if !l.lanes[len(l.lanes)-1].AddPath(p, l.isSwitch) {
+	l.lanes = append(l.lanes, newCDG(l.channels))
+	if !l.lanes[len(l.lanes)-1].AddPath(span) {
 		// A single path can never self-deadlock unless it repeats
 		// channels; treat as failure.
 		return -1

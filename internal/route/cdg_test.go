@@ -1,6 +1,7 @@
 package route
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -147,14 +148,13 @@ func reachable(g *CDG, from, to topo.ChannelID) bool {
 
 func TestCDGAddPathRollback(t *testing.T) {
 	g := NewCDG()
-	all := func(topo.ChannelID) bool { return true }
-	if !g.AddPath([]topo.ChannelID{0, 1, 2}, all) {
+	if !g.AddPath([]topo.ChannelID{0, 1, 2}) {
 		t.Fatal("first path rejected")
 	}
 	before := g.Edges()
 	// Path 2->0->1 adds edges (2,0) and (0,1); (2,0) closes the cycle
 	// 0->1->2->0, so the whole path must be rejected without residue.
-	if g.AddPath([]topo.ChannelID{1, 2, 0}, all) {
+	if g.AddPath([]topo.ChannelID{1, 2, 0}) {
 		t.Fatal("cyclic path accepted")
 	}
 	if g.Edges() != before {
@@ -227,5 +227,50 @@ func TestCDGReorderingInsertsDoNotAllocate(t *testing.T) {
 	}
 	if g.ord[3] >= g.ord[10] {
 		t.Error("the last insert did not re-order chain 0..3 before chain 10..13")
+	}
+}
+
+// AddPath records a dependency that the committed edges alone refuse, and
+// refuses it again without a search and without touching the order or the
+// edges. A refusal that runs through an edge the path itself added is not
+// recorded: once the rollback removes that edge, the dependency fits.
+func TestCDGAddPathRecordsRefusals(t *testing.T) {
+	g := NewCDG()
+	if !g.AddPath([]topo.ChannelID{0, 1, 2}) {
+		t.Fatal("path 0 1 2 rejected")
+	}
+	// 2->0 closes 0->1->2->0 on committed edges alone.
+	if g.AddPath([]topo.ChannelID{2, 0}) {
+		t.Fatal("cyclic path 2 0 accepted")
+	}
+	if !g.refuses(2, 0) {
+		t.Fatal("a refusal on committed edges alone was not recorded")
+	}
+	ord, edges, epoch := slices.Clone(g.ord), g.Edges(), g.epoch
+	// Leading committed edges are skipped, then the recorded refusal hits.
+	if g.AddPath([]topo.ChannelID{1, 2, 0, 3}) {
+		t.Fatal("path through a recorded refusal accepted")
+	}
+	if !slices.Equal(g.ord, ord) || g.Edges() != edges {
+		t.Errorf("a recorded refusal changed the graph: ord %v, %d edges; want %v, %d", g.ord, g.Edges(), ord, edges)
+	}
+	if g.epoch != epoch {
+		t.Error("a recorded refusal searched the graph again")
+	}
+
+	h := NewCDG()
+	if !h.AddPath([]topo.ChannelID{2, 0}) {
+		t.Fatal("path 2 0 rejected")
+	}
+	// With committed 2->0, the path's 1->2 closes 0->1->2->0 only through
+	// the path's own 0->1, which the rollback removes again.
+	if h.AddPath([]topo.ChannelID{0, 1, 2}) {
+		t.Fatal("path 0 1 2 accepted over committed 2 0")
+	}
+	if h.refuses(1, 2) || h.HasEdge(0, 1) {
+		t.Fatalf("refusal through the path's own edge: recorded %v, edge 0->1 kept %v", h.refuses(1, 2), h.HasEdge(0, 1))
+	}
+	if !h.AddPath([]topo.ChannelID{1, 2}) {
+		t.Error("path 1 2 rejected although only the rolled-back edge 0->1 closed its cycle")
 	}
 }

@@ -1,5 +1,7 @@
 package route
 
+import "github.com/hpcsim/t2hx/internal/topo"
+
 // AssignLanesTolerant is the lane pass of HXMin and HXNonMin, for the
 // equivalence tests of the external test package.
 func AssignLanesTolerant(t *Tables, maxVL int) error { return assignLanes(t, maxVL, true) }
@@ -39,3 +41,30 @@ var (
 	RefLASH     = refLASH
 	RefSSSPCore = refSSSPCore
 )
+
+// RefAssignLanes is the lane pass over the layering before the refusal
+// record (lanepass_ref_test.go), for the equivalence tests of the external
+// test package.
+var RefAssignLanes = refAssignLanes
+
+// LayerSpans places each span, the switch channels of a path of g, with
+// the lane pass's layering, and RefLayerPaths each whole path with the
+// reference layering. Both return the lane of each path, -1 where no lane
+// within maxVL takes it, and each lane's topological order.
+func LayerSpans(g *topo.Graph, spans [][]topo.ChannelID, maxVL int) ([]int, [][]int32) {
+	l := newLayering(g, maxVL)
+	vls := make([]int, len(spans))
+	for i, s := range spans {
+		vls[i] = l.place(s)
+	}
+	return vls, lanesOrder(l.lanes)
+}
+
+func RefLayerPaths(g *topo.Graph, paths [][]topo.ChannelID, maxVL int) ([]int, [][]int32) {
+	l := newRefLayering(g, maxVL)
+	vls := make([]int, len(paths))
+	for i, p := range paths {
+		vls[i] = l.place(p)
+	}
+	return vls, lanesOrder(l.lanes)
+}

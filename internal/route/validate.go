@@ -46,7 +46,6 @@ func validate(t *Tables) (rep Report, certified bool, err error) {
 	g := t.G
 	rep = Report{Engine: t.Engine, VLs: max(t.NumVL, 1)}
 	load := make([]int, 2*len(g.Links))
-	isSwitch := SwitchChannelPred(g)
 	certified = t.laneRank != nil
 	var lanes *laneCDGs
 	if !certified {
@@ -69,10 +68,9 @@ func validate(t *Tables) (rep Report, certified bool, err error) {
 		if h > rep.MaxSwitchHops {
 			rep.MaxSwitchHops = h
 		}
-		for _, c := range k.path {
-			if isSwitch(c) {
-				load[c] += k.pairs
-			}
+		span := k.span()
+		for _, c := range span {
+			load[c] += k.pairs
 		}
 		var pos int
 		var sl uint8
@@ -83,9 +81,9 @@ func validate(t *Tables) (rep Report, certified bool, err error) {
 		for _, vl := range used {
 			switch {
 			case lanes != nil:
-				lanes.offer(vl, k.path)
+				lanes.offer(vl, span)
 			case certified:
-				certified = t.ranksRise(vl, k.path, isSwitch)
+				certified = t.ranksRise(vl, span)
 			}
 		}
 	})
@@ -113,15 +111,12 @@ func validate(t *Tables) (rep Report, certified bool, err error) {
 func ChannelLoads(t *Tables) []int {
 	g := t.G
 	load := make([]int, 2*len(g.Links))
-	isSwitch := SwitchChannelPred(g)
 	newKeyWalk(t, 1, false).each(func(k *pathKey) {
 		if k.err != nil {
 			return
 		}
-		for _, c := range k.path {
-			if isSwitch(c) {
-				load[c] += k.pairs
-			}
+		for _, c := range k.span() {
+			load[c] += k.pairs
 		}
 	})
 	return load

@@ -37,6 +37,11 @@ type pathKey struct {
 	err  error
 }
 
+// span is the switch-to-switch channels of k's path, which must have no
+// error: Tables.Path returns the injection channel, then the switch
+// channels, then the delivery channel.
+func (k *pathKey) span() []topo.ChannelID { return k.path[1 : len(k.path)-1] }
+
 // keyWalk visits the keys of a Tables in the order in which each first
 // occurs in the terminal-major pair walk (source terminal, destination
 // terminal, LID offset), so order-sensitive consumers — lane assignment,
@@ -188,16 +193,15 @@ func (w *keyWalk) keyLanes(k *pathKey, n int, buf []uint8) (lanes []uint8, badPo
 // the pair walk's, but a cyclic lane may keep another acyclic subset of its
 // paths, and DeadlockMargin may then differ from the pair walk's.
 type laneCDGs struct {
-	lanes    []*CDG
-	isSwitch func(topo.ChannelID) bool
-	cyclic   bool
-	used     []uint8 // lanes offered the current key's path
+	lanes  []*CDG
+	cyclic bool
+	used   []uint8 // lanes offered the current key's path
 }
 
 func newLaneCDGs(g *topo.Graph, n int) *laneCDGs {
-	l := &laneCDGs{lanes: make([]*CDG, n), isSwitch: SwitchChannelPred(g)}
+	l := &laneCDGs{lanes: make([]*CDG, n)}
 	for i := range l.lanes {
-		l.lanes[i] = NewCDG()
+		l.lanes[i] = newCDG(2 * len(g.Links))
 	}
 	return l
 }
@@ -220,31 +224,29 @@ func laneCDGsOf(w *keyWalk) *laneCDGs {
 func (l *laneCDGs) add(w *keyWalk, k *pathKey) (badPos int, badSL uint8) {
 	l.used, badPos, badSL = w.keyLanes(k, len(l.lanes), l.used)
 	for _, vl := range l.used {
-		l.offer(vl, k.path)
+		l.offer(vl, k.span())
 	}
 	return badPos, badSL
 }
 
-func (l *laneCDGs) offer(vl uint8, p []topo.ChannelID) {
-	if !l.lanes[vl].AddPath(p, l.isSwitch) {
+// offer adds the path with switch channels span to lane vl.
+func (l *laneCDGs) offer(vl uint8, span []topo.ChannelID) {
+	if !l.lanes[vl].AddPath(span) {
 		l.cyclic = true
 	}
 }
 
-// ranksRise reports whether every dependency of path p — two consecutive
-// switch-to-switch channels, as CDG.AddPath forms them — rises in rank on
-// lane vl of t's certificate. A lane without ranks ranks every channel -1,
-// so any dependency on it fails.
-func (t *Tables) ranksRise(vl uint8, p []topo.ChannelID, isSwitch func(topo.ChannelID) bool) bool {
+// ranksRise reports whether every dependency of a path with switch
+// channels span — two consecutive channels, as CDG.AddPath forms them —
+// rises in rank on lane vl of t's certificate. A lane without ranks ranks
+// every channel -1, so any dependency on it fails.
+func (t *Tables) ranksRise(vl uint8, span []topo.ChannelID) bool {
 	var rank []int32
 	if int(vl) < len(t.laneRank) {
 		rank = t.laneRank[vl]
 	}
 	prev := int32(math.MinInt32) // below every rank: the first channel has no dependency
-	for _, c := range p {
-		if !isSwitch(c) {
-			continue
-		}
+	for _, c := range span {
 		r := int32(-1)
 		if int(c) < len(rank) {
 			r = rank[c]
@@ -308,7 +310,7 @@ func assignLanes(t *Tables, maxVL int, tolerant bool) error {
 		if failed >= 0 {
 			return // only a Path error can still come first
 		}
-		vl := lay.place(k.path)
+		vl := lay.place(k.span())
 		if vl < 0 {
 			failed = w.attachedPairIndex(k)
 			if tolerant {

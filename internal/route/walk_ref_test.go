@@ -156,7 +156,7 @@ func refValidate(t *route.Tables) (route.Report, error) {
 				if int(vl) >= len(layers) {
 					return rep, fmt.Errorf("route: SL %d beyond NumVL %d", vl, rep.VLs)
 				}
-				if !layers[vl].AddPath(p, isSwitch) {
+				if !layers[vl].AddPath(switchChannels(p, isSwitch)) {
 					rejected = true
 				}
 			}
@@ -224,7 +224,7 @@ func refDeadlockMargin(t *route.Tables, maxSamples int) float64 {
 				if vl >= len(layers) {
 					continue
 				}
-				layers[vl].AddPath(p, isSwitch)
+				layers[vl].AddPath(switchChannels(p, isSwitch))
 			}
 		}
 	}
@@ -282,4 +282,16 @@ func refDeadlockMargin(t *route.Tables, maxSamples int) float64 {
 		}
 	}
 	return margin
+}
+
+// switchChannels returns the channels of p that isSwitch selects: the
+// input CDG.AddPath takes.
+func switchChannels(p []topo.ChannelID, isSwitch func(topo.ChannelID) bool) []topo.ChannelID {
+	var span []topo.ChannelID
+	for _, c := range p {
+		if isSwitch(c) {
+			span = append(span, c)
+		}
+	}
+	return span
 }
