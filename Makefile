@@ -25,13 +25,15 @@ race:
 
 # fuzz explores solver instances past the property suite's seeds, then
 # mutated routing tables against the pair-walk Validate, then the lane
-# pass's layering against the one that searches every dependency. go test
+# pass's layering against the one that searches every dependency, then
+# FTree on degraded XGFTs against its per-terminal reference. go test
 # alone runs only the committed corpora (internal/{flow,route}/testdata/fuzz);
 # a failing input found here is written there.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzSolverEquivalence$$' -fuzztime 10s ./internal/flow
 	go test -run '^$$' -fuzz '^FuzzValidateCertificate$$' -fuzztime 10s ./internal/route
 	go test -run '^$$' -fuzz '^FuzzLanePass$$' -fuzztime 10s ./internal/route
+	go test -run '^$$' -fuzz '^FuzzFTree$$' -fuzztime 10s ./internal/route
 
 # bench runs every figure, ablation and extension benchmark once as an
 # experiment driver and fails if any of them fails. No baseline is kept:

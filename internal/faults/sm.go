@@ -30,15 +30,16 @@ type SMConfig struct {
 	// graph's current link state. Required. The new tables must keep the
 	// fabric's LID layout (same terminals, same LMC, same base LIDs).
 	Rebuild func() (*route.Tables, error)
-	// Revalidate walks the rebuilt tables before the swap (reachability
+	// Revalidate checks the rebuilt tables before the swap (reachability
 	// accounting, loop-freedom, per-VL deadlock-freedom). Deadlock-prone
 	// tables are rejected and the old ones kept — the invariant an SM must
-	// never break. Costs one LFT walk per (source switch, destination LID)
-	// and one SL lookup per terminal pair each sweep (route.Validate).
+	// never break. Costs one LFT entry resolution per (switch, destination
+	// LID) and one SL lookup per terminal pair each sweep (route.Validate).
 	// Tables carrying a lane certificate (the lane-pass engines and ftree)
-	// are proven deadlock-free in that walk at O(hops) per key; others, and
-	// tables whose paths break their certificate, also insert every key's
-	// path into per-lane channel dependency graphs.
+	// are proven deadlock-free by one lane-rise mask per resolved entry;
+	// others, and tables whose paths break their certificate, also offer
+	// each resolved entry's channel dependency once to the per-lane channel
+	// dependency graphs of the lanes that use it.
 	Revalidate bool
 	// MarginSamples, when positive, additionally scores the rebuilt tables'
 	// deadlock-freedom margin (route.DeadlockMargin with this sample cap)

@@ -159,8 +159,10 @@ func TestWithoutLanesClearsCertificate(t *testing.T) {
 }
 
 // fuzzBase holds the tables FuzzValidateCertificate mutates, built once:
-// dfsssp, lash, hxnm and parx on a degraded 4x4 T=2 HyperX, and ftree on
-// the small XGFT with four switch links down.
+// dfsssp, lash, hxnm and parx on a degraded 4x4 T=2 HyperX and ftree on
+// the small XGFT with four switch links down, which carry a lane
+// certificate, then sssp on that XGFT and updown and nue on that HyperX,
+// which carry none.
 var fuzzBase struct {
 	once   sync.Once
 	tables []*route.Tables
@@ -189,6 +191,9 @@ func fuzzTables() ([]*route.Tables, error) {
 			func() (*route.Tables, error) { return route.HXNonMin(hx, 0, 8) },
 			func() (*route.Tables, error) { return core.PARX(hx, core.Config{MaxVL: 8}) },
 			func() (*route.Tables, error) { return route.FTree(ft, 0) },
+			func() (*route.Tables, error) { return route.SSSP(ft.Graph, 0) },
+			func() (*route.Tables, error) { return route.UpDown(hx.Graph, 0) },
+			func() (*route.Tables, error) { return route.Nue(hx.Graph, 0, 2) },
 		} {
 			tb, err := build()
 			if err != nil {
@@ -201,9 +206,9 @@ func fuzzTables() ([]*route.Tables, error) {
 	return fuzzBase.tables, fuzzBase.err
 }
 
-// FuzzValidateCertificate mutates engine tables that carry a lane
-// certificate and checks Validate against the pair walk, Report and error
-// text. The first byte picks the engine (mod 5); with its high bit set,
+// FuzzValidateCertificate mutates engine tables, with a lane certificate
+// and without, and checks Validate against the pair walk, Report and error
+// text. The first byte picks the engine (mod 8); with its high bit set,
 // NumVL is reset to the engine's after the mutations, so raised SLs lie
 // beyond it. Each following 5-byte record [op, a, b, c, d] is one
 // mutation: op even sets the SL of terminal a toward LID offset c of
@@ -211,8 +216,9 @@ func fuzzTables() ([]*route.Tables, error) {
 // toward that LID at its live port d.
 //
 // The committed corpus (testdata/fuzz/FuzzValidateCertificate) holds each
-// engine untouched and a few mutations of each kind, which go test runs as
-// ordinary tests; make fuzz explores further.
+// engine untouched and a few mutations of each kind, each input named
+// after the engine its first byte picks, which go test runs as ordinary
+// tests; make fuzz explores further.
 func FuzzValidateCertificate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bases, err := fuzzTables()

@@ -28,6 +28,7 @@ var routeHotPathFiles = []string{
 	"lash.go",
 	"hyperx_ft.go",
 	"validate.go",
+	"lidtree.go",
 	"cdg.go",
 	"walk.go",
 	"livelinks.go",

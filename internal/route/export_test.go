@@ -42,6 +42,10 @@ var (
 	RefSSSPCore = refSSSPCore
 )
 
+// RefFTree is FTree before it computed each leaf's descent and costs once
+// (ftree_ref_test.go).
+var RefFTree = refFTree
+
 // RefAssignLanes is the lane pass over the layering before the refusal
 // record (lanepass_ref_test.go), for the equivalence tests of the external
 // test package.

@@ -188,7 +188,7 @@ func keyPaths(tb *route.Tables) [][]topo.ChannelID {
 //
 // The first byte picks the path set. Even: walks on a 3x3 HyperX decoded
 // from the rest by walkPaths, repeats included. Odd: the key paths of
-// fuzzTables' table data[1] (mod 5) after LFT rewrites, each following
+// fuzzTables' table data[1] (mod 8) after LFT rewrites, each following
 // 4-byte record [a, b, c, d] pointing switch a's entry toward LID offset c
 // of terminal b at its live port d.
 //

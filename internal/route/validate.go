@@ -22,23 +22,35 @@ type Report struct {
 	VLs            int
 }
 
-// Validate walks every (src terminal, dst LID) pair through the forwarding
-// tables, checking reachability and loop-freedom, accumulating hop and
-// channel-load statistics, and checking that every virtual lane's CDG is
-// acyclic. Each (source switch, destination LID) key is walked once and
-// counted for each of its source terminals, and SLs are checked per pair,
-// so the report is the pair walk's. On error the report is incomplete.
+// Validate checks every (src terminal, dst LID) pair of the forwarding
+// tables for reachability and loop-freedom, accumulates hop and
+// channel-load statistics, and checks that every virtual lane's CDG is
+// acyclic. The paths toward one LID form a tree, so Validate resolves each
+// switch's entry toward the LID once (lidTrees), counts each (source
+// switch, destination LID) key from its switch's resolution, times its
+// source terminals, and folds the channel loads up the tree; the SLs are
+// checked in one source-major scan of the SL table. The report is the pair
+// walk's. On error the report is incomplete.
 //
-// Tables with a lane certificate (Tables.laneRank) are proven deadlock-free
-// in the same walk: each key's path is checked against the ranks of each
-// lane its pairs use, which builds no graph. Tables without one, and
-// tables whose paths break theirs, have each key's path offered once to
-// each lane's CDG (laneCDGs) — the latter in a second walk — so a wrong
-// certificate costs time but never the verdict.
+// Tables with a lane certificate (Tables.laneRank) are proven
+// deadlock-free by one lane-rise mask per resolved switch, which the scan
+// matches to each pair's SL, and no graph is built. Tables without one,
+// and tables whose paths break theirs, have each resolved switch's
+// dependency offered once to each lane that the keys through it use
+// (lidTrees.offer) — the latter in a second pass over the LIDs — so a
+// wrong certificate costs time but never the verdict.
 func Validate(t *Tables) (Report, error) {
 	rep, _, err := validate(t)
 	return rep, err
 }
+
+// keyResolved marks a key whose path reaches its LID in the SL scan's
+// state of the key, one byte per (source switch, destination slot). Bit
+// vl+1 of the state is set when a pair of the key may take lane vl <
+// maskLanes: the lane is within NumVL and, while the certificate is in
+// play, the path rises in rank on it. A key that does not resolve, or no
+// key, is 0.
+const keyResolved = 1
 
 // validate is Validate, also reporting whether the lane certificate alone
 // proved the lanes acyclic.
@@ -47,48 +59,87 @@ func validate(t *Tables) (rep Report, certified bool, err error) {
 	rep = Report{Engine: t.Engine, VLs: max(t.NumVL, 1)}
 	load := make([]int, 2*len(g.Links))
 	certified = t.laneRank != nil
-	var lanes *laneCDGs
-	if !certified {
-		lanes = newLaneCDGs(g, rep.VLs)
-	}
-	var used []uint8
-	w := newKeyWalk(t, 1<<t.LMC, false)
+	tr := newLIDTrees(t)
 	// A detached source terminal reaches none of the other terminals' LIDs.
-	rep.Unreachable = (len(t.BaseLID) - w.attached) * (len(t.BaseLID) - 1) << t.LMC
+	rep.Unreachable = (len(t.BaseLID) - tr.attached) * (len(t.BaseLID) - 1) << t.LMC
+	slots := len(t.BaseLID) << t.LMC
+	// state[si*slots+slot] is the SL scan's state of key (si, slot).
+	// Without an SL table every pair is on lane 0, and the keys are
+	// checked as they resolve.
+	var state []uint8
+	if t.sl != nil {
+		state = make([]uint8, g.NumSwitches()*slots)
+	}
+	mask := make([]uint8, g.NumSwitches())
+	inRange := uint8(1<<min(rep.VLs, maskLanes) - 1)
+	// Tables without a certificate feed the lanes' CDGs as the trees
+	// resolve.
+	var lanes *laneCDGs
+	var used []uint64
+	if !certified {
+		lanes, used = newLaneCDGs(g, rep.VLs), make([]uint64, g.NumSwitches())
+	}
 	totalHops := 0
-	badPos, badSL := -1, uint8(0)
-	w.each(func(k *pathKey) {
-		if k.err != nil {
-			rep.Unreachable += k.pairs
-			return
-		}
-		rep.Paths += k.pairs
-		h := SwitchHops(k.path)
-		totalHops += h * k.pairs
-		if h > rep.MaxSwitchHops {
-			rep.MaxSwitchHops = h
-		}
-		span := k.span()
-		for _, c := range span {
-			load[c] += k.pairs
-		}
-		var pos int
-		var sl uint8
-		used, pos, sl = w.keyLanes(k, rep.VLs, used)
-		if pos >= 0 && (badPos < 0 || pos < badPos) {
-			badPos, badSL = pos, sl
-		}
-		for _, vl := range used {
-			switch {
-			case lanes != nil:
-				lanes.offer(vl, span)
-			case certified:
-				certified = t.ranksRise(vl, span)
+	for di := range t.BaseLID {
+		for off := 0; off < 1<<t.LMC; off++ {
+			tr.resolve(di, off)
+			tr.fold(load)
+			if certified {
+				tr.riseMasks(mask)
+			}
+			for _, si := range tr.roots {
+				pairs, h := tr.pairs(si), int(tr.hops[si])
+				switch {
+				case pairs == 0:
+					continue
+				case h < 0:
+					rep.Unreachable += pairs
+					continue
+				}
+				rep.Paths += pairs
+				totalHops += h * pairs
+				rep.MaxSwitchHops = max(rep.MaxSwitchHops, h)
+				switch {
+				case state != nil:
+					admit := inRange
+					if certified {
+						admit &= mask[si]
+					}
+					state[int(si)*slots+tr.slot] = admit<<1 | keyResolved
+				case certified:
+					certified = mask[si]&1 != 0
+				}
+			}
+			if lanes != nil {
+				tr.offer(lanes, used)
 			}
 		}
-	})
-	if badPos >= 0 {
-		return rep, false, fmt.Errorf("route: SL %d beyond NumVL %d", badSL, rep.VLs)
+	}
+	if state != nil {
+		// One source-major scan checks each pair's SL against its key's
+		// state, meeting the pairs in pair-walk order; only a lane the
+		// state does not admit needs a closer look.
+		for i, si := range tr.swOf {
+			if si < 0 {
+				continue
+			}
+			sls := t.sl[i*slots : (i+1)*slots]
+			keys := state[int(si)*slots : (int(si)+1)*slots]
+			for slot, vl := range sls {
+				st := keys[slot]
+				if st>>(uint(vl)+1)&1 != 0 || st == 0 || slot>>t.LMC == i {
+					continue
+				}
+				switch {
+				case int(vl) >= rep.VLs:
+					return rep, false, fmt.Errorf("route: SL %d beyond NumVL %d", vl, rep.VLs)
+				case vl < maskLanes:
+					certified = false // the path does not rise on its lane
+				case certified:
+					certified = t.chainRises(int(si), t.BaseLID[slot>>t.LMC]+LID(slot&(1<<t.LMC-1)), vl)
+				}
+			}
+		}
 	}
 	for _, l := range load {
 		if l > rep.MaxChannelLoad {
@@ -100,25 +151,22 @@ func validate(t *Tables) (rep Report, certified bool, err error) {
 	}
 	if lanes == nil && !certified {
 		// A dependency broke the certificate: the lanes' CDGs decide.
-		lanes = laneCDGsOf(w)
+		lanes = tr.lanes(rep.VLs)
 	}
 	rep.DeadlockFree = lanes == nil || !lanes.cyclic
 	return rep, certified, nil
 }
 
 // ChannelLoads returns the per-channel path counts for base-LID routing —
-// the static oversubscription map behind Fig. 1's bottleneck analysis.
+// the static oversubscription map behind Fig. 1's bottleneck analysis —
+// folded up each base LID's forwarding tree.
 func ChannelLoads(t *Tables) []int {
-	g := t.G
-	load := make([]int, 2*len(g.Links))
-	newKeyWalk(t, 1, false).each(func(k *pathKey) {
-		if k.err != nil {
-			return
-		}
-		for _, c := range k.span() {
-			load[c] += k.pairs
-		}
-	})
+	load := make([]int, 2*len(t.G.Links))
+	tr := newLIDTrees(t)
+	for di := range t.BaseLID {
+		tr.resolve(di, 0)
+		tr.fold(load)
+	}
 	return load
 }
 

@@ -3,7 +3,6 @@ package route
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"github.com/hpcsim/t2hx/internal/topo"
@@ -145,53 +144,42 @@ func (w *keyWalk) visitDst(first int, grp []topo.NodeID, di int, visit func(k *p
 	}
 }
 
-// pos is the position of the pair (source terminal srcIdx, k's LID) in the
-// terminal-major pair walk.
-func (w *keyWalk) pos(srcIdx int, k *pathKey) int {
-	return (srcIdx*len(w.t.BaseLID)+k.dst)<<w.t.LMC + k.off
-}
-
 // keyLanes lists in buf the lanes below n that the source terminals of k
-// use, each once, in the order of their first pair. It also returns the
-// pair position and SL of the key's first source terminal whose SL lies
-// at n or beyond, or position -1; such pairs are not listed.
+// use, each once, in the order of their first pair. Pairs whose SL lies
+// at n or beyond are not listed.
 //
 // Engines give all source terminals of a key one SL, so each lane receives
 // its paths in pair-walk order. Hand-set SLs that differ between the
 // sources of a key reach their lanes at the key's first pair, not at the
 // first pair using the lane.
-func (w *keyWalk) keyLanes(k *pathKey, n int, buf []uint8) (lanes []uint8, badPos int, badSL uint8) {
+func (w *keyWalk) keyLanes(k *pathKey, n int, buf []uint8) []uint8 {
 	t := w.t
-	lanes, badPos = buf[:0], -1
+	lanes := buf[:0]
 	if t.sl == nil {
-		return append(lanes, 0), -1, 0 // no SL table: every pair is on lane 0
+		return append(lanes, 0) // no SL table: every pair is on lane 0
 	}
 	for _, src := range k.srcs {
 		if src == k.dstNode {
 			continue
 		}
-		vl := t.SL(src, k.lid)
-		switch {
-		case int(vl) >= n:
-			if badPos < 0 {
-				badPos, badSL = w.pos(t.G.TerminalIndex(src), k), vl
-			}
-		case !slices.Contains(lanes, vl):
+		if vl := t.SL(src, k.lid); int(vl) < n && !slices.Contains(lanes, vl) {
 			lanes = append(lanes, vl)
 		}
 	}
-	return lanes, badPos, badSL
+	return lanes
 }
 
-// laneCDGs builds one CDG per virtual lane from the paths of a key walk,
-// offering each key's path once to each lane its pairs use (keyLanes). A
-// lane only gains edges, so a path it rejected once it rejects again, and a
-// path it accepted adds nothing when repeated: skipping the repeats leaves
-// every lane as the pair walk left it. Some AddPath fails exactly when a
-// lane's union of paths is cyclic, in any order; cyclic records that. With
-// hand-set SLs that differ between the sources of a key, the verdict stays
-// the pair walk's, but a cyclic lane may keep another acyclic subset of its
-// paths, and DeadlockMargin may then differ from the pair walk's.
+// laneCDGs holds one CDG per virtual lane. DeadlockMargin builds them from
+// the paths of a key walk (laneCDGsOf), offering each key's path once to
+// each lane its pairs use (keyLanes); Validate offers them the dependencies
+// of each LID's tree (lidTrees.offer). A lane only gains edges, so a path
+// it rejected once it rejects again, and a path it accepted adds nothing
+// when repeated: skipping the repeats leaves every lane as the pair walk
+// left it. Some AddPath fails exactly when a lane's union of paths is
+// cyclic, in any order; cyclic records that. With hand-set SLs that differ
+// between the sources of a key, the verdict stays the pair walk's, but a
+// cyclic lane may keep another acyclic subset of its paths, and
+// DeadlockMargin may then differ from the pair walk's.
 type laneCDGs struct {
 	lanes  []*CDG
 	cyclic bool
@@ -219,14 +207,12 @@ func laneCDGsOf(w *keyWalk) *laneCDGs {
 	return l
 }
 
-// add offers the path of key k to the lanes its source terminals use, and
-// returns keyLanes' first SL beyond the lanes.
-func (l *laneCDGs) add(w *keyWalk, k *pathKey) (badPos int, badSL uint8) {
-	l.used, badPos, badSL = w.keyLanes(k, len(l.lanes), l.used)
+// add offers the path of key k to the lanes its source terminals use.
+func (l *laneCDGs) add(w *keyWalk, k *pathKey) {
+	l.used = w.keyLanes(k, len(l.lanes), l.used)
 	for _, vl := range l.used {
 		l.offer(vl, k.span())
 	}
-	return badPos, badSL
 }
 
 // offer adds the path with switch channels span to lane vl.
@@ -234,29 +220,6 @@ func (l *laneCDGs) offer(vl uint8, span []topo.ChannelID) {
 	if !l.lanes[vl].AddPath(span) {
 		l.cyclic = true
 	}
-}
-
-// ranksRise reports whether every dependency of a path with switch
-// channels span — two consecutive channels, as CDG.AddPath forms them —
-// rises in rank on lane vl of t's certificate. A lane without ranks ranks
-// every channel -1, so any dependency on it fails.
-func (t *Tables) ranksRise(vl uint8, span []topo.ChannelID) bool {
-	var rank []int32
-	if int(vl) < len(t.laneRank) {
-		rank = t.laneRank[vl]
-	}
-	prev := int32(math.MinInt32) // below every rank: the first channel has no dependency
-	for _, c := range span {
-		r := int32(-1)
-		if int(c) < len(rank) {
-			r = rank[c]
-		}
-		if r <= prev {
-			return false
-		}
-		prev = r
-	}
-	return true
 }
 
 // assignLanes spreads the tables' paths over at most maxVL virtual lanes

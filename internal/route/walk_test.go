@@ -124,6 +124,41 @@ func TestKeyWalkMatchesPairWalk(t *testing.T) {
 	}
 }
 
+// The same on the degraded paper planes, for the tables Validate checks
+// on its CDG path: nue's several lanes and the single lanes of sssp and
+// updown carry no certificate, so their dependencies are fed to the lanes
+// from the trees. dfsssp and ftree take the certificate path.
+func TestKeyWalkMatchesPairWalkAtPaperScale(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("paper-size builds")
+	}
+	hx := topo.NewPaperHyperX(true, 3)
+	ft := topo.NewPaperFatTree(true, 3)
+	for _, e := range []engineBuild{
+		{"hyperx nue", func() (*route.Tables, error) { return route.Nue(hx.Graph, 0, 2) }},
+		{"hyperx sssp", func() (*route.Tables, error) { return route.SSSP(hx.Graph, 0) }},
+		{"hyperx updown", func() (*route.Tables, error) { return route.UpDown(hx.Graph, 0) }},
+		{"hyperx dfsssp", func() (*route.Tables, error) { return route.DFSSSP(hx.Graph, 0, 8) }},
+		{"fat-tree nue", func() (*route.Tables, error) { return route.Nue(ft.Graph, 0, 2) }},
+		{"fat-tree sssp", func() (*route.Tables, error) { return route.SSSP(ft.Graph, 0) }},
+		{"fat-tree updown", func() (*route.Tables, error) { return route.UpDown(ft.Graph, 0) }},
+		{"fat-tree ftree", func() (*route.Tables, error) { return route.FTree(ft, 0) }},
+	} {
+		tb, err := e.build()
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		rep, err := route.Validate(tb)
+		want, wantErr := refValidate(tb)
+		if errText(err) != errText(wantErr) || err == nil && rep != want {
+			t.Errorf("%s: Validate = %+v, %v; pair walk %+v, %v", e.name, rep, err, want, wantErr)
+		}
+		if !slices.Equal(route.ChannelLoads(tb), refChannelLoads(tb)) {
+			t.Errorf("%s: ChannelLoads differ from the pair walk", e.name)
+		}
+	}
+}
+
 func except(engines []engineBuild, names ...string) []engineBuild {
 	return slices.DeleteFunc(engines, func(e engineBuild) bool { return slices.Contains(names, e.name) })
 }
@@ -308,5 +343,98 @@ func TestValidateMatchesPairWalkOnPerPairSLs(t *testing.T) {
 	_, wantErr = refValidate(bad)
 	if err == nil || errText(err) != errText(wantErr) {
 		t.Errorf("Validate error %q, pair walk %q", errText(err), errText(wantErr))
+	}
+
+	// The highest SL must not wrap into a lane in range.
+	top := tb.MutableClone()
+	top.SetSL(terms[0], tb.BaseLID[5], 255)
+	top.NumVL = tb.NumVL
+	_, err = route.Validate(top)
+	_, wantErr = refValidate(top)
+	if err == nil || errText(err) != errText(wantErr) {
+		t.Errorf("SL 255: Validate error %q, pair walk %q", errText(err), errText(wantErr))
+	}
+}
+
+// Lanes from maskLanes (7) up are past Validate's rise masks and are
+// checked by walking the path. A certificate ranking such a lane as the
+// pair's engine lane is accepted, and one leaving it unranked is not,
+// with the pair walk's report either way.
+func TestValidateChecksLanesPastRiseMasks(t *testing.T) {
+	hx := smallHyperX()
+	if _, err := topo.DegradeSwitchLinks(hx.Graph, 6, 3); err != nil {
+		t.Fatal(err)
+	}
+	tb, err := route.DFSSSP(hx.Graph, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := hx.Terminals()
+	var lid route.LID
+	for _, dst := range terms[1:] {
+		lid = tb.LIDFor(dst, 0)
+		if p, err := tb.Path(terms[0], lid); err == nil && route.SwitchHops(p) >= 2 {
+			break
+		}
+	}
+	for _, high := range []uint8{7, 20} {
+		for _, ranked := range []bool{true, false} {
+			ranks := slices.Clone(tb.LaneRanks())
+			for len(ranks) <= int(high) {
+				ranks = append(ranks, nil)
+			}
+			if ranked {
+				ranks[high] = ranks[tb.SL(terms[0], lid)]
+			}
+			moved := tb.WithLaneRanks(ranks)
+			moved.SetSL(terms[0], lid, high)
+			rep, certified, err := route.ValidateProof(moved)
+			want, wantErr := refValidate(moved)
+			if err != nil || wantErr != nil || rep != want {
+				t.Errorf("lane %d ranked %v: Validate = %+v, %v; pair walk %+v, %v", high, ranked, rep, err, want, wantErr)
+			}
+			if certified != ranked {
+				t.Errorf("lane %d ranked %v: certified %v", high, ranked, certified)
+			}
+		}
+	}
+}
+
+// On a line of 70 switches, SSSP's paths between the ends run past
+// MaxHops switch channels, which Path reports as a forwarding loop and
+// Validate as unreachable pairs; the trees' resolution must agree with
+// the pair walk, and ChannelLoads too.
+func TestValidateCountsPathsPastMaxHopsUnreachable(t *testing.T) {
+	g := topo.New("line")
+	var prev topo.NodeID = -1
+	for i := 0; i < 70; i++ {
+		sw := g.AddNode(topo.Switch, fmt.Sprintf("s%d", i)).ID
+		if prev >= 0 {
+			g.Connect(prev, sw, 1e9, 1e-7)
+		}
+		g.Connect(sw, g.AddNode(topo.Terminal, fmt.Sprintf("t%d", i)).ID, 1e9, 1e-7)
+		prev = sw
+	}
+	tb, err := route.SSSP(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := g.Terminals()
+	if _, err := tb.Path(terms[0], tb.BaseLID[69]); err == nil || !strings.Contains(err.Error(), "forwarding loop") {
+		t.Fatalf("Path over 69 switch hops: %v, want a forwarding loop", err)
+	}
+	if p, err := tb.Path(terms[0], tb.BaseLID[64]); err != nil || route.SwitchHops(p) != route.MaxHops {
+		t.Fatalf("Path over MaxHops switch hops: %v", err)
+	}
+	rep, err := route.Validate(tb)
+	want, wantErr := refValidate(tb)
+	if err != nil || wantErr != nil || rep != want {
+		t.Errorf("Validate = %+v, %v; pair walk %+v, %v", rep, err, want, wantErr)
+	}
+	if rep.Unreachable != 30 || rep.MaxSwitchHops != route.MaxHops {
+		t.Errorf("Validate = %+v, want 30 unreachable pairs and %d hops at most", rep, route.MaxHops)
+	}
+	if !slices.Equal(route.ChannelLoads(tb), refChannelLoads(tb)) {
+		t.Error("ChannelLoads differ from the pair walk")
 	}
 }
