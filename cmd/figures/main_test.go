@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"slices"
@@ -63,9 +65,14 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 
 // Every figure subcommand, and all with the union of their flags, runs
 // end to end at -small scale with cheap flags, writing its CSV files into
-// a temporary directory.
+// a temporary directory. The figures that read telemetry pin their stdout
+// by SHA-256.
 func TestSubcommandsRunSmall(t *testing.T) {
 	dir := t.TempDir()
+	digests := map[string]string{
+		"counters": "6ed5e1b38961f9af84d32380041c70f30bfadf68d0f91338ba4cab0ecb7b0351",
+		"planes":   "72bd9b39fbccac5230ba5d912311f81ef0e89db053bfe3a16f40fc95d83722ba",
+	}
 	cases := []struct {
 		args  []string
 		want  string   // on stdout
@@ -93,6 +100,11 @@ func TestSubcommandsRunSmall(t *testing.T) {
 		code, stdout := runCLI(t, c.args...)
 		if code != 0 || !strings.Contains(stdout, c.want) {
 			t.Errorf("figures %s: exit %d, stdout lacks %q:\n%s", strings.Join(c.args, " "), code, c.want, stdout)
+		}
+		if want, ok := digests[c.args[0]]; ok {
+			if sum := sha256.Sum256([]byte(stdout)); hex.EncodeToString(sum[:]) != want {
+				t.Errorf("figures %s: stdout digest %x, pinned %s", strings.Join(c.args, " "), sum, want)
+			}
 		}
 		for _, name := range c.files {
 			if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {

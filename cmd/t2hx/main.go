@@ -201,90 +201,55 @@ func (t *telFlags) options() telemetry.Options {
 	return telemetry.Options{Counters: true, Messages: t.metricsOut != "", Trace: t.traceOut != ""}
 }
 
-// recorder is a run's telemetry: one plane's collector, or the per-plane
-// set of a multi-plane machine.
-type recorder interface {
-	SetSink(telemetry.Sink)
-	SetTraceSink(telemetry.Sink)
-	FinishStream() error
-	FinishTraceStream() error
-}
-
-// openSinks creates the output files, with suffix before the extension,
-// and streams r into them.
-func (t *telFlags) openSinks(r recorder, suffix string) error {
+// open creates the output files, with suffix before the extension, and
+// streams tm into them.
+func (t *telFlags) open(tm *telemetry.Multi, suffix string) error {
 	if t.metricsOut != "" {
 		w, err := os.Create(outName(t.metricsOut, suffix))
 		if err != nil {
 			return err
 		}
-		r.SetSink(telemetry.NewJSONLSink(w))
+		tm.SetSink(telemetry.NewJSONLSink(w))
 	}
 	if t.traceOut != "" {
 		w, err := os.Create(outName(t.traceOut, suffix))
 		if err != nil {
 			return err
 		}
-		r.SetTraceSink(telemetry.NewTraceSink(w))
+		tm.SetTraceSink(telemetry.NewTraceSink(w))
 	}
 	return nil
 }
 
-// collector builds a collector for g with its sinks open; nil when no
+// attach hooks telemetry into a run's messenger, one collector per plane
+// of the machine sharing the output files. It returns nil when no
 // observability flag was given.
-func (t *telFlags) collector(g *topo.Graph, suffix string) (*telemetry.Collector, error) {
+func (t *telFlags) attach(m *exp.Machine, msgr fabric.Messenger) (*telemetry.Multi, error) {
 	if !t.enabled() {
 		return nil, nil
 	}
-	c := telemetry.New(g, t.options())
-	return c, t.openSinks(c, suffix)
-}
-
-// attach hooks telemetry into a run's messenger: one collector on a plain
-// fabric, one per plane sharing the output files on a multi-plane fabric.
-// It returns nil when no observability flag was given.
-func (t *telFlags) attach(m *exp.Machine, msgr fabric.Messenger) (recorder, error) {
-	if !t.enabled() {
-		return nil, nil
+	tm, err := m.AttachTelemetry(msgr, t.options())
+	if err != nil {
+		return nil, err
 	}
-	switch f := msgr.(type) {
-	case *fabric.Fabric:
-		c, err := t.collector(m.G, "")
-		if err == nil {
-			f.AttachTelemetry(c)
-		}
-		return c, err
-	case *fabric.MultiFabric:
-		tm := m.PlaneTelemetry(t.options())
-		if err := t.openSinks(tm, ""); err != nil {
-			return nil, err
-		}
-		return tm, f.AttachTelemetry(tm)
-	}
-	return nil, fmt.Errorf("telemetry: unsupported messenger %T", msgr)
+	return tm, t.open(tm, "")
 }
 
 // report emits the post-run artifacts: the perfquery-style hot-channel
 // table on stdout (one per plane, headed by its name, on a multi-plane
 // machine), then finishes the metrics and trace streams opened under
 // suffix. A failed stream (full disk, closed pipe) is an error rather than
-// a silently truncated file.
-func (t *telFlags) report(r recorder, suffix string) error {
-	if !t.enabled() {
+// a silently truncated file. A nil tm (no observability flag) reports
+// nothing.
+func (t *telFlags) report(tm *telemetry.Multi, suffix string) error {
+	if tm == nil {
 		return nil
 	}
-	var planes []*telemetry.Collector
-	switch r := r.(type) {
-	case *telemetry.Collector:
-		planes = []*telemetry.Collector{r}
-	case *telemetry.Multi:
-		planes = r.Planes
-	}
-	for _, c := range planes {
+	for _, c := range tm.Planes {
 		if t.topN <= 0 || c.Chans == nil {
 			continue
 		}
-		if len(planes) > 1 {
+		if len(tm.Planes) > 1 {
 			fmt.Printf("\n[%s]\n", c.PlaneName)
 		} else {
 			fmt.Println()
@@ -294,13 +259,13 @@ func (t *telFlags) report(r recorder, suffix string) error {
 		}
 	}
 	if t.metricsOut != "" {
-		if err := r.FinishStream(); err != nil {
+		if err := tm.FinishStream(); err != nil {
 			return fmt.Errorf("metrics export: %w", err)
 		}
 		fmt.Printf("metrics written to %s\n", outName(t.metricsOut, suffix))
 	}
 	if t.traceOut != "" {
-		if err := r.FinishTraceStream(); err != nil {
+		if err := tm.FinishTraceStream(); err != nil {
 			return fmt.Errorf("trace export: %w", err)
 		}
 		fmt.Printf("trace written to %s (open in chrome://tracing)\n", outName(t.traceOut, suffix))
@@ -342,7 +307,7 @@ func (f *runnerFlags) runner(seed uint64) (r exp.Runner, finish func() error, er
 		r.StatsInterval = defaultProgressInterval
 	}
 	r.Cache = exp.DefaultTableCache
-	var sink *telemetry.JSONLSink
+	var sink *telemetry.JSONSink
 	if f.progressOut != "" {
 		w, err := os.Create(f.progressOut)
 		if err != nil {
@@ -473,7 +438,7 @@ func runTrials(m *exp.Machine, n, trials int, seed uint64,
 	build func(int) (*workloads.Instance, error), unit string, tel *telFlags) error {
 	last := max(trials-1, 0)
 	var (
-		rec       recorder
+		tm        *telemetry.Multi
 		lastMsgr  fabric.Messenger
 		attachErr error
 	)
@@ -482,7 +447,7 @@ func runTrials(m *exp.Machine, n, trials int, seed uint64,
 		Attach: func(t int, msgr fabric.Messenger) {
 			if t == last {
 				lastMsgr = msgr
-				rec, attachErr = tel.attach(m, msgr)
+				tm, attachErr = tel.attach(m, msgr)
 			}
 		},
 	})
@@ -497,7 +462,7 @@ func runTrials(m *exp.Machine, n, trials int, seed uint64,
 	fmt.Printf("\nmin %.4g | q1 %.4g | median %.4g | q3 %.4g | max %.4g  [%s]\n",
 		st.Min, st.Q1, st.Median, st.Q3, st.Max, unit)
 	printPlaneShares(lastMsgr)
-	return tel.report(rec, "")
+	return tel.report(tm, "")
 }
 
 // runSampled runs ebb or mpigraph, which sample bandwidth directly over
@@ -514,7 +479,7 @@ func runSampled(m *exp.Machine, wl *benchFlags, samples int, seed uint64, tel *t
 	if err != nil {
 		return err
 	}
-	rec, err := tel.attach(m, msgr)
+	tm, err := tel.attach(m, msgr)
 	if err != nil {
 		return err
 	}
@@ -530,7 +495,7 @@ func runSampled(m *exp.Machine, wl *benchFlags, samples int, seed uint64, tel *t
 		fmt.Printf("mpiGraph avg %.3f GiB/s (min %.3f, max %.3f)\n", res.AvgGiB, res.MinGiB, res.MaxGiB)
 	}
 	printPlaneShares(msgr)
-	return tel.report(rec, "")
+	return tel.report(tm, "")
 }
 
 // printPlaneShares prints the policy's traffic split after a multi-plane
@@ -602,6 +567,7 @@ func cmdFaults(args []string) error {
 		// by a combo suffix.
 		suffixes := make([]string, len(selected))
 		specs := make([]exp.FaultSpec, len(selected))
+		tms := make([]*telemetry.Multi, len(selected))
 		for i, c := range selected {
 			if len(selected) > 1 {
 				suffixes[i] = comboSlug(c)
@@ -617,14 +583,18 @@ func cmdFaults(args []string) error {
 			if n == 0 {
 				n = exp.DefaultFailures(m)
 			}
-			col, err := tel.collector(m.G, suffixes[i])
-			if err != nil {
-				return err
-			}
 			specs[i] = exp.FaultSpec{
 				Machine: m, Nodes: wl.n, Failures: n, Seed: mf.Seed,
 				Detect: sim.Duration(detect.Seconds()), Sweep: sim.Duration(sweepLat.Seconds()),
-				Telemetry: col, Build: build,
+				Build: build,
+			}
+			if tel.enabled() {
+				// A fault scenario runs on the machine's one plane.
+				tms[i] = telemetry.NewMulti([]*topo.Graph{m.G}, nil, tel.options())
+				if err := tel.open(tms[i], suffixes[i]); err != nil {
+					return err
+				}
+				specs[i].Telemetry = tms[i].Planes[0]
 			}
 		}
 		r, finish, err := rf.runner(mf.Seed)
@@ -638,6 +608,9 @@ func cmdFaults(args []string) error {
 		if err != nil && results == nil {
 			return err // structural rejection: nothing ran
 		}
+		if err != nil {
+			err = fmt.Errorf("some scenarios failed:\n%v", err)
+		}
 		const gib = 1 << 30
 		for i, c := range selected {
 			m, res := specs[i].Machine, results[i]
@@ -646,26 +619,23 @@ func cmdFaults(args []string) error {
 				specs[i].Failures, wl.bench, wl.n, wl.size)
 			if res == nil || res.Faulted == 0 {
 				fmt.Printf("  scenario did not complete (see errors below)\n")
-				continue
+			} else {
+				st := res.SweepStats()
+				fmt.Printf("  makespan: baseline %.3f ms -> faulted %.3f ms (+%.1f%%)\n",
+					1e3*float64(res.Baseline), 1e3*float64(res.Faulted), 100*res.Slowdown())
+				fmt.Printf("  re-sweeps: %d (%d rejected), outage window min %.3f / median %.3f / max %.3f ms\n",
+					len(res.Sweeps), len(res.Sweeps)-len(res.Latencies),
+					1e3*st.Min, 1e3*st.Median, 1e3*st.Max)
+				fmt.Printf("  flows torn down %d, retries %d, lost %d of %d messages\n",
+					res.TornDown, res.Retries, res.GiveUps, res.Messages)
+				fmt.Printf("  goodput GiB/s: before %.3f | during %.3f | after %.3f\n",
+					res.GoodputBefore/gib, res.GoodputDuring/gib, res.GoodputAfter/gib)
 			}
-			st := res.SweepStats()
-			fmt.Printf("  makespan: baseline %.3f ms -> faulted %.3f ms (+%.1f%%)\n",
-				1e3*float64(res.Baseline), 1e3*float64(res.Faulted), 100*res.Slowdown())
-			fmt.Printf("  re-sweeps: %d (%d rejected), outage window min %.3f / median %.3f / max %.3f ms\n",
-				len(res.Sweeps), len(res.Sweeps)-len(res.Latencies),
-				1e3*st.Min, 1e3*st.Median, 1e3*st.Max)
-			fmt.Printf("  flows torn down %d, retries %d, lost %d of %d messages\n",
-				res.TornDown, res.Retries, res.GiveUps, res.Messages)
-			fmt.Printf("  goodput GiB/s: before %.3f | during %.3f | after %.3f\n",
-				res.GoodputBefore/gib, res.GoodputDuring/gib, res.GoodputAfter/gib)
-			if err := tel.report(specs[i].Telemetry, suffixes[i]); err != nil {
-				return err
-			}
+			// A failed scenario's streams are finished too: its metrics
+			// end with their footer and its trace document is sealed.
+			err = errors.Join(err, tel.report(tms[i], suffixes[i]))
 		}
-		if err != nil {
-			return fmt.Errorf("some scenarios failed:\n%v", err)
-		}
-		return nil
+		return err
 	})
 }
 

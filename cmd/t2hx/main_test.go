@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -92,50 +97,124 @@ func t2hx(t *testing.T, args ...string) (int, string) {
 // Every subcommand runs end to end at -small scale, writing its artifacts
 // into a temporary directory. None prints the process-wide table-cache
 // totals on stdout: at -j 2 (sweep, degraded) they vary between runs of
-// the same command, and stdout must be identical at any -j.
+// the same command, and stdout must be identical at any -j. Every stream
+// a case writes is finished, a failed faults scenario's included: a trace
+// parses as one JSON document, and a JSONL stream ends with its closing
+// line. The cases that write telemetry pin their output bytes by SHA-256:
+// stdout, with the temporary directory written as $DIR, and every file.
 func TestSubcommandsRunSmall(t *testing.T) {
 	dir := t.TempDir()
 	out := func(name string) string { return filepath.Join(dir, name) }
 	cases := []struct {
-		args  []string
-		want  string   // on stdout
-		files []string // written, non-empty
+		args    []string
+		code    int               // exit status
+		want    string            // on stdout
+		files   []string          // written, non-empty
+		digests map[string]string // "stdout" or a file name -> SHA-256
 	}{
-		{[]string{"list"}, "4: HyperX / PARX / clustered", nil},
-		{[]string{"run", "-small", "-combo", "2", "-bench", "imb:alltoall", "-n", "16", "-size", "4096",
+		{args: []string{"list"}, want: "4: HyperX / PARX / clustered"},
+		{args: []string{"run", "-small", "-combo", "2", "-bench", "imb:alltoall", "-n", "16", "-size", "4096",
 			"-trials", "2", "-counters", "2", "-metrics-out", out("run.jsonl"), "-trace-out", out("run.json")},
-			"top 2 channels by XmitWait", []string{"run.jsonl", "run.json"}},
-		{[]string{"run", "-small", "-planes", "ft:ftree,hyperx:parx", "-policy", "roundrobin", "-bench", "mpigraph",
-			"-n", "8", "-size", "4096", "-counters", "1", "-metrics-out", out("planes.jsonl")},
-			"[hyperx/parx]", []string{"planes.jsonl"}},
-		{[]string{"sweep", "-small", "-bench", "incast:4", "-n", "16", "-sizes", "4096,8192", "-trials", "1",
+			want: "top 2 channels by XmitWait", files: []string{"run.jsonl", "run.json"},
+			digests: map[string]string{
+				"stdout":    "af7abd31d3dd4f1da64a0cd387a96ef5920e3161b7da1fbe255e86bb81272691",
+				"run.jsonl": "a90de620428bdd23f40760a0dfef0c0989cfebc3dca9805ecbb57a7d445eded8",
+				"run.json":  "a33647fb80256b8dca860ea96dec5ebffa4162db3ae563600d3deb13416698ef",
+			}},
+		{args: []string{"run", "-small", "-planes", "ft:ftree,hyperx:parx", "-policy", "roundrobin", "-bench", "mpigraph",
+			"-n", "8", "-size", "4096", "-counters", "1", "-metrics-out", out("planes.jsonl"), "-trace-out", out("planes.json")},
+			want: "[hyperx/parx]", files: []string{"planes.jsonl", "planes.json"},
+			digests: map[string]string{
+				"stdout":       "10976dde4c7d33241ea584045523d45fbb9876629b8ba605400ba94ab9552c75",
+				"planes.jsonl": "ef40d234810ca652f690cf0b1bb23633acb729b3507af21e666752d0e2cee9ac",
+				"planes.json":  "32c3c26b2fe7428b3a03e1e67bdadc5ae76a3cc9ebe14c3739694d6257113d1e",
+			}},
+		{args: []string{"sweep", "-small", "-bench", "incast:4", "-n", "16", "-sizes", "4096,8192", "-trials", "1",
 			"-j", "2", "-progress", "0", "-progress-out", out("sweep-progress.jsonl")},
-			"HyperX / PARX / clustered               8192 B", []string{"sweep-progress.jsonl"}},
-		{[]string{"faults", "-small", "-n", "16", "-size", "32768", "-failures", "2", "-j", "2",
+			want: "HyperX / PARX / clustered               8192 B", files: []string{"sweep-progress.jsonl"}},
+		{args: []string{"faults", "-small", "-n", "16", "-size", "32768", "-failures", "2", "-j", "2",
 			"-metrics-out", out("f.jsonl"), "-trace-out", out("f.json")},
-			"lost 0 of", []string{
+			want: "lost 0 of", files: []string{
 				"f.fattree-ftree.jsonl", "f.hyperx-dfsssp.jsonl", "f.hyperx-parx.jsonl",
-				"f.fattree-ftree.json", "f.hyperx-dfsssp.json", "f.hyperx-parx.json"}},
-		{[]string{"degraded", "-small", "-n", "16", "-size", "32768", "-variants", "1", "-counts", "0,3",
+				"f.fattree-ftree.json", "f.hyperx-dfsssp.json", "f.hyperx-parx.json"},
+			digests: map[string]string{
+				"stdout":                "864b4320de41546bb4b1cf8ac3a2bd6248af452cbf7042e2796b826c42a8a07a",
+				"f.fattree-ftree.jsonl": "8d6c73051633a558cb1466b97acd641e96a2d9ee7391bf9964dc9518ebfcd2eb",
+				"f.hyperx-dfsssp.jsonl": "637844a9d50b62979dc71589dd8f0125d7bb2e96d9a804a8748887613fb28f83",
+				"f.hyperx-parx.jsonl":   "71091faf9a72795929afdcaab5b58f008f00c3d592527b719d48abbbacbcdeba",
+				"f.fattree-ftree.json":  "656d0ade3ccbdb59662c019fccf332c27d5706229d945dcc50d24a439e7b7ed1",
+				"f.hyperx-dfsssp.json":  "3b1982c7da3161ed978cce556157e69bc3ebb8ab51bdafb0e9b8b516ae899a0d",
+				"f.hyperx-parx.json":    "95901bc59377f7facf80666f25f84b60fbf6a8c567911a76433db65c33c831c5",
+			}},
+		// A 1 s detection delay deadlocks the faulted alltoall: the
+		// scenario fails, and its streams are still finished.
+		{args: []string{"faults", "-small", "-combo", "0", "-detect", "1s",
+			"-metrics-out", out("failed.jsonl"), "-trace-out", out("failed.json")},
+			code: 1, want: "scenario did not complete", files: []string{"failed.jsonl", "failed.json"},
+			digests: map[string]string{
+				"stdout":       "7979896d1c024ca869cbabee4c52c945678a0a3c041dff65e4609cd15f6c8ef2",
+				"failed.jsonl": "d8fb8f4ad92023639d656b7cbf8da4be159be5ba9876f6ed021eed72d7fb39bf",
+				"failed.json":  "10fad56a564b0e4489ce1594a120225305abfaf54e31eec5a4097e8df904bc85",
+			}},
+		{args: []string{"degraded", "-small", "-n", "16", "-size", "32768", "-variants", "1", "-counts", "0,3",
 			"-j", "2", "-progress-out", out("degraded-progress.jsonl")},
-			"hxnm    3", []string{"degraded-progress.jsonl"}},
-		{[]string{"scale", "-t", "2", "-msgs", "2000", "-window", "32", "-size", "4096"},
-			"delivered 2000 messages", nil},
+			want: "hxnm    3", files: []string{"degraded-progress.jsonl"}},
+		{args: []string{"scale", "-t", "2", "-msgs", "2000", "-window", "32", "-size", "4096"},
+			want: "delivered 2000 messages"},
 	}
 	for _, c := range cases {
+		cmd := strings.Join(c.args, " ")
 		code, stdout := t2hx(t, c.args...)
-		if code != 0 || !strings.Contains(stdout, c.want) {
-			t.Errorf("t2hx %s: exit %d, stdout lacks %q:\n%s", strings.Join(c.args, " "), code, c.want, stdout)
+		if code != c.code || !strings.Contains(stdout, c.want) {
+			t.Errorf("t2hx %s: exit %d, want %d with %q on stdout:\n%s", cmd, code, c.code, c.want, stdout)
 		}
 		if strings.Contains(stdout, "table cache:") {
-			t.Errorf("t2hx %s: stdout carries the table-cache totals:\n%s", strings.Join(c.args, " "), stdout)
+			t.Errorf("t2hx %s: stdout carries the table-cache totals:\n%s", cmd, stdout)
 		}
+		outputs := map[string][]byte{"stdout": []byte(strings.ReplaceAll(stdout, dir, "$DIR"))}
 		for _, name := range c.files {
-			if fi, err := os.Stat(out(name)); err != nil || fi.Size() == 0 {
+			b, err := os.ReadFile(out(name))
+			if err != nil || len(b) == 0 {
 				t.Errorf("t2hx %s: %s not written (%v)", c.args[0], name, err)
+				continue
+			}
+			if err := finished(name, b); err != nil {
+				t.Errorf("t2hx %s: %s: %v", cmd, name, err)
+			}
+			outputs[name] = b
+		}
+		for name, want := range c.digests {
+			sum := sha256.Sum256(outputs[name])
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("t2hx %s: %s digest %s, pinned %s", cmd, name, got, want)
 			}
 		}
 	}
+}
+
+// finished checks that a written stream was closed properly: a .json
+// trace is one JSON document, and a .jsonl stream ends with the line
+// that closes it — a "run" footer, a multi-plane "machine" summary, or a
+// runner's final progress snapshot.
+func finished(name string, b []byte) error {
+	if filepath.Ext(name) == ".json" {
+		var doc struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		return json.Unmarshal(b, &doc)
+	}
+	lines := bytes.Split(bytes.TrimSpace(b), []byte("\n"))
+	var last struct {
+		Kind  string `json:"kind"`
+		Final bool   `json:"final"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+		return err
+	}
+	if last.Kind != "run" && last.Kind != "machine" && !last.Final {
+		return fmt.Errorf("stream ends with a %q line", last.Kind)
+	}
+	return nil
 }
 
 // A flag the subcommand does not read is an undefined flag (exit 2), not

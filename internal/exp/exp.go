@@ -255,15 +255,30 @@ func (m *Machine) NewMessenger(seed uint64) (fabric.Messenger, error) {
 	return m.NewMultiFabric(seed)
 }
 
-// PlaneTelemetry builds one collector per plane of the machine, named by
-// plane, for a multi-plane messenger's AttachTelemetry.
-func (m *Machine) PlaneTelemetry(opts telemetry.Options) *telemetry.Multi {
+// AttachTelemetry builds one collector per plane of the machine and
+// attaches them to msgr, a messenger built on m (NewMessenger). A
+// single-plane machine's collector is unnamed, so its exports read byte
+// for byte as a lone collector's: no plane name and no "machine" line.
+func (m *Machine) AttachTelemetry(msgr fabric.Messenger, opts telemetry.Options) (*telemetry.Multi, error) {
 	gs := make([]*topo.Graph, len(m.Planes))
-	names := make([]string, len(m.Planes))
+	var names []string
 	for i, p := range m.Planes {
-		gs[i], names[i] = p.G, p.Spec.Label()
+		gs[i] = p.G
+		if m.MultiPlane() {
+			names = append(names, p.Spec.Label())
+		}
 	}
-	return telemetry.NewMulti(gs, names, opts)
+	tm := telemetry.NewMulti(gs, names, opts)
+	switch f := msgr.(type) {
+	case *fabric.MultiFabric:
+		return tm, f.AttachTelemetry(tm)
+	case *fabric.Fabric:
+		if !m.MultiPlane() {
+			f.AttachTelemetry(tm.Planes[0])
+			return tm, nil
+		}
+	}
+	return nil, fmt.Errorf("exp: cannot attach telemetry for %d planes to a %T", len(m.Planes), msgr)
 }
 
 // Place selects n nodes per the combo's placement strategy.

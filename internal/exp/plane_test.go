@@ -78,11 +78,11 @@ func TestSinglePlaneMultiFabricMatchesFabric(t *testing.T) {
 				if mf.NumPlanes() != 1 || mf.PolicyName() != "single" {
 					t.Fatalf("single-plane machine gave %d planes, policy %s", mf.NumPlanes(), mf.PolicyName())
 				}
-				tm := m.PlaneTelemetry(opts)
-				tm.SetSink(telemetry.NewJSONLSink(&docM))
-				if err := mf.AttachTelemetry(tm); err != nil {
+				tm, err := m.AttachTelemetry(mf, opts)
+				if err != nil {
 					t.Fatal(err)
 				}
+				tm.SetSink(telemetry.NewJSONLSink(&docM))
 				resM, err := mpi.Run(mf, "multi", ranks, build(), mpi.Options{})
 				if err != nil {
 					t.Fatal(err)
@@ -118,7 +118,8 @@ func TestSinglePlaneMultiFabricMatchesFabric(t *testing.T) {
 // dual-plane machine and checks the machine-level invariants: both planes
 // carry traffic (small messages on the HyperX, large on the Fat-Tree),
 // the conservation identity holds across the union of both planes'
-// channel sets, nothing is lost, and both planes emit trace spans.
+// channel sets, nothing is lost, both planes emit trace spans, and both
+// sample the shared engine's queue.
 func TestDualPlaneSizeSplitConservation(t *testing.T) {
 	const n = 16
 	m, err := BuildMachine(DualPlaneCombo(), MachineConfig{Small: true, Degrade: true, Seed: 1})
@@ -133,13 +134,13 @@ func TestDualPlaneSizeSplitConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := m.PlaneTelemetry(telemetry.Options{Counters: true, Messages: true, Trace: true})
+	tm, err := m.AttachTelemetry(mf, telemetry.Options{Counters: true, Messages: true, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	traces := make([]bytes.Buffer, mf.NumPlanes())
 	for p := range traces {
-		tm.ForPlane(p).SetTraceSink(telemetry.NewTraceSink(&traces[p]))
-	}
-	if err := mf.AttachTelemetry(tm); err != nil {
-		t.Fatal(err)
+		tm.Planes[p].SetTraceSink(telemetry.NewTraceSink(&traces[p]))
 	}
 	for _, size := range []int64{512, 1 << 20} {
 		inst, err := workloads.BuildIMB("alltoall", n, size)
@@ -158,10 +159,10 @@ func TestDualPlaneSizeSplitConservation(t *testing.T) {
 		if mf.PlaneMessages[p] == 0 {
 			t.Errorf("plane %s carried no messages under sizesplit", mf.PlaneName(p))
 		}
-		if tm.ForPlane(p).Chans.TotalXmitData() <= 0 {
+		if tm.Planes[p].Chans.TotalXmitData() <= 0 {
 			t.Errorf("plane %s has no XmitData", mf.PlaneName(p))
 		}
-		if err := tm.ForPlane(p).FinishTraceStream(); err != nil {
+		if err := tm.Planes[p].FinishTraceStream(); err != nil {
 			t.Fatal(err)
 		}
 		var doc struct {
@@ -180,6 +181,14 @@ func TestDualPlaneSizeSplitConservation(t *testing.T) {
 		}
 		if spans == 0 {
 			t.Errorf("plane %s emitted no trace spans", mf.PlaneName(p))
+		}
+		// Every plane reports the shared engine's events, so every plane
+		// samples its queue at each of them.
+		c := tm.Planes[p]
+		if c.QueueHist.Count() != c.EventsProcessed() || c.MaxQueueDepth == 0 ||
+			c.MaxQueueDepth != tm.Planes[0].MaxQueueDepth {
+			t.Errorf("plane %s sampled the queue at %d of %d engine events, max depth %d (plane 0: %d)",
+				mf.PlaneName(p), c.QueueHist.Count(), c.EventsProcessed(), c.MaxQueueDepth, tm.Planes[0].MaxQueueDepth)
 		}
 	}
 	sum := tm.FCTSummary()
@@ -247,8 +256,8 @@ func TestFailoverSurvivesFullPlaneOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := m.PlaneTelemetry(telemetry.Options{Messages: true})
-	if err := mf.AttachTelemetry(tm); err != nil {
+	tm, err := m.AttachTelemetry(mf, telemetry.Options{Messages: true})
+	if err != nil {
 		t.Fatal(err)
 	}
 	mf.EnableResilience(fabric.Resilience{})

@@ -216,7 +216,8 @@ func (mf *MultiFabric) redispatch(from int, src, dst topo.NodeID, size int64, on
 }
 
 // AttachTelemetry wires one collector per plane (tm.Planes parallel to
-// the plane list); nil detaches all planes.
+// the plane list), each sampling the engine the planes share; nil
+// detaches all planes.
 func (mf *MultiFabric) AttachTelemetry(tm *telemetry.Multi) error {
 	if tm == nil {
 		for _, f := range mf.planes {
@@ -230,6 +231,7 @@ func (mf *MultiFabric) AttachTelemetry(tm *telemetry.Multi) error {
 	for p, f := range mf.planes {
 		f.AttachTelemetry(tm.Planes[p])
 	}
+	tm.AttachEngine(mf.Eng)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -90,28 +91,19 @@ func (s *Session) countersRun(c exp.Combo, n int, build func(n int) (*workloads.
 		return 0, nil, nil, err
 	}
 	var msgr fabric.Messenger
-	var cols []*telemetry.Collector
+	var tm *telemetry.Multi
+	var attachErr error
 	vals, _, err := exp.RunTrials(exp.TrialSpec{
 		Machine: m, Nodes: n, Trials: 1, Seed: s.P.Seed, Build: build,
 		Attach: func(_ int, f fabric.Messenger) {
 			msgr = f
-			opts := telemetry.Options{Counters: true}
-			if mf, ok := f.(*fabric.MultiFabric); ok {
-				tm := m.PlaneTelemetry(opts)
-				if err := mf.AttachTelemetry(tm); err != nil {
-					panic(err) // lengths match by construction
-				}
-				cols = tm.Planes
-				return
-			}
-			cols = []*telemetry.Collector{telemetry.New(m.G, opts)}
-			f.(*fabric.Fabric).AttachTelemetry(cols[0])
+			tm, attachErr = m.AttachTelemetry(f, telemetry.Options{Counters: true})
 		},
 	})
-	if err != nil {
+	if err = errors.Join(err, attachErr); err != nil {
 		return 0, nil, nil, err
 	}
-	return vals[0], msgr, cols, nil
+	return vals[0], msgr, tm.Planes, nil
 }
 
 // Render prints each combo's switch heatmap and hottest channels, and

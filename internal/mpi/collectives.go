@@ -84,13 +84,6 @@ func (b *Builder) ComputeRank(r Rank, d sim.Duration) {
 	b.Progs[r].Compute(d)
 }
 
-// P2P adds a single blocking send/recv pair between two ranks.
-func (b *Builder) P2P(src, dst Rank, size int64) {
-	tag := b.nextTag()
-	b.Progs[src].Send(dst, size, tag)
-	b.Progs[dst].Recv(src, tag)
-}
-
 // Barrier is the dissemination barrier over the world communicator.
 func (b *Builder) Barrier() { b.Group(b.world...).Barrier() }
 

@@ -160,18 +160,7 @@ func (c *Collector) writeStreamFooter() {
 // export saw — including write failures latched mid-run — so callers can
 // exit non-zero instead of shipping a silently truncated metrics file. A
 // collector without a sink returns nil.
-func (c *Collector) FinishStream() error {
-	if c.sink == nil {
-		return nil
-	}
-	c.writeStreamFooter()
-	err := c.sinkErr
-	if cerr := c.sink.Close(); err == nil {
-		err = cerr
-	}
-	c.sink = nil
-	return err
-}
+func (c *Collector) FinishStream() error { return c.alone().FinishStream() }
 
 // FprintHotLinks renders the paper-style top-n counter readout (the
 // PortXmitData/PortXmitWait table read off TSUBAME2's switches) to w,

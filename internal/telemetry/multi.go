@@ -1,6 +1,11 @@
 package telemetry
 
-import "github.com/hpcsim/t2hx/internal/topo"
+import (
+	"cmp"
+
+	"github.com/hpcsim/t2hx/internal/sim"
+	"github.com/hpcsim/t2hx/internal/topo"
+)
 
 // Multi bundles one Collector per plane of a multi-plane machine and
 // merges their exports. Per-plane counters stay separate — each plane has
@@ -27,13 +32,11 @@ func NewMulti(gs []*topo.Graph, names []string, opts Options) *Multi {
 	return m
 }
 
-// ForPlane returns plane p's collector.
-func (m *Multi) ForPlane(p int) *Collector { return m.Planes[p] }
-
 // SetSink attaches one shared streaming sink to every plane's collector:
 // "msg" lines from all planes interleave in completion order (each stamped
-// with its plane id), and FinishStream appends per-plane footers plus the
-// machine-level summary before closing the sink once.
+// with its plane id), and FinishStream appends per-plane footers plus,
+// with more than one plane, the machine-level summary before closing the
+// sink once.
 func (m *Multi) SetSink(s Sink) {
 	for _, c := range m.Planes {
 		c.SetSink(s)
@@ -49,67 +52,57 @@ func (m *Multi) SetTraceSink(s Sink) {
 	}
 }
 
-// FinishStream completes a shared streaming export: every plane's
-// "hist"/"chan"/"run" footer, the machine summary line last, then one
-// Close on the shared sink. Returns the first error any plane latched.
-func (m *Multi) FinishStream() error {
-	var sink Sink
-	var first error
+// AttachEngine hooks every plane into the engine the planes share. Each
+// plane's run line reports that engine's events, so each plane samples
+// its queue depth. (*fabric.MultiFabric).AttachTelemetry calls it.
+func (m *Multi) AttachEngine(eng *sim.Engine) {
 	for _, c := range m.Planes {
-		if c.sink == nil {
-			continue
+		c.eng = eng
+	}
+	eng.OnStep = func(_ sim.Time, pending int) {
+		for _, c := range m.Planes {
+			c.MaxQueueDepth = max(c.MaxQueueDepth, pending)
+			c.QueueHist.ObserveTick(uint64(pending))
 		}
-		sink = c.sink
-		c.writeStreamFooter()
-		if first == nil {
-			first = c.sinkErr
-		}
-		c.sink = nil
 	}
-	if sink == nil {
-		return first
-	}
-	if err := sink.Write(m.makeMachineLine()); err != nil && first == nil {
-		first = err
-	}
-	if err := sink.Close(); err != nil && first == nil {
-		first = err
-	}
-	return first
 }
+
+// FinishStream completes a shared streaming export: every plane's
+// "hist"/"chan"/"run" footer, the machine summary line last when there is
+// more than one plane, then one Close on the shared sink. Returns the
+// first error any plane latched.
+func (m *Multi) FinishStream() error { return m.finish(metricsOut) }
 
 // FinishTraceStream seals the shared streaming trace document with a
 // single Close, returning the first error any plane's trace export saw.
-func (m *Multi) FinishTraceStream() error {
+func (m *Multi) FinishTraceStream() error { return m.finish(traceOut) }
+
+// finish ends output o, which every plane writes to one shared sink. For
+// the metrics it writes each plane's footer and, with more than one
+// plane, the machine line; then it closes the sink once. It returns the
+// first error a plane latched or the sink reported, and nil when no plane
+// has a sink for o.
+func (m *Multi) finish(o output) error {
 	var sink Sink
 	var first error
 	for _, c := range m.Planes {
-		if c.traceSink == nil {
+		s := &c.out[o]
+		if s.sink == nil {
 			continue
 		}
-		sink = c.traceSink
-		if first == nil {
-			first = c.traceErr
+		if o == metricsOut {
+			c.writeStreamFooter()
 		}
-		c.traceSink = nil
+		sink, first = s.sink, cmp.Or(first, s.err)
+		*s = stream{}
 	}
 	if sink == nil {
-		return first
+		return nil
 	}
-	if err := sink.Close(); err != nil && first == nil {
-		first = err
+	if o == metricsOut && len(m.Planes) > 1 {
+		first = cmp.Or(first, sink.Write(m.makeMachineLine()))
 	}
-	return first
-}
-
-// SinkErr reports the first error any plane's sink latched, or nil.
-func (m *Multi) SinkErr() error {
-	for _, c := range m.Planes {
-		if err := c.SinkErr(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cmp.Or(first, sink.Close())
 }
 
 // TotalXmitData sums transmitted bytes over every plane's channel set —

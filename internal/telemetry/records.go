@@ -88,7 +88,7 @@ func (c *Collector) closeMsg(rec int, r *MsgRecord) {
 		c.agg.redispatched++
 	}
 	c.traceMsg(r)
-	if c.sink != nil {
+	if c.out[metricsOut].sink != nil {
 		c.emit(makeMsgLine(c.Plane, r))
 	}
 	c.freeSlots = append(c.freeSlots, rec)

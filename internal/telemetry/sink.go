@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -51,37 +52,43 @@ const defaultFlushEvery = 256
 // sinkBufSize bounds each sink's in-memory buffering.
 const sinkBufSize = 64 << 10
 
-// closeUnderlying closes w when it is an io.Closer (files), else no-ops
-// (bytes.Buffer, io.Discard).
-func closeUnderlying(w io.Writer) error {
-	if c, ok := w.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// JSONLSink streams lines as JSON objects, one per line — the
-// grep/jq-friendly -metrics-out format.
-type JSONLSink struct {
+// JSONSink streams lines as JSON in one of two framings: one object per
+// line (NewJSONLSink, the grep/jq-friendly -metrics-out format), or a
+// Chrome trace_event document (NewTraceSink) whose envelope opens on the
+// first event and is sealed by Close, so a multi-hour run's timeline goes
+// to disk incrementally instead of accumulating in the collector. The
+// trace framing accepts only "trace" lines.
+type JSONSink struct {
 	under  io.Writer
 	w      *bufio.Writer
+	line   bytes.Buffer // the framed line being encoded
 	enc    *json.Encoder
+	trace  bool // trace_event framing
+	wrote  bool // a line went out: the trace envelope is open
 	every  int
 	unread int // records since the last flush
 	err    error
 	closed bool
 }
 
-// NewJSONLSink wraps w with bounded buffering and the default flush
-// cadence. If w is an io.Closer, Close closes it.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	bw := bufio.NewWriterSize(w, sinkBufSize)
-	return &JSONLSink{under: w, w: bw, enc: json.NewEncoder(bw), every: defaultFlushEvery}
+// NewJSONLSink streams one JSON object per line to w, with bounded
+// buffering and the default flush cadence. If w is an io.Closer, Close
+// closes it.
+func NewJSONLSink(w io.Writer) *JSONSink { return newJSONSink(w, false) }
+
+// NewTraceSink streams a Chrome trace_event document to w. If w is an
+// io.Closer, Close closes it.
+func NewTraceSink(w io.Writer) *JSONSink { return newJSONSink(w, true) }
+
+func newJSONSink(w io.Writer, trace bool) *JSONSink {
+	s := &JSONSink{under: w, w: bufio.NewWriterSize(w, sinkBufSize), trace: trace, every: defaultFlushEvery}
+	s.enc = json.NewEncoder(&s.line)
+	return s
 }
 
 // FlushEvery sets the automatic flush cadence in records (<= 0 restores
 // the default) and returns the sink for chaining.
-func (s *JSONLSink) FlushEvery(n int) *JSONLSink {
+func (s *JSONSink) FlushEvery(n int) *JSONSink {
 	if n <= 0 {
 		n = defaultFlushEvery
 	}
@@ -89,15 +96,36 @@ func (s *JSONLSink) FlushEvery(n int) *JSONLSink {
 	return s
 }
 
-// Write encodes one line.
-func (s *JSONLSink) Write(l Line) error {
+// Write encodes one line in the sink's framing.
+func (s *JSONSink) Write(l Line) error {
 	if s.err != nil {
 		return s.err
+	}
+	s.line.Reset()
+	if s.trace {
+		if _, ok := l.(traceEvent); !ok {
+			s.err = fmt.Errorf("telemetry: trace sink got %q line", l.LineKind())
+			return s.err
+		}
+		sep := ",\n"
+		if !s.wrote {
+			sep = "{\"traceEvents\":[\n"
+		}
+		s.line.WriteString(sep)
 	}
 	if err := s.enc.Encode(l); err != nil {
 		s.err = err
 		return err
 	}
+	b := s.line.Bytes()
+	if s.trace {
+		b = b[:len(b)-1] // the next separator or Close ends the event
+	}
+	if _, err := s.w.Write(b); err != nil {
+		s.err = err
+		return err
+	}
+	s.wrote = true
 	s.unread++
 	if s.unread >= s.every {
 		return s.Flush()
@@ -106,7 +134,7 @@ func (s *JSONLSink) Write(l Line) error {
 }
 
 // Flush pushes buffered lines through to the underlying writer.
-func (s *JSONLSink) Flush() error {
+func (s *JSONSink) Flush() error {
 	if s.err != nil {
 		return s.err
 	}
@@ -117,92 +145,14 @@ func (s *JSONLSink) Flush() error {
 	return s.err
 }
 
-// Close flushes and closes the underlying writer.
-func (s *JSONLSink) Close() error {
+// Close seals a trace document, flushes, and closes the underlying
+// writer when it is an io.Closer.
+func (s *JSONSink) Close() error {
 	if s.closed {
 		return s.err
 	}
 	s.closed = true
-	s.Flush()
-	if err := closeUnderlying(s.under); err != nil && s.err == nil {
-		s.err = err
-	}
-	return s.err
-}
-
-// TraceSink streams Chrome trace_event JSON: the document envelope is
-// opened on the first event and sealed by Close, so a multi-hour run's
-// timeline goes to disk incrementally instead of accumulating in the
-// collector. Only "trace" lines are accepted.
-type TraceSink struct {
-	under  io.Writer
-	w      *bufio.Writer
-	wrote  bool
-	unread int
-	every  int
-	err    error
-	closed bool
-}
-
-// NewTraceSink wraps w. If w is an io.Closer, Close closes it.
-func NewTraceSink(w io.Writer) *TraceSink {
-	return &TraceSink{under: w, w: bufio.NewWriterSize(w, sinkBufSize), every: defaultFlushEvery}
-}
-
-// Write appends one trace event to the document.
-func (s *TraceSink) Write(l Line) error {
-	if s.err != nil {
-		return s.err
-	}
-	ev, ok := l.(traceEvent)
-	if !ok {
-		s.err = fmt.Errorf("telemetry: trace sink got %q line", l.LineKind())
-		return s.err
-	}
-	raw, err := json.Marshal(ev)
-	if err != nil {
-		s.err = err
-		return err
-	}
-	sep := ",\n"
-	if !s.wrote {
-		s.wrote = true
-		sep = "{\"traceEvents\":[\n"
-	}
-	if _, err := s.w.WriteString(sep); err != nil {
-		s.err = err
-		return err
-	}
-	if _, err := s.w.Write(raw); err != nil {
-		s.err = err
-		return err
-	}
-	s.unread++
-	if s.unread >= s.every {
-		return s.Flush()
-	}
-	return nil
-}
-
-// Flush pushes buffered events through to the underlying writer.
-func (s *TraceSink) Flush() error {
-	if s.err != nil {
-		return s.err
-	}
-	s.unread = 0
-	if err := s.w.Flush(); err != nil {
-		s.err = err
-	}
-	return s.err
-}
-
-// Close seals the trace_event document and closes the underlying writer.
-func (s *TraceSink) Close() error {
-	if s.closed {
-		return s.err
-	}
-	s.closed = true
-	if s.err == nil {
+	if s.trace && s.err == nil {
 		tail := "\n],\"displayTimeUnit\":\"ms\"}\n"
 		if !s.wrote {
 			tail = "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}\n"
@@ -212,15 +162,17 @@ func (s *TraceSink) Close() error {
 		}
 	}
 	s.Flush()
-	if err := closeUnderlying(s.under); err != nil && s.err == nil {
-		s.err = err
+	if c, ok := s.under.(io.Closer); ok {
+		if err := c.Close(); err != nil && s.err == nil {
+			s.err = err
+		}
 	}
 	return s.err
 }
 
 // CountSink counts lines by kind and discards them — the null sink. It
 // measures a stream (tests, ablations, dry runs) at zero serialization
-// cost and, unlike the other sinks, is safe for concurrent use.
+// cost and, unlike JSONSink, is safe for concurrent use.
 type CountSink struct {
 	mu      sync.Mutex
 	kinds   map[string]uint64

@@ -107,9 +107,6 @@ func TestStreamingFaultTeardown(t *testing.T) {
 	if res.Delivered != res.Messages {
 		t.Fatalf("delivered %d of %d", res.Delivered, res.Messages)
 	}
-	if col.SinkErr() != nil {
-		t.Fatalf("sink error during faulted run: %v", col.SinkErr())
-	}
 	sum := col.FCTSummary()
 	if got := count.Count("msg"); got != uint64(sum.N) {
 		t.Fatalf("streamed %d msg lines, summary counted %d", got, sum.N)

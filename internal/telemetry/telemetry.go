@@ -70,17 +70,36 @@ type Collector struct {
 
 	eng *sim.Engine
 
-	// Export state: sink receives closed records as lines; traceSink
-	// receives trace events. sinkErr/traceErr latch the first write
-	// failure (surfaced by FinishStream / FinishTraceStream / SinkErr).
-	// open/freeSlots form the O(concurrent-messages) table of open records.
-	sink      Sink
-	traceSink Sink
-	sinkErr   error
-	traceErr  error
+	// out holds the two streamed exports, the metrics JSONL and the
+	// trace, indexed by output. open/freeSlots form the
+	// O(concurrent-messages) table of open records.
+	out       [2]stream
 	open      []MsgRecord
 	freeSlots []int
 	agg       msgAgg
+}
+
+// output indexes a collector's streamed exports.
+type output int
+
+const (
+	metricsOut output = iota
+	traceOut
+)
+
+// stream is one streamed export from attach to close: writes go to the
+// sink until the first error, which is latched and reported when the
+// export finishes (FinishStream, FinishTraceStream).
+type stream struct {
+	sink Sink
+	err  error
+}
+
+// write writes l unless the stream has no sink or has failed.
+func (s *stream) write(l Line) {
+	if s.sink != nil && s.err == nil {
+		s.err = s.sink.Write(l)
+	}
 }
 
 // msgAgg accumulates the run-summary aggregates of closed records; with
@@ -113,35 +132,20 @@ func New(g *topo.Graph, opts Options) *Collector {
 // "hist"/"chan"/"run" summary lines. Records never outlive their message
 // (without a sink they only feed FCTSummary), so memory stays
 // O(concurrently in-flight messages) for arbitrarily long runs. Attach
-// before traffic starts; write errors latch into SinkErr and surface from
-// FinishStream.
-func (c *Collector) SetSink(s Sink) { c.sink = s }
+// before traffic starts; the first write error is latched and surfaces
+// from FinishStream.
+func (c *Collector) SetSink(s Sink) { c.out[metricsOut] = stream{sink: s} }
 
-// SinkErr reports the first error the attached sink returned, or nil.
-func (c *Collector) SinkErr() error { return c.sinkErr }
-
-// emit writes one line to the sink, latching the first failure.
-func (c *Collector) emit(l Line) {
-	if c.sink == nil || c.sinkErr != nil {
-		return
-	}
-	if err := c.sink.Write(l); err != nil {
-		c.sinkErr = err
-	}
-}
+// emit writes one line to the metrics stream.
+func (c *Collector) emit(l Line) { c.out[metricsOut].write(l) }
 
 // AttachEngine hooks the collector into the event loop to sample queue
 // depth. The fabric's AttachTelemetry calls this; standalone users may too.
-func (c *Collector) AttachEngine(eng *sim.Engine) {
-	c.eng = eng
-	qh := c.QueueHist
-	eng.OnStep = func(_ sim.Time, pending int) {
-		if pending > c.MaxQueueDepth {
-			c.MaxQueueDepth = pending
-		}
-		qh.ObserveTick(uint64(pending))
-	}
-}
+func (c *Collector) AttachEngine(eng *sim.Engine) { c.alone().AttachEngine(eng) }
+
+// alone is the one-plane Multi of c: a lone collector attaches and
+// finishes its streams exactly as a one-plane machine's does.
+func (c *Collector) alone() *Multi { return &Multi{Planes: []*Collector{c}} }
 
 // EventsProcessed reports the attached engine's executed-event count, or 0
 // without an engine.

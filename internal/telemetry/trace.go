@@ -46,10 +46,10 @@ func usec(t sim.Time) float64 { return 1e6 * float64(t) }
 // SetTraceSink streams trace events out as they are recorded: the pid-lane
 // metadata goes out immediately, every later Span/Instant follows, and
 // FinishTraceStream seals the document. Without a trace sink the collector
-// records no trace at all. Pair it with a TraceSink for a valid Chrome
+// records no trace at all. Pair it with NewTraceSink for a valid Chrome
 // trace_event file.
 func (c *Collector) SetTraceSink(s Sink) {
-	c.traceSink = s
+	c.out[traceOut] = stream{sink: s}
 	if !c.tracing() {
 		return
 	}
@@ -60,43 +60,26 @@ func (c *Collector) SetTraceSink(s Sink) {
 		suffix = " [" + c.PlaneName + "]"
 	}
 	name := func(n string) map[string]any { return map[string]any{"name": n + suffix} }
-	c.emitTrace(traceEvent{Name: "process_name", Ph: "M", Pid: TracePidFabric + TracePlaneStride*c.Plane, Args: name("fabric")})
-	c.emitTrace(traceEvent{Name: "process_name", Ph: "M", Pid: TracePidSM + TracePlaneStride*c.Plane, Args: name("subnet-manager")})
+	c.out[traceOut].write(traceEvent{Name: "process_name", Ph: "M", Pid: TracePidFabric + TracePlaneStride*c.Plane, Args: name("fabric")})
+	c.out[traceOut].write(traceEvent{Name: "process_name", Ph: "M", Pid: TracePidSM + TracePlaneStride*c.Plane, Args: name("subnet-manager")})
 }
 
 // tracing reports whether trace events have somewhere to go.
 func (c *Collector) tracing() bool {
-	return c != nil && c.Opts.Trace && c.traceSink != nil
-}
-
-// emitTrace writes one event to the trace sink, latching the first failure.
-func (c *Collector) emitTrace(ev traceEvent) {
-	if c.traceErr == nil {
-		c.traceErr = c.traceSink.Write(ev)
-	}
+	return c != nil && c.Opts.Trace && c.out[traceOut].sink != nil
 }
 
 // FinishTraceStream seals the streaming trace document and closes the
 // sink, returning the first error the trace export saw. A collector
 // without a trace sink returns nil.
-func (c *Collector) FinishTraceStream() error {
-	if c.traceSink == nil {
-		return nil
-	}
-	err := c.traceErr
-	if cerr := c.traceSink.Close(); err == nil {
-		err = cerr
-	}
-	c.traceSink = nil
-	return err
-}
+func (c *Collector) FinishTraceStream() error { return c.alone().FinishTraceStream() }
 
 // Span records a completed interval [start, end] on the given lane.
 func (c *Collector) Span(pid, tid int, cat, name string, start, end sim.Time, args map[string]any) {
 	if !c.tracing() {
 		return
 	}
-	c.emitTrace(traceEvent{
+	c.out[traceOut].write(traceEvent{
 		Name: name, Cat: cat, Ph: "X",
 		Ts: usec(start), Dur: usec(end - start),
 		Pid: pid + TracePlaneStride*c.Plane, Tid: tid, Args: args,
@@ -108,7 +91,7 @@ func (c *Collector) Instant(pid, tid int, cat, name string, at sim.Time, args ma
 	if !c.tracing() {
 		return
 	}
-	c.emitTrace(traceEvent{
+	c.out[traceOut].write(traceEvent{
 		Name: name, Cat: cat, Ph: "i", S: "t",
 		Ts: usec(at), Pid: pid + TracePlaneStride*c.Plane, Tid: tid, Args: args,
 	})

@@ -215,9 +215,6 @@ func (ft *FatTree) Level(n NodeID) int { return ft.level[n] }
 // XCoord returns (x_{i+1..h}) for a level-i node: the subtree digits.
 func (ft *FatTree) XCoord(n NodeID) []int { return ft.xcoord[n] }
 
-// YCoord returns (y_{1..i}) for a level-i node: the redundancy digits.
-func (ft *FatTree) YCoord(n NodeID) []int { return ft.ycoord[n] }
-
 // TermIndex returns the linear index of a terminal.
 func (ft *FatTree) TermIndex(t NodeID) int { return ft.termIndex[t] }
 
@@ -243,9 +240,6 @@ func (ft *FatTree) DownLink(n NodeID, x int) *Link {
 	}
 	return downs[x]
 }
-
-// NumChildren reports the number of down-links of switch n.
-func (ft *FatTree) NumChildren(n NodeID) int { return len(ft.downPorts[n]) }
 
 // Ancestors reports whether switch s (level i) is an ancestor of terminal t:
 // the x-suffixes beyond level i must match.
