@@ -50,6 +50,5 @@ examples:
 	go run ./examples/adaptive-routing
 	go run ./examples/dual-plane -small
 
+# The topocheck routing gate runs inside test (cmd/topocheck TestRoutingGate).
 check: fmt vet build test hxbench-test race fuzz bench examples
-	go run ./cmd/topocheck -degrade -1 -seed 42
-	go run ./cmd/topocheck -planes ft:ftree,hyperx:parx

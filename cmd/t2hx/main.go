@@ -82,9 +82,21 @@ type comboFlags struct {
 func addComboFlags(fs *flag.FlagSet) *comboFlags {
 	c := &comboFlags{}
 	fs.StringVar(&c.topo, "topo", "", "custom combo: topology (fattree|hyperx); overrides -combo")
-	fs.StringVar(&c.routing, "routing", "", "custom combo: routing (ftree|sssp|dfsssp|updown|lash|parx)")
+	fs.StringVar(&c.routing, "routing", "", "custom combo: routing ("+engineNames("")+")")
 	fs.StringVar(&c.placement, "placement", "linear", "custom combo: placement (linear|clustered|random)")
 	return c
+}
+
+// engineNames lists the engine table's routing names that run on a
+// topology ("" for every name) for flag help.
+func engineNames(topology string) string {
+	var names []string
+	for _, e := range exp.Engines() {
+		if topology == "" || e.RunsOn(topology) {
+			names = append(names, e.Name)
+		}
+	}
+	return strings.Join(names, "|")
 }
 
 // custom returns the combo -topo and -routing describe; ok is false when
@@ -406,12 +418,12 @@ func cmdRun(args []string) error {
 				Name:      fmt.Sprintf("custom planes %s / %s", *planesF, cf.placement),
 				Placement: place.Strategy(cf.placement),
 				Planes:    specs,
-				Policy:    *policy,
 			}
 		}
-		cfg := mf.Config()
-		cfg.Policy = *policy
-		m, err := exp.BuildMachine(combo, cfg)
+		if *policy != "" {
+			combo.Policy = *policy
+		}
+		m, err := exp.BuildMachine(combo, mf.Config())
 		if err != nil {
 			return err
 		}
@@ -554,7 +566,7 @@ func cmdFaults(args []string) error {
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
-	return profile(func() error {
+	return profile(func() (err error) {
 		build, err := trialBuilder(wl.bench, wl.size)
 		if err != nil {
 			return err
@@ -563,11 +575,11 @@ func cmdFaults(args []string) error {
 		if err != nil {
 			return err
 		}
-		// Several combos write one set of output files each, told apart
-		// by a combo suffix.
+		// Every spec is built and validated, and every output name (one
+		// set of files per combo, told apart by a combo suffix) checked,
+		// before a file is created: a refused batch leaves none behind.
 		suffixes := make([]string, len(selected))
 		specs := make([]exp.FaultSpec, len(selected))
-		tms := make([]*telemetry.Multi, len(selected))
 		for i, c := range selected {
 			if len(selected) > 1 {
 				suffixes[i] = comboSlug(c)
@@ -588,9 +600,23 @@ func cmdFaults(args []string) error {
 				Detect: sim.Duration(detect.Seconds()), Sweep: sim.Duration(sweepLat.Seconds()),
 				Build: build,
 			}
+			if err := specs[i].Validate(); err != nil {
+				return fmt.Errorf("%s: %w", c.Name, err)
+			}
+		}
+		tms := make([]*telemetry.Multi, len(selected))
+		// An early return finishes the streams already opened.
+		defer func() {
+			for _, tm := range tms {
+				if tm != nil {
+					err = errors.Join(err, tm.FinishStream(), tm.FinishTraceStream())
+				}
+			}
+		}()
+		for i := range specs {
 			if tel.enabled() {
 				// A fault scenario runs on the machine's one plane.
-				tms[i] = telemetry.NewMulti([]*topo.Graph{m.G}, nil, tel.options())
+				tms[i] = telemetry.NewMulti([]*topo.Graph{specs[i].Machine.G}, nil, tel.options())
 				if err := tel.open(tms[i], suffixes[i]); err != nil {
 					return err
 				}
@@ -840,7 +866,7 @@ func cmdScale(args []string) error {
 	msgs := fs.Uint64("msgs", 0, "delivered-message budget (0 = 1e6)")
 	window := fs.Int("window", 0, "in-flight message window (0 = 256)")
 	size := fs.Int64("size", 64<<10, "message size in bytes")
-	routing := fs.String("routing", "", "table engine: hxmin (default) or sssp")
+	routing := fs.String("routing", "", "table engine: "+engineNames("hyperx")+" (default hxmin)")
 	seed := fs.Uint64("seed", 1, "master seed")
 	profile := cli.AddProfFlags(fs)
 	if err := cli.Parse(fs, args); err != nil {

@@ -195,7 +195,7 @@ func TestSubcommandsRunSmall(t *testing.T) {
 // finished checks that a written stream was closed properly: a .json
 // trace is one JSON document, and a .jsonl stream ends with the line
 // that closes it — a "run" footer, a multi-plane "machine" summary, or a
-// runner's final progress snapshot.
+// runner's final "progress" snapshot.
 func finished(name string, b []byte) error {
 	if filepath.Ext(name) == ".json" {
 		var doc struct {
@@ -211,10 +211,11 @@ func finished(name string, b []byte) error {
 	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
 		return err
 	}
-	if last.Kind != "run" && last.Kind != "machine" && !last.Final {
-		return fmt.Errorf("stream ends with a %q line", last.Kind)
+	switch {
+	case last.Kind == "run", last.Kind == "machine", last.Kind == "progress" && last.Final:
+		return nil
 	}
-	return nil
+	return fmt.Errorf("stream ends with a %q line (final %v)", last.Kind, last.Final)
 }
 
 // A flag the subcommand does not read is an undefined flag (exit 2), not
@@ -292,6 +293,22 @@ func TestFaultsComboList(t *testing.T) {
 	} {
 		if code, _ := t2hx(t, append(base, extra...)...); code != 1 {
 			t.Errorf("faults %s: exit %d, want 1", strings.Join(extra, " "), code)
+		}
+	}
+}
+
+// A batch faults refuses — a node count the machines lack, or two combos
+// that would write the same files — exits 1 before it creates any file.
+func TestFaultsRefusedBatchWritesNothing(t *testing.T) {
+	for _, args := range []string{
+		"-n 100 -metrics-out $DIR/e.jsonl -trace-out $DIR/e.json",
+		"-n 16 -combo 2,3 -metrics-out $DIR/f.jsonl",
+	} {
+		dir := t.TempDir()
+		code, _ := t2hx(t, append([]string{"faults", "-small"}, strings.Fields(strings.ReplaceAll(args, "$DIR", dir))...)...)
+		left, err := os.ReadDir(dir)
+		if code != 1 || err != nil || len(left) > 0 {
+			t.Errorf("t2hx faults -small %s: exit %d (want 1), left %d files (%v)", args, code, len(left), err)
 		}
 	}
 }

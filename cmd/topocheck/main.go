@@ -14,7 +14,7 @@
 // with -planes) exit 1; a terminal pair left unreachable by an engine that
 // promises full reachability exits 2, so CI can distinguish "routing
 // broke" from "routing stranded traffic". Engines that document stranding
-// as their trade-off (hxmin's restricted escape) report their unreachable
+// as their trade-off (exp.RoutingEngine.Strands) report their unreachable
 // pairs without failing the check.
 package main
 
@@ -22,144 +22,44 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
-	"github.com/hpcsim/t2hx/internal/core"
 	"github.com/hpcsim/t2hx/internal/exp"
 	"github.com/hpcsim/t2hx/internal/route"
 	"github.com/hpcsim/t2hx/internal/topo"
 )
 
-func main() {
-	degrade := flag.Int("degrade", -1,
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is topocheck on a command line: it writes the report to stdout, the
+// failures to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("topocheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	degrade := fs.Int("degrade", -1,
 		"switch links to remove per plane: -1 = paper counts (15 HyperX / 197 Fat-Tree), 0 = pristine, n = exactly n (not with -planes)")
-	seed := flag.Uint64("seed", 42, "degradation seed")
-	planesF := flag.String("planes", "",
+	seed := fs.Uint64("seed", 42, "degradation seed")
+	planesF := fs.String("planes", "",
 		"validate a multi-plane machine instead: comma-separated topology:routing[:name] specs (e.g. ft:ftree,hyperx:parx)")
-	small := flag.Bool("small", false, "with -planes: use the 32-node test planes")
-	flag.Parse()
-	if err := checkFlags(*planesF, *small, *degrade); err != nil {
-		fmt.Fprintf(os.Stderr, "topocheck: %v\n", err)
-		os.Exit(1)
-	}
-
-	failed := false
-	unreach := false
-	fail := func(format string, args ...any) {
-		failed = true
-		fmt.Fprintf(os.Stderr, "topocheck: "+format+"\n", args...)
-	}
-	// Unreachable terminal pairs get their own exit code (2), distinct from
-	// build/deadlock failures (1), and it takes precedence.
-	failUnreach := func(format string, args ...any) {
-		unreach = true
-		fmt.Fprintf(os.Stderr, "topocheck: "+format+"\n", args...)
-	}
-	exit := func() {
-		if unreach {
-			os.Exit(2)
+	small := fs.Bool("small", false, "with -planes: use the 32-node test planes")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		if failed {
-			os.Exit(1)
-		}
+		return 2
 	}
-
-	if *planesF != "" {
-		checkPlanes(*planesF, *small, *degrade != 0, *seed, fail, failUnreach)
-		exit()
-		return
+	c := &checker{out: stdout, errs: stderr}
+	switch err := checkFlags(*planesF, *small, *degrade); {
+	case err != nil:
+		c.fail(1, "%v", err)
+	case *planesF != "":
+		c.checkPlanes(*planesF, *small, *degrade != 0, *seed)
+	default:
+		c.checkPaperPlanes(*degrade, *seed)
 	}
-
-	hx := topo.NewPaperHyperX(*degrade == -1, *seed)
-	ft := topo.NewPaperFatTree(*degrade == -1, *seed)
-	if *degrade > 0 {
-		if _, err := topo.DegradeSwitchLinks(hx.Graph, *degrade, *seed); err != nil {
-			fail("hyperx: %v", err)
-		}
-		if _, err := topo.DegradeSwitchLinks(ft.Graph, *degrade, *seed); err != nil {
-			fail("fat-tree: %v", err)
-		}
-	}
-	for _, p := range []struct {
-		name string
-		g    *topo.Graph
-	}{{"hyperx", hx.Graph}, {"fat-tree", ft.Graph}} {
-		if err := p.g.Validate(); err != nil {
-			fail("%s: graph validation: %v", p.name, err)
-		}
-	}
-
-	fmt.Println("== Fabric inventory (cf. paper Sec. 2.3) ==")
-	inventory(hx.Graph, "HyperX 12x8 (7 nodes/switch)")
-	census(topo.HyperXDimLinks(hx))
-	survival(topo.HyperXDimSurvival(hx))
-	fmt.Printf("  worst coordinate bisection: %.1f%% (paper: 57.1%%)\n\n",
-		100*topo.HyperXWorstBisection(hx))
-	inventory(ft.Graph, "Fat-Tree XGFT(3; 14,12,4; 1,18,6)")
-	census(topo.FatTreeLevelLinks(ft))
-	fmt.Println()
-
-	cm := topo.DefaultCostModel()
-	hxCost := topo.Cost(hx.Graph, cm, topo.PaperHyperXRack(hx))
-	ftCost := topo.Cost(ft.Graph, cm, topo.PaperFatTreeRack(ft))
-	fmt.Println("== Cost structure (Sec. 1/2.2 motivation, relative units) ==")
-	fmt.Printf("HyperX:   %3d switches, %4d copper, %4d AOC  => %7.0f\n",
-		hxCost.Switches, hxCost.Copper, hxCost.AOCs, hxCost.Total)
-	fmt.Printf("Fat-Tree: %3d switches, %4d copper, %4d AOC  => %7.0f (%.1fx)\n\n",
-		ftCost.Switches, ftCost.Copper, ftCost.AOCs, ftCost.Total, ftCost.Total/hxCost.Total)
-
-	w := tabwriter.NewWriter(os.Stdout, 4, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "plane\tengine\tpaths\tunreach\tmaxHops\tavgHops\tmaxLoad\tVLs\tdeadlockFree")
-	type job struct {
-		plane string
-		name  string
-		// lossy engines document stranding as their trade-off: unreachable
-		// pairs are reported, not failed (deadlock-freedom stays mandatory).
-		lossy bool
-		run   func() (*route.Tables, error)
-	}
-	jobs := []job{
-		{"fat-tree", "ftree", false, func() (*route.Tables, error) { return route.FTree(ft, 0) }},
-		{"fat-tree", "sssp", false, func() (*route.Tables, error) { return route.SSSP(ft.Graph, 0) }},
-		{"hyperx", "dfsssp", false, func() (*route.Tables, error) { return route.DFSSSP(hx.Graph, 0, 8) }},
-		{"hyperx", "updown", false, func() (*route.Tables, error) { return route.UpDown(hx.Graph, 0) }},
-		{"hyperx", "lash", false, func() (*route.Tables, error) { return route.LASH(hx.Graph, 0, 8) }},
-		{"hyperx", "nue-2vl", false, func() (*route.Tables, error) { return route.Nue(hx.Graph, 0, 2) }},
-		{"hyperx", "parx", false, func() (*route.Tables, error) { return core.PARX(hx, core.Config{MaxVL: 8}) }},
-		{"hyperx", "hxmin", true, func() (*route.Tables, error) { return route.HXMin(hx, 0) }},
-		{"hyperx", "hxnm", false, func() (*route.Tables, error) { return route.HXNonMin(hx, 0, 8) }},
-	}
-	for _, j := range jobs {
-		tb, err := j.run()
-		if err != nil {
-			fmt.Fprintf(w, "%s\t%s\tERROR: %v\n", j.plane, j.name, err)
-			fail("%s/%s: build: %v", j.plane, j.name, err)
-			continue
-		}
-		rep, err := route.Validate(tb)
-		if err != nil {
-			fmt.Fprintf(w, "%s\t%s\tERROR: %v\n", j.plane, j.name, err)
-			fail("%s/%s: validate: %v", j.plane, j.name, err)
-			continue
-		}
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%.2f\t%d\t%d\t%v\n",
-			j.plane, j.name, rep.Paths, rep.Unreachable, rep.MaxSwitchHops,
-			rep.AvgSwitchHops, rep.MaxChannelLoad, rep.VLs, rep.DeadlockFree)
-		w.Flush()
-		if rep.Unreachable > 0 {
-			if j.lossy {
-				fmt.Printf("  note: %s/%s strands %d (src, dst-LID) pairs — its documented trade-off\n",
-					j.plane, j.name, rep.Unreachable)
-			} else {
-				failUnreach("%s/%s: %d unreachable (src, dst-LID) pairs", j.plane, j.name, rep.Unreachable)
-			}
-		}
-		if !rep.DeadlockFree {
-			fail("%s/%s: tables are deadlock-prone", j.plane, j.name)
-		}
-	}
-	exit()
+	return c.status
 }
 
 // checkFlags rejects the flag combinations that would otherwise be ignored
@@ -177,62 +77,154 @@ func checkFlags(planes string, small bool, degrade int) error {
 	return nil
 }
 
+// checker writes one run's report and keeps its exit status: the highest
+// failure code seen, so unreachable pairs (2) take precedence over build
+// and deadlock failures (1).
+type checker struct {
+	out, errs io.Writer
+	status    int
+}
+
+// fail reports a failure on stderr and raises the exit status to code.
+func (c *checker) fail(code int, format string, args ...any) {
+	c.status = max(c.status, code)
+	fmt.Fprintf(c.errs, "topocheck: "+format+"\n", args...)
+}
+
+// checkPaperPlanes builds the paper's HyperX and Fat-Tree planes, prints
+// their inventory and cost, and validates every engine of the engine
+// table on the plane it is made for.
+func (c *checker) checkPaperPlanes(degrade int, seed uint64) {
+	hx := topo.NewPaperHyperX(degrade == -1, seed)
+	ft := topo.NewPaperFatTree(degrade == -1, seed)
+	for _, p := range []struct {
+		name string
+		g    *topo.Graph
+	}{{"hyperx", hx.Graph}, {"fat-tree", ft.Graph}} {
+		if degrade > 0 {
+			if _, err := topo.DegradeSwitchLinks(p.g, degrade, seed); err != nil {
+				c.fail(1, "%s: %v", p.name, err)
+			}
+		}
+		if err := p.g.Validate(); err != nil {
+			c.fail(1, "%s: graph validation: %v", p.name, err)
+		}
+	}
+
+	fmt.Fprintln(c.out, "== Fabric inventory (cf. paper Sec. 2.3) ==")
+	c.inventory(hx.Graph, "HyperX 12x8 (7 nodes/switch)")
+	c.census(topo.HyperXDimLinks(hx))
+	c.survival(topo.HyperXDimSurvival(hx))
+	fmt.Fprintf(c.out, "  worst coordinate bisection: %.1f%% (paper: 57.1%%)\n\n",
+		100*topo.HyperXWorstBisection(hx))
+	c.inventory(ft.Graph, "Fat-Tree XGFT(3; 14,12,4; 1,18,6)")
+	c.census(topo.FatTreeLevelLinks(ft))
+	fmt.Fprintln(c.out)
+
+	cm := topo.DefaultCostModel()
+	hxCost := topo.Cost(hx.Graph, cm, topo.PaperHyperXRack(hx))
+	ftCost := topo.Cost(ft.Graph, cm, topo.PaperFatTreeRack(ft))
+	fmt.Fprintln(c.out, "== Cost structure (Sec. 1/2.2 motivation, relative units) ==")
+	fmt.Fprintf(c.out, "HyperX:   %3d switches, %4d copper, %4d AOC  => %7.0f\n",
+		hxCost.Switches, hxCost.Copper, hxCost.AOCs, hxCost.Total)
+	fmt.Fprintf(c.out, "Fat-Tree: %3d switches, %4d copper, %4d AOC  => %7.0f (%.1fx)\n\n",
+		ftCost.Switches, ftCost.Copper, ftCost.AOCs, ftCost.Total, ftCost.Total/hxCost.Total)
+
+	var rows []row
+	for _, e := range exp.Engines() {
+		r := row{plane: "hyperx", p: &exp.Plane{G: hx.Graph, HX: hx}}
+		if e.Topology == "fattree" {
+			r = row{plane: "fat-tree", p: &exp.Plane{G: ft.Graph, FT: ft}}
+		}
+		r.p.Spec = exp.PlaneSpec{Name: r.plane + "/" + e.Name, Topology: e.Topology, Routing: e.Name}
+		rows = append(rows, r)
+	}
+	c.validate(rows)
+}
+
 // checkPlanes builds the multi-plane machine described by the spec list
 // and validates every plane's forwarding tables independently — each rail
 // of a dual-rail machine must stand on its own, since a policy may route
 // any message over any plane.
-func checkPlanes(specList string, small, degrade bool, seed uint64, fail, failUnreach func(string, ...any)) {
+func (c *checker) checkPlanes(specList string, small, degrade bool, seed uint64) {
 	specs, err := exp.ParsePlaneSpecs(specList)
 	if err != nil {
-		fail("%v", err)
+		c.fail(1, "%v", err)
 		return
 	}
 	m, err := exp.BuildMachine(exp.Combo{Name: "custom planes", Planes: specs},
 		exp.MachineConfig{Small: small, Degrade: degrade, Seed: seed})
 	if err != nil {
-		fail("build: %v", err)
+		c.fail(1, "build: %v", err)
 		return
 	}
-	fmt.Printf("== Multi-plane machine: %d planes, %d nodes each ==\n",
+	fmt.Fprintf(c.out, "== Multi-plane machine: %d planes, %d nodes each ==\n",
 		len(m.Planes), m.G.NumTerminals())
+	rows := make([]row, len(m.Planes))
 	for i, p := range m.Planes {
-		inventory(p.G, fmt.Sprintf("plane %d: %s", i, p.Spec.Label()))
+		c.inventory(p.G, fmt.Sprintf("plane %d: %s", i, p.Spec.Label()))
 		if p.HX != nil {
-			survival(topo.HyperXDimSurvival(p.HX))
+			c.survival(topo.HyperXDimSurvival(p.HX))
 		}
+		rows[i] = row{plane: p.Spec.Label(), p: p}
 	}
-	fmt.Println()
-	w := tabwriter.NewWriter(os.Stdout, 4, 0, 2, ' ', 0)
+	fmt.Fprintln(c.out)
+	c.validate(rows)
+}
+
+// row is a plane under its name in the validation table's plane column;
+// failures and notes name it by its label.
+type row struct {
+	plane string
+	p     *exp.Plane
+}
+
+// validate routes every row through its plane's Rebuild (a built
+// machine's planes get theirs from the table cache), validates the tables
+// and prints them as one table, then a note per engine that strands pairs
+// by design.
+func (c *checker) validate(rows []row) {
+	w := tabwriter.NewWriter(c.out, 4, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "plane\tengine\tpaths\tunreach\tmaxHops\tavgHops\tmaxLoad\tVLs\tdeadlockFree")
-	for _, p := range m.Planes {
-		label := p.Spec.Label()
-		rep, err := route.Validate(p.Tables)
+	var notes []string
+	for _, r := range rows {
+		label, engine := r.p.Spec.Label(), r.p.Spec.Routing
+		tb, err := r.p.Rebuild()
 		if err != nil {
-			fmt.Fprintf(w, "%s\t%s\tERROR: %v\n", label, p.Spec.Routing, err)
-			fail("%s: validate: %v", label, err)
+			fmt.Fprintf(w, "%s\t%s\tERROR: %v\n", r.plane, engine, err)
+			c.fail(1, "%s: build: %v", label, err)
+			continue
+		}
+		rep, err := route.Validate(tb)
+		if err != nil {
+			fmt.Fprintf(w, "%s\t%s\tERROR: %v\n", r.plane, engine, err)
+			c.fail(1, "%s: validate: %v", label, err)
 			continue
 		}
 		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%.2f\t%d\t%d\t%v\n",
-			label, p.Spec.Routing, rep.Paths, rep.Unreachable, rep.MaxSwitchHops,
+			r.plane, engine, rep.Paths, rep.Unreachable, rep.MaxSwitchHops,
 			rep.AvgSwitchHops, rep.MaxChannelLoad, rep.VLs, rep.DeadlockFree)
-		w.Flush()
 		if rep.Unreachable > 0 {
-			if p.Spec.Routing == "hxmin" {
-				fmt.Printf("  note: %s strands %d (src, dst-LID) pairs — its documented trade-off\n",
-					label, rep.Unreachable)
+			if e, _ := exp.EngineFor(engine); e.Strands {
+				notes = append(notes, fmt.Sprintf("  note: %s strands %d (src, dst-LID) pairs — its documented trade-off",
+					label, rep.Unreachable))
 			} else {
-				failUnreach("%s: %d unreachable (src, dst-LID) pairs", label, rep.Unreachable)
+				c.fail(2, "%s: %d unreachable (src, dst-LID) pairs", label, rep.Unreachable)
 			}
 		}
 		if !rep.DeadlockFree {
-			fail("%s: tables are deadlock-prone", label)
+			c.fail(1, "%s: tables are deadlock-prone", label)
 		}
+	}
+	w.Flush()
+	for _, n := range notes {
+		fmt.Fprintln(c.out, n)
 	}
 }
 
-func inventory(g *topo.Graph, name string) {
+func (c *checker) inventory(g *topo.Graph, name string) {
 	term, sw, down := topo.CountLinks(g)
-	fmt.Printf("%s:\n  switches=%d terminals=%d links(term)=%d links(switch)=%d degraded=%d diameter=%d\n",
+	fmt.Fprintf(c.out, "%s:\n  switches=%d terminals=%d links(term)=%d links(switch)=%d degraded=%d diameter=%d\n",
 		name, g.NumSwitches(), g.NumTerminals(), term, sw, down, topo.Diameter(g))
 }
 
@@ -241,24 +233,24 @@ func inventory(g *topo.Graph, name string) {
 // their direct link, how many survive only via a 2-hop in-line detour (and
 // whether hxmin's restricted low-coordinate detour exists), and how many
 // are stranded within their line.
-func survival(rows []topo.DimSurvival) {
+func (c *checker) survival(rows []topo.DimSurvival) {
 	for _, r := range rows {
-		fmt.Printf("  dim %d paths: direct=%d/%d detour=%d (restricted=%d) stranded=%d\n",
+		fmt.Fprintf(c.out, "  dim %d paths: direct=%d/%d detour=%d (restricted=%d) stranded=%d\n",
 			r.Dim, r.Direct, r.Pairs, r.Escape, r.Restricted, r.Stranded)
 	}
 }
 
 // census prints the per-dimension (HyperX) or per-level (fat-tree) link
 // counts and sums them into the plane's degradation summary.
-func census(rows []topo.LinkCensus) {
+func (c *checker) census(rows []topo.LinkCensus) {
 	var live, down int
 	for _, r := range rows {
-		fmt.Printf("  %-12s live=%-5d down=%-4d (%.1f%% degraded)\n",
+		fmt.Fprintf(c.out, "  %-12s live=%-5d down=%-4d (%.1f%% degraded)\n",
 			r.Name, r.Live, r.Down, 100*r.Degraded())
 		live += r.Live
 		down += r.Down
 	}
 	total := topo.LinkCensus{Live: live, Down: down}
-	fmt.Printf("  degradation: %d of %d links down (%.1f%%)\n",
+	fmt.Fprintf(c.out, "  degradation: %d of %d links down (%.1f%%)\n",
 		down, live+down, 100*total.Degraded())
 }

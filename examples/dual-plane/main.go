@@ -50,9 +50,8 @@ func main() {
 	// failover policy primed on the HyperX rail (plane 1) so the outage
 	// hits the plane actually carrying the traffic.
 	combo := exp.DualPlaneCombo()
-	m, err := exp.BuildMachine(combo, exp.MachineConfig{
-		Degrade: true, Seed: *seed, Small: *small, Policy: "failover:1",
-	})
+	combo.Policy = "failover:1"
+	m, err := exp.BuildMachine(combo, exp.MachineConfig{Degrade: true, Seed: *seed, Small: *small})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,10 +39,6 @@ type Combo struct {
 	Policy string
 }
 
-// MultiPlane reports whether the combo describes a machine with more than
-// one network plane.
-func (c Combo) MultiPlane() bool { return len(c.Planes) > 1 }
-
 // PaperCombos returns the five single-plane combinations of Sec. 4.4.3 in
 // paper order; index 0 is the baseline. The dual-plane machine the paper
 // actually operated is DualPlaneCombo (kept out of this list so per-combo
@@ -110,10 +106,8 @@ type MachineConfig struct {
 	// Small builds a scaled-down machine (4x4 HyperX / 4-ary tree with 32
 	// terminals) for tests and benches.
 	Small bool
-	// Planes overrides the combo's plane list (multi-plane machine spec);
-	// Policy overrides the combo's plane-selection policy.
+	// Planes overrides the combo's plane list (multi-plane machine spec).
 	Planes []PlaneSpec
-	Policy string
 }
 
 // BuildMachine constructs every plane of a combo. The plane list resolves
@@ -197,12 +191,9 @@ func (m *Machine) Primary() *Plane { return m.Planes[0] }
 // plane.
 func (m *Machine) MultiPlane() bool { return len(m.Planes) > 1 }
 
-// PolicySpec resolves the machine's plane-selection policy string:
-// MachineConfig overrides the combo, default "single".
+// PolicySpec resolves the machine's plane-selection policy string: the
+// combo's, default "single".
 func (m *Machine) PolicySpec() string {
-	if m.Cfg.Policy != "" {
-		return m.Cfg.Policy
-	}
 	if m.Combo.Policy != "" {
 		return m.Combo.Policy
 	}

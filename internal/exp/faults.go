@@ -87,12 +87,13 @@ func (spec FaultSpec) Validate() error {
 const smallMachineFailures = 3
 
 // DefaultFailures returns the failure count a zero FaultSpec.Failures
-// selects for the machine.
+// selects for the machine: the paper's count for the topology of the
+// primary plane, which the scenario faults.
 func DefaultFailures(m *Machine) int {
 	if m.Cfg.Small {
 		return smallMachineFailures
 	}
-	if m.Combo.Topology == "hyperx" {
+	if m.HX != nil {
 		return topo.PaperHyperXMissingAOCs
 	}
 	return topo.PaperFatTreeMissingLinks

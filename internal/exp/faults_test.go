@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/hpcsim/t2hx/internal/sim"
+	"github.com/hpcsim/t2hx/internal/topo"
 	"github.com/hpcsim/t2hx/internal/workloads"
 )
 
@@ -82,5 +83,24 @@ func TestDefaultFailures(t *testing.T) {
 	}
 	if got := DefaultFailures(small); got != smallMachineFailures {
 		t.Errorf("small default = %d, want %d", got, smallMachineFailures)
+	}
+	// A plane-list combo names no Topology: the count follows the primary
+	// plane, the one the scenario faults.
+	hx := PlaneSpec{Topology: "hyperx", Routing: "hxmin"}
+	ft := PlaneSpec{Topology: "fattree", Routing: "ftree"}
+	for _, c := range []struct {
+		planes []PlaneSpec
+		want   int
+	}{
+		{[]PlaneSpec{hx, ft}, topo.PaperHyperXMissingAOCs},
+		{[]PlaneSpec{ft, hx}, topo.PaperFatTreeMissingLinks},
+	} {
+		m, err := BuildMachine(Combo{Name: "planes", Planes: c.planes}, MachineConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := DefaultFailures(m); got != c.want {
+			t.Errorf("primary plane %s: default = %d, want %d", c.planes[0].Label(), got, c.want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -18,7 +19,7 @@ import (
 type PlaneSpec struct {
 	Name     string
 	Topology string // "fattree" | "hyperx"
-	Routing  string // "ftree" | "sssp" | "dfsssp" | "updown" | "lash" | "nue" | "parx" | "hxmin" | "hxnm"
+	Routing  string // a name of the engine table (Engines)
 }
 
 // Label returns the plane's display name.
@@ -28,6 +29,10 @@ func (s PlaneSpec) Label() string {
 	}
 	return s.Topology + "/" + s.Routing
 }
+
+// topologyAliases maps the CLI names of the plane topologies to
+// PlaneSpec.Topology.
+var topologyAliases = map[string]string{"ft": "fattree", "fattree": "fattree", "hx": "hyperx", "hyperx": "hyperx"}
 
 // ParsePlaneSpecs parses a CLI plane list: comma-separated
 // "topology:routing[:name]" entries, with the aliases ft/fattree and
@@ -43,14 +48,12 @@ func ParsePlaneSpecs(s string) ([]PlaneSpec, error) {
 		if len(parts) < 2 || len(parts) > 3 {
 			return nil, fmt.Errorf("exp: plane spec %q: want topology:routing[:name]", ent)
 		}
-		spec := PlaneSpec{Topology: parts[0], Routing: parts[1]}
-		switch spec.Topology {
-		case "ft", "fattree":
-			spec.Topology = "fattree"
-		case "hx", "hyperx":
-			spec.Topology = "hyperx"
-		default:
-			return nil, fmt.Errorf("exp: plane spec %q: unknown topology %q", ent, spec.Topology)
+		spec := PlaneSpec{Topology: topologyAliases[parts[0]], Routing: parts[1]}
+		if spec.Topology == "" {
+			return nil, fmt.Errorf("exp: plane spec %q: unknown topology %q", ent, parts[0])
+		}
+		if _, err := EngineFor(spec.Routing); err != nil {
+			return nil, fmt.Errorf("exp: plane spec %q: unknown routing %q", ent, spec.Routing)
 		}
 		if len(parts) == 3 {
 			spec.Name = parts[2]
@@ -95,55 +98,45 @@ type Plane struct {
 }
 
 // BuildPlane constructs and routes one plane under the machine config
-// (degradation, small-scale, seed, PARX demands).
+// (degradation, small-scale, seed, PARX demands). The small planes, a 4x4
+// HyperX and a 32-terminal XGFT, lose 2 and 4 switch links when degraded.
 func BuildPlane(spec PlaneSpec, cfg MachineConfig) (*Plane, error) {
 	p := &Plane{Spec: spec, cfg: cfg}
-	switch spec.Topology {
-	case "hyperx":
-		if cfg.Small {
-			var err error
-			p.HX, err = topo.BuildHyperX(topo.HyperXConfig{
-				S: []int{4, 4}, T: 2,
-				Bandwidth: topo.QDRBandwidth, Latency: topo.QDRLinkLatency,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if cfg.Degrade {
-				if _, err := topo.DegradeSwitchLinks(p.HX.Graph, 2, cfg.Seed); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			p.HX = topo.NewPaperHyperX(cfg.Degrade, cfg.Seed)
-		}
-		p.G = p.HX.Graph
-	case "fattree":
-		if cfg.Small {
-			var err error
-			p.FT, err = topo.BuildXGFT(topo.XGFTConfig{
-				M: []int{2, 4, 4}, W: []int{1, 3, 2},
-				Bandwidth: topo.QDRBandwidth, Latency: topo.QDRLinkLatency,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if cfg.Degrade {
-				if _, err := topo.DegradeSwitchLinks(p.FT.Graph, 4, cfg.Seed); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			p.FT = topo.NewPaperFatTree(cfg.Degrade, cfg.Seed)
-		}
-		p.G = p.FT.Graph
+	var err error
+	smallDown := 2
+	switch {
+	case spec.Topology == "hyperx" && cfg.Small:
+		p.HX, err = topo.BuildHyperX(topo.HyperXConfig{
+			S: []int{4, 4}, T: 2,
+			Bandwidth: topo.QDRBandwidth, Latency: topo.QDRLinkLatency,
+		})
+	case spec.Topology == "hyperx":
+		p.HX = topo.NewPaperHyperX(cfg.Degrade, cfg.Seed)
+	case spec.Topology == "fattree" && cfg.Small:
+		p.FT, err = topo.BuildXGFT(topo.XGFTConfig{
+			M: []int{2, 4, 4}, W: []int{1, 3, 2},
+			Bandwidth: topo.QDRBandwidth, Latency: topo.QDRLinkLatency,
+		})
+		smallDown = 4
+	case spec.Topology == "fattree":
+		p.FT = topo.NewPaperFatTree(cfg.Degrade, cfg.Seed)
 	default:
 		return nil, fmt.Errorf("exp: unknown topology %q", spec.Topology)
 	}
-
-	var err error
-	p.Tables, err = p.Rebuild()
 	if err != nil {
+		return nil, err
+	}
+	if p.HX != nil {
+		p.G = p.HX.Graph
+	} else {
+		p.G = p.FT.Graph
+	}
+	if cfg.Small && cfg.Degrade {
+		if _, err := topo.DegradeSwitchLinks(p.G, smallDown, cfg.Seed); err != nil {
+			return nil, err
+		}
+	}
+	if p.Tables, err = p.Rebuild(); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -156,65 +149,93 @@ func BuildPlane(spec PlaneSpec, cfg MachineConfig) (*Plane, error) {
 //
 // Results come from DefaultTableCache: structurally identical planes with
 // the same down mask share one frozen table build, rebound to this plane's
-// graph. PARX with a demand matrix bypasses the cache — the demands change
-// table content but are not part of the cache key.
+// graph. An engine that re-routes for a demand matrix bypasses the cache
+// when the config carries one — the demands change table content but are
+// not part of the cache key.
 func (p *Plane) Rebuild() (*route.Tables, error) {
-	if p.Spec.Routing == "parx" && p.cfg.Demands != nil {
+	e, _ := EngineFor(p.Spec.Routing) // buildTables reports an unknown name
+	if e.Demands && p.cfg.Demands != nil {
 		return p.buildTables()
 	}
-	var lmc uint8
-	if p.Spec.Routing == "parx" {
-		lmc = core.LMC
-	}
-	return DefaultTableCache.Get(p.G, p.Spec.Routing, lmc, p.buildTables)
+	return DefaultTableCache.Get(p.G, p.Spec.Routing, e.LMC, p.buildTables)
 }
 
 // buildTables runs the plane's routing engine uncached.
 func (p *Plane) buildTables() (*route.Tables, error) {
-	switch p.Spec.Routing {
-	case "ftree":
-		if p.FT == nil {
-			return nil, fmt.Errorf("exp: ftree routing needs a Fat-Tree")
-		}
-		return route.FTree(p.FT, 0)
-	case "sssp":
-		return route.SSSP(p.G, 0)
-	case "dfsssp":
-		return route.DFSSSP(p.G, 0, 8)
-	case "updown":
-		return route.UpDown(p.G, 0)
-	case "lash":
-		return route.LASH(p.G, 0, 8)
-	case "nue":
-		return route.Nue(p.G, 0, 2)
-	case "hxmin":
-		if p.HX == nil {
-			return nil, fmt.Errorf("exp: hxmin routing needs a HyperX")
-		}
-		return route.HXMin(p.HX, 0)
-	case "hxnm":
-		if p.HX == nil {
-			return nil, fmt.Errorf("exp: hxnm routing needs a HyperX")
-		}
-		return route.HXNonMin(p.HX, 0, 8)
-	case "parx":
-		if p.HX == nil {
-			return nil, fmt.Errorf("exp: PARX needs a HyperX")
-		}
-		return core.PARX(p.HX, core.Config{MaxVL: 8, Demands: p.cfg.Demands})
-	default:
-		return nil, fmt.Errorf("exp: unknown routing %q", p.Spec.Routing)
+	e, err := EngineFor(p.Spec.Routing)
+	if err != nil {
+		return nil, err
 	}
+	if !e.RunsOn(p.Spec.Topology) {
+		name := map[string]string{"fattree": "Fat-Tree", "hyperx": "HyperX"}[e.Topology]
+		return nil, fmt.Errorf("exp: %s routing needs a %s", e.Name, name)
+	}
+	return e.build(p)
 }
 
 // NewFabric builds a fabric for this plane on the given engine; the bfo
-// PML is enabled automatically for PARX.
+// PML is enabled for the engines that need it (PARX).
 func (p *Plane) NewFabric(eng *sim.Engine, seed uint64) (*fabric.Fabric, error) {
 	f := fabric.New(eng, p.Tables, fabric.DefaultParams(), seed)
-	if p.Spec.Routing == "parx" {
+	if e, _ := EngineFor(p.Spec.Routing); e.BFO {
 		if err := f.EnableBFO(p.HX, 0); err != nil {
 			return nil, err
 		}
 	}
 	return f, nil
+}
+
+// RoutingEngine is one row of the engine table: what a routing name
+// builds, the plane it is made for, and what its fabric needs.
+type RoutingEngine struct {
+	Name     string
+	Topology string // the plane it is made for: "fattree" | "hyperx"
+	AnyGraph bool   // it routes any graph, so the other topology may run it too
+	LMC      uint8  // 2^LMC LIDs per terminal
+	BFO      bool   // its fabric runs the bfo PML, which picks among its LIDs
+	Strands  bool   // leaving pairs unreachable on a degraded plane is its documented trade-off
+	Demands  bool   // MachineConfig.Demands re-route it
+
+	build func(p *Plane) (*route.Tables, error)
+}
+
+// engines is the engine table, the one place that knows these facts, in
+// the order topocheck validates and the CLIs list it.
+var engines = []RoutingEngine{
+	{Name: "ftree", Topology: "fattree",
+		build: func(p *Plane) (*route.Tables, error) { return route.FTree(p.FT, 0) }},
+	{Name: "sssp", Topology: "fattree", AnyGraph: true,
+		build: func(p *Plane) (*route.Tables, error) { return route.SSSP(p.G, 0) }},
+	{Name: "dfsssp", Topology: "hyperx", AnyGraph: true,
+		build: func(p *Plane) (*route.Tables, error) { return route.DFSSSP(p.G, 0, 8) }},
+	{Name: "updown", Topology: "hyperx", AnyGraph: true,
+		build: func(p *Plane) (*route.Tables, error) { return route.UpDown(p.G, 0) }},
+	{Name: "lash", Topology: "hyperx", AnyGraph: true,
+		build: func(p *Plane) (*route.Tables, error) { return route.LASH(p.G, 0, 8) }},
+	{Name: "nue", Topology: "hyperx", AnyGraph: true,
+		build: func(p *Plane) (*route.Tables, error) { return route.Nue(p.G, 0, 2) }},
+	{Name: "parx", Topology: "hyperx", LMC: core.LMC, BFO: true, Demands: true,
+		build: func(p *Plane) (*route.Tables, error) {
+			return core.PARX(p.HX, core.Config{MaxVL: 8, Demands: p.cfg.Demands})
+		}},
+	{Name: "hxmin", Topology: "hyperx", Strands: true,
+		build: func(p *Plane) (*route.Tables, error) { return route.HXMin(p.HX, 0) }},
+	{Name: "hxnm", Topology: "hyperx",
+		build: func(p *Plane) (*route.Tables, error) { return route.HXNonMin(p.HX, 0, 8) }},
+}
+
+// RunsOn reports whether the engine routes a plane of the topology.
+func (e RoutingEngine) RunsOn(topology string) bool { return e.AnyGraph || e.Topology == topology }
+
+// Engines returns the engine table in row order.
+func Engines() []RoutingEngine { return slices.Clone(engines) }
+
+// EngineFor returns the engine table's row for a routing name.
+func EngineFor(name string) (RoutingEngine, error) {
+	for _, e := range engines {
+		if e.Name == name {
+			return e, nil
+		}
+	}
+	return RoutingEngine{}, fmt.Errorf("exp: unknown routing %q", name)
 }

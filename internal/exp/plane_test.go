@@ -208,9 +208,9 @@ func TestDualPlaneSizeSplitConservation(t *testing.T) {
 // unhealthy plane, reusing the retry/re-sweep machinery.
 func TestFailoverSurvivesFullPlaneOutage(t *testing.T) {
 	const n = 16
-	m, err := BuildMachine(DualPlaneCombo(), MachineConfig{
-		Small: true, Degrade: true, Seed: 1, Policy: "failover:1",
-	})
+	combo := DualPlaneCombo()
+	combo.Policy = "failover:1"
+	m, err := BuildMachine(combo, MachineConfig{Small: true, Degrade: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/hpcsim/t2hx/internal/fabric"
 	"github.com/hpcsim/t2hx/internal/prof"
-	"github.com/hpcsim/t2hx/internal/route"
 	"github.com/hpcsim/t2hx/internal/sim"
 	"github.com/hpcsim/t2hx/internal/telemetry"
 	"github.com/hpcsim/t2hx/internal/topo"
@@ -25,8 +23,9 @@ type ScaleSpec struct {
 	// T is the terminal count per switch; 0 selects 342, which brings the
 	// 12x8 lattice to 32832 terminals.
 	T int
-	// Routing is the table engine: "hxmin" (default) or "sssp". The
-	// minimal HyperX engine keeps table-build time linear in terminals.
+	// Routing is the table engine: any engine of the engine table that
+	// runs on a HyperX; "" selects hxmin, whose minimal dimension-order
+	// tables keep table-build time linear in terminals.
 	Routing string
 	// Window is the number of concurrently in-flight messages; 0 selects
 	// 256 and a negative window is an error. Each delivery immediately
@@ -156,20 +155,17 @@ func RunScale(spec ScaleSpec) (*ScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tb *route.Tables
-	switch spec.Routing {
-	case "hxmin":
-		tb, err = route.HXMin(hx, 0)
-	case "sssp":
-		tb, err = route.SSSP(hx.Graph, 0)
-	default:
-		err = fmt.Errorf("exp: scale run supports hxmin or sssp routing, got %q", spec.Routing)
-	}
-	if err != nil {
+	// The lattice is one uncached plane: its tables are built once and
+	// would only crowd the table cache.
+	p := &Plane{Spec: PlaneSpec{Topology: "hyperx", Routing: spec.Routing}, G: hx.Graph, HX: hx}
+	if p.Tables, err = p.buildTables(); err != nil {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	f := fabric.New(eng, tb, fabric.DefaultParams(), spec.Seed)
+	f, err := p.NewFabric(eng, spec.Seed)
+	if err != nil {
+		return nil, err
+	}
 	var col *telemetry.Collector
 	var sink *telemetry.CountSink
 	if spec.Instrumented {

@@ -162,9 +162,23 @@ func TestRunScaleRejectsNegativeInputs(t *testing.T) {
 	}
 }
 
+// The scale run builds its tables through the engine table: a name the
+// table lacks and the Fat-Tree-only ftree are rejected, and every engine
+// that runs on a HyperX drains the window, PARX over the bfo PML included.
 func TestRunScaleRejectsUnknownRouting(t *testing.T) {
-	if _, err := RunScale(ScaleSpec{S: []int{2, 2}, T: 2, Routing: "parx", Messages: 1}); err == nil {
-		t.Fatal("unknown routing accepted")
+	for _, routing := range []string{"bogus", "ftree"} {
+		if _, err := RunScale(ScaleSpec{S: []int{2, 2}, T: 2, Routing: routing, Messages: 1}); err == nil {
+			t.Errorf("routing %q accepted", routing)
+		}
+	}
+	for _, e := range Engines() {
+		if !e.RunsOn("hyperx") {
+			continue
+		}
+		res, err := RunScale(ScaleSpec{S: []int{4, 4}, T: 2, Routing: e.Name, Window: 8, Messages: 64, MsgBytes: 4096})
+		if err != nil || res.Delivered != 64 {
+			t.Errorf("routing %s: %v", e.Name, err)
+		}
 	}
 }
 

@@ -111,7 +111,7 @@ func (s *Session) Machine(c exp.Combo) (*exp.Machine, error) {
 // parxMachineFor builds a demand-routed PARX plane for one workload
 // profile (uncached: profiles differ per workload and rank count).
 func (s *Session) parxMachineFor(c exp.Combo, progsBuild func(n int) (*workloads.Instance, error), n int) (*exp.Machine, error) {
-	if c.Routing != "parx" || !s.P.PARXDemands {
+	if e, _ := exp.EngineFor(c.Routing); !e.Demands || !s.P.PARXDemands {
 		return s.Machine(c)
 	}
 	base, err := s.Machine(c) // for placement + terminals

@@ -18,7 +18,6 @@ import (
 // key on "kind", not position.
 
 type runLine struct {
-	Kind      string  `json:"kind"` // "run"
 	Plane     int     `json:"plane"`
 	PlaneName string  `json:"plane_name,omitempty"`
 	Messages  int     `json:"messages"`
@@ -38,7 +37,6 @@ type runLine struct {
 func (runLine) LineKind() string { return "run" }
 
 type msgLine struct {
-	Kind         string  `json:"kind"` // "msg"
 	Plane        int     `json:"plane"`
 	Src          int32   `json:"src"`
 	Dst          int32   `json:"dst"`
@@ -56,7 +54,6 @@ type msgLine struct {
 func (msgLine) LineKind() string { return "msg" }
 
 type chanLine struct {
-	Kind     string  `json:"kind"` // "chan"
 	Plane    int     `json:"plane"`
 	Channel  int32   `json:"channel"`
 	From     string  `json:"from"`
@@ -73,7 +70,6 @@ func (chanLine) LineKind() string { return "chan" }
 // can re-merge shards from several runs or planes and recompute any
 // quantile.
 type histLine struct {
-	Kind  string  `json:"kind"` // "hist"
 	Plane int     `json:"plane"`
 	P50   float64 `json:"p50"`
 	P95   float64 `json:"p95"`
@@ -87,7 +83,7 @@ func (histLine) LineKind() string { return "hist" }
 // makeMsgLine renders a closed record as its export line.
 func makeMsgLine(plane int, r *MsgRecord) msgLine {
 	return msgLine{
-		Kind: "msg", Plane: plane, Src: int32(r.Src), Dst: int32(r.Dst), Size: r.Size,
+		Plane: plane, Src: int32(r.Src), Dst: int32(r.Dst), Size: r.Size,
 		Issued: float64(r.Issued), Wired: float64(r.Wired),
 		Finished: float64(r.Finished), FCT: float64(r.FCT()),
 		Hops: r.Hops, Retries: r.Retries, Delivered: r.Delivered,
@@ -98,8 +94,7 @@ func makeMsgLine(plane int, r *MsgRecord) msgLine {
 // makeHistLine renders a histogram with its convenience percentiles.
 func makeHistLine(plane int, h *Hist) histLine {
 	return histLine{
-		Kind: "hist", Plane: plane,
-		P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
+		Plane: plane, P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
 		Mean: h.Mean(), HistSnapshot: h.Snapshot(),
 	}
 }
@@ -108,7 +103,7 @@ func makeHistLine(plane int, h *Hist) histLine {
 func (c *Collector) makeRunLine() runLine {
 	s := c.FCTSummary()
 	run := runLine{
-		Kind: "run", Plane: c.Plane, PlaneName: c.PlaneName,
+		Plane: c.Plane, PlaneName: c.PlaneName,
 		Messages: s.N, Delivered: s.Delivered,
 		Bytes: s.Bytes, BytesHops: s.BytesHops,
 		FCTp50: float64(s.P50), FCTp95: float64(s.P95),
@@ -147,7 +142,7 @@ func (c *Collector) writeStreamFooter() {
 		}
 		for _, h := range c.Chans.HotLinks(0, 0) {
 			c.emit(chanLine{
-				Kind: "chan", Plane: c.Plane, Channel: int32(h.Channel), From: h.From, To: h.To,
+				Plane: c.Plane, Channel: int32(h.Channel), From: h.From, To: h.To,
 				XmitData: h.Bytes, XmitWait: float64(h.Wait), HWM: h.HWM,
 			})
 		}

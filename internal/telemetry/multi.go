@@ -143,7 +143,6 @@ func (m *Multi) FCTSummary() Summary {
 
 // machineLine is the machine-level summary row of a multi-plane export.
 type machineLine struct {
-	Kind      string  `json:"kind"` // "machine"
 	Planes    int     `json:"planes"`
 	Messages  int     `json:"messages"`
 	Delivered int     `json:"delivered"`
@@ -160,8 +159,7 @@ func (machineLine) LineKind() string { return "machine" }
 func (m *Multi) makeMachineLine() machineLine {
 	s := m.FCTSummary()
 	return machineLine{
-		Kind: "machine", Planes: len(m.Planes),
-		Messages: s.N, Delivered: s.Delivered,
+		Planes: len(m.Planes), Messages: s.N, Delivered: s.Delivered,
 		Bytes: s.Bytes, BytesHops: s.BytesHops,
 		XmitData: m.TotalXmitData(),
 		FCTp50:   float64(s.P50), FCTp99: float64(s.P99),

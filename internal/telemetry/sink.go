@@ -26,11 +26,11 @@ import (
 // parallel sweep cells each own their collector and sink); CountSink is
 // the exception so tests can share one across workers.
 
-// Line is one self-describing export record — anything that serializes to
-// a JSONL object with a "kind" discriminator field.
+// Line is one self-describing export record: a JSON object, which the
+// JSONL framing leads with a "kind" member the record does not carry.
 type Line interface {
-	// LineKind reports the record's "kind" value ("run", "msg", "chan",
-	// "hist", "trace", "progress", ...).
+	// LineKind reports the record's "kind", a plain identifier ("run",
+	// "msg", "chan", "hist", "trace", "progress", ...).
 	LineKind() string
 }
 
@@ -53,11 +53,11 @@ const defaultFlushEvery = 256
 const sinkBufSize = 64 << 10
 
 // JSONSink streams lines as JSON in one of two framings: one object per
-// line (NewJSONLSink, the grep/jq-friendly -metrics-out format), or a
-// Chrome trace_event document (NewTraceSink) whose envelope opens on the
-// first event and is sealed by Close, so a multi-hour run's timeline goes
-// to disk incrementally instead of accumulating in the collector. The
-// trace framing accepts only "trace" lines.
+// line led by its "kind" (NewJSONLSink, the grep/jq-friendly -metrics-out
+// format), or a Chrome trace_event document (NewTraceSink) whose envelope
+// opens on the first event and is sealed by Close, so a multi-hour run's
+// timeline goes to disk incrementally instead of accumulating in the
+// collector. The trace framing accepts only "trace" lines.
 type JSONSink struct {
 	under  io.Writer
 	w      *bufio.Writer
@@ -120,6 +120,14 @@ func (s *JSONSink) Write(l Line) error {
 	b := s.line.Bytes()
 	if s.trace {
 		b = b[:len(b)-1] // the next separator or Close ends the event
+	} else { // {"kind":"run",...}; the Write below reports what these hit
+		s.w.WriteString(`{"kind":"`)
+		s.w.WriteString(l.LineKind())
+		s.w.WriteByte('"')
+		if len(b) > len("{}\n") {
+			s.w.WriteByte(',')
+		}
+		b = b[1:]
 	}
 	if _, err := s.w.Write(b); err != nil {
 		s.err = err

@@ -48,7 +48,7 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 }
 
 func testMsgLine(i int) msgLine {
-	return msgLine{Kind: "msg", Plane: 0, Src: int32(i), Dst: int32(i + 1), Size: 4096, FCT: 1e-5, Delivered: true}
+	return msgLine{Plane: 0, Src: int32(i), Dst: int32(i + 1), Size: 4096, FCT: 1e-5, Delivered: true}
 }
 
 func TestJSONLSinkFlushCadence(t *testing.T) {
@@ -141,7 +141,7 @@ func TestTraceSinkEmptyDocAndWrongKind(t *testing.T) {
 	}
 
 	s2 := NewTraceSink(&bytes.Buffer{})
-	if err := s2.Write(runLine{Kind: "run"}); err == nil {
+	if err := s2.Write(runLine{}); err == nil {
 		t.Fatal("trace sink accepted a run line")
 	}
 }
@@ -153,7 +153,7 @@ func TestCountSink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := count.Write(runLine{Kind: "run"}); err != nil {
+	if err := count.Write(runLine{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := count.Close(); err != nil {

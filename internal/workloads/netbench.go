@@ -30,33 +30,19 @@ type MpiGraphResult struct {
 // MpiGraph measures the pairwise send bandwidth matrix like LLNL's
 // mpiGraph: for each offset k, every rank i streams msgSize bytes to rank
 // (i+k) mod n simultaneously, so shared cables show up as dark bands.
-// Equivalent to MpiGraphWindow with a window of 1.
 func MpiGraph(f fabric.Messenger, ranks []topo.NodeID, msgSize int64) *MpiGraphResult {
-	return MpiGraphWindow(f, ranks, msgSize, 1)
-}
-
-// MpiGraphWindow keeps `window` consecutive offsets in flight
-// concurrently, like the real benchmark's send window — deepening
-// congestion on shared cables and pulling the averages toward the paper's
-// at-scale numbers.
-func MpiGraphWindow(f fabric.Messenger, ranks []topo.NodeID, msgSize int64, window int) *MpiGraphResult {
 	n := len(ranks)
-	if window < 1 {
-		window = 1
-	}
 	res := &MpiGraphResult{BW: make([][]float64, n)}
 	for i := range res.BW {
 		res.BW[i] = make([]float64, n)
 	}
-	for k := 1; k < n; k += window {
+	for k := 1; k < n; k++ {
 		start := f.Engine().Now()
-		for w := 0; w < window && k+w < n; w++ {
-			for i := 0; i < n; i++ {
-				src, dst := i, (i+k+w)%n
-				f.Send(ranks[src], ranks[dst], msgSize, func(at sim.Time) {
-					res.BW[src][dst] = float64(msgSize) / float64(at-start)
-				})
-			}
+		for i := 0; i < n; i++ {
+			src, dst := i, (i+k)%n
+			f.Send(ranks[src], ranks[dst], msgSize, func(at sim.Time) {
+				res.BW[src][dst] = float64(msgSize) / float64(at-start)
+			})
 		}
 		f.Engine().Run()
 	}

@@ -92,26 +92,9 @@ func BuildMultiPingPong(n int, size int64, iters int) *Instance {
 // concurrently. With n = 8 on a fully populated plane this is the
 // 7-to-1 incast of one TSUBAME2 switch's worth of nodes converging on a
 // single HCA — the pattern whose PortXmitWait signature distinguishes hot
-// Fat-Tree uplinks from spread HyperX load.
-func BuildIncast(n int, size int64) (*Instance, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("workloads: incast needs >= 2 ranks, got %d", n)
-	}
-	b := mpi.NewBuilder(n)
-	iters := imbIterations
-	for it := 0; it < iters; it++ {
-		tag := b.NextTag()
-		var handles []int32
-		for i := 1; i < n; i++ {
-			handles = append(handles, b.Progs[0].Irecv(mpi.Rank(i), tag))
-		}
-		for i := 1; i < n; i++ {
-			b.Progs[i].Send(mpi.Rank(0), size, tag)
-		}
-		b.Progs[0].Wait(handles...)
-	}
-	return &Instance{Progs: b.Progs, Ops: iters}, nil
-}
+// Fat-Tree uplinks from spread HyperX load. It is the grouped incast with
+// one group of all n ranks.
+func BuildIncast(n int, size int64) (*Instance, error) { return BuildGroupedIncast(n, n, size) }
 
 // BuildGroupedIncast runs concurrent shifted incasts: ranks are split into
 // groups of `group`, and group g's non-root members all stream size bytes to

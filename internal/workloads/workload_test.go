@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -337,5 +338,38 @@ func TestFrontierWeightsNormalized(t *testing.T) {
 	}
 	if sum < 0.9 || sum > 1.1 {
 		t.Errorf("frontier weights sum = %v, want ~1", sum)
+	}
+}
+
+// BuildIncast is the grouped incast with one group: rank 0 posts a receive
+// from every other rank, each of them sends size bytes to it, and rank 0
+// waits for all, imbIterations times. The reference program is built here
+// op by op and must match both builders exactly.
+func TestIncastIsOneGroupIncast(t *testing.T) {
+	for _, n := range []int{2, 3, 8, 28, 32} {
+		b := mpi.NewBuilder(n)
+		for it := 0; it < imbIterations; it++ {
+			tag := b.NextTag()
+			var handles []int32
+			for i := 1; i < n; i++ {
+				handles = append(handles, b.Progs[0].Irecv(mpi.Rank(i), tag))
+			}
+			for i := 1; i < n; i++ {
+				b.Progs[i].Send(0, 4096, tag)
+			}
+			b.Progs[0].Wait(handles...)
+		}
+		want := &Instance{Progs: b.Progs, Ops: imbIterations}
+		plain, err := BuildIncast(n, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grouped, err := BuildGroupedIncast(n, n, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, want) || !reflect.DeepEqual(grouped, want) {
+			t.Errorf("n=%d: incast programs differ from the one-group reference", n)
+		}
 	}
 }
