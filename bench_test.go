@@ -139,49 +139,35 @@ func benchHX() *topo.HyperX {
 	})
 }
 
-// BenchmarkRoutingEngines measures full-table computation on a 6x4 HyperX
-// (96 terminals) and on the matching tree.
+// BenchmarkRoutingEngines times what one subnet-manager re-sweep runs on
+// the degraded paper planes (seed 1): an engine's full table build plus
+// route.Validate. Each engine routes the plane its paper combo uses; the
+// planes are built once, outside the timed loop.
 func BenchmarkRoutingEngines(b *testing.B) {
-	b.Run("sssp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hx := benchHX()
-			if _, err := route.SSSP(hx.Graph, 0); err != nil {
-				b.Fatal(err)
+	hx := topo.NewPaperHyperX(true, 1)
+	ft := topo.NewPaperFatTree(true, 1)
+	for _, e := range []struct {
+		name  string
+		build func() (*route.Tables, error)
+	}{
+		{"ftree", func() (*route.Tables, error) { return route.FTree(ft, 0) }},
+		{"sssp", func() (*route.Tables, error) { return route.SSSP(ft.Graph, 0) }},
+		{"dfsssp", func() (*route.Tables, error) { return route.DFSSSP(hx.Graph, 0, 8) }},
+		{"updown", func() (*route.Tables, error) { return route.UpDown(hx.Graph, 0) }},
+		{"parx", func() (*route.Tables, error) { return core.PARX(hx, core.Config{MaxVL: 8}) }},
+	} {
+		b.Run(e.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tb, err := e.build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := route.Validate(tb); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("dfsssp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hx := benchHX()
-			if _, err := route.DFSSSP(hx.Graph, 0, 8); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("updown", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hx := benchHX()
-			if _, err := route.UpDown(hx.Graph, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parx", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hx := benchHX()
-			if _, err := core.PARX(hx, core.Config{MaxVL: 8}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("ftree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ft := topo.NewKaryNTree(4, 3, topo.QDRBandwidth, topo.QDRLinkLatency)
-			if _, err := route.FTree(ft, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // --- ablation benches (DESIGN.md Sec. 4) ---

@@ -541,9 +541,18 @@ func outName(base, suffix string) string {
 	return strings.TrimSuffix(base, ext) + "." + suffix + ext
 }
 
-// comboSlug is a filename-safe tag for a combo.
+// comboSlug is a filename-safe tag for a combo: topology-routing, or for a
+// plane-list combo its planes' tags joined by '+' (fattree-ftree+hyperx-parx),
+// which no single-plane combo's tag can equal.
 func comboSlug(c exp.Combo) string {
-	return fmt.Sprintf("%s-%s", c.Topology, c.Routing)
+	if len(c.Planes) == 0 {
+		return c.Topology + "-" + c.Routing
+	}
+	tags := make([]string, len(c.Planes))
+	for i, p := range c.Planes {
+		tags[i] = p.Topology + "-" + p.Routing
+	}
+	return strings.Join(tags, "+")
 }
 
 // cmdFaults runs the resilience scenario per combo. The scenarios run in

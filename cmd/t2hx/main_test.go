@@ -277,13 +277,24 @@ func TestBenchResolution(t *testing.T) {
 
 // faults takes a -combo list whose default is the paper's trio. Output
 // files are suffixed topology-routing, which combos 2 and 3 share, so
-// writing files for both at once is refused rather than interleaved.
+// writing files for both at once is refused rather than interleaved. The
+// dual-plane combo's files carry its planes' tags joined by '+'.
 func TestFaultsComboList(t *testing.T) {
 	base := []string{"faults", "-small", "-n", "16", "-size", "32768", "-failures", "2"}
 	code, stdout := t2hx(t, append(base, "-combo", "1,3", "-counters", "1")...)
 	if code != 0 || !strings.Contains(stdout, "Fat-Tree / SSSP / clustered") ||
 		!strings.Contains(stdout, "HyperX / DFSSSP / random") || strings.Contains(stdout, "PARX") {
 		t.Errorf("faults -combo 1,3: exit %d:\n%s", code, stdout)
+	}
+	dir := t.TempDir()
+	code, stdout = t2hx(t, append(base, "-combo", "5,0", "-metrics-out", filepath.Join(dir, "x.jsonl"))...)
+	var files []string
+	entries, err := os.ReadDir(dir)
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	if want := []string{"x.fattree-ftree+hyperx-parx.jsonl", "x.fattree-ftree.jsonl"}; code != 0 || err != nil || !slices.Equal(files, want) {
+		t.Errorf("faults -combo 5,0 -metrics-out x.jsonl: exit %d, wrote %v (%v), want %v:\n%s", code, files, err, want, stdout)
 	}
 	for _, extra := range [][]string{
 		{"-combo", "2,3", "-metrics-out", filepath.Join(t.TempDir(), "f.jsonl")},

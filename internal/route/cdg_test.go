@@ -80,16 +80,25 @@ func TestCDGReorderCase(t *testing.T) {
 }
 
 // Property: random edge insertion maintains the invariant "AddEdge returns
-// true iff graph stays acyclic", verified against the exhaustive checker.
+// true iff graph stays acyclic", verified against the exhaustive checker,
+// and every insert gives the reference insert's verdict (refCDG) and
+// leaves its topological order.
 func TestCDGRandomInsertionsStayAcyclic(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := sim.NewRand(seed)
-		g := NewCDG()
+		g, ref := NewCDG(), &refCDG{}
 		n := 12
 		for i := 0; i < 80; i++ {
 			u := topo.ChannelID(r.Intn(n))
 			v := topo.ChannelID(r.Intn(n))
-			g.AddEdge(u, v)
+			if g.AddEdge(u, v) != ref.addEdge(u, v) {
+				t.Logf("seed %d insert %d: AddEdge(%d, %d) verdict differs from the reference", seed, i, u, v)
+				return false
+			}
+			if !slices.Equal(g.ord, ref.ord) {
+				t.Logf("seed %d insert %d: AddEdge(%d, %d) left order %v, reference %v", seed, i, u, v, g.ord, ref.ord)
+				return false
+			}
 			if !g.Acyclic() {
 				return false
 			}

@@ -56,9 +56,13 @@ type spEntry struct {
 // retain references afterwards.
 type SPTree struct {
 	entries []spEntry // by switch index; hops < 0 = unreached
-	// order lists the reached switch indexes in the order the search
-	// finalised them, the destination first: a switch's next hop leads to
-	// a switch listed before it.
+	// order lists the reached switch indexes level by level, the
+	// destination first: a switch's next hop leads to a switch listed
+	// before it. Each level is in the order the search finalised it,
+	// except the last level of a tree that reaches every switch, which
+	// stays in discovery order: no search expands it, and SPTree.fold,
+	// the one reader of its order, sums integers, which any order adds
+	// alike.
 	order []int32
 }
 
@@ -97,7 +101,9 @@ func (t *SPTree) Release() { spPool.Put(t) }
 // a time: expanding level h, in order, reaches level h+1, whose switches
 // are then ordered by (weight, seq). That is the order in which a heap
 // keyed on (hops, weight, push sequence) would pop them, so ties break on
-// update order, which follows the index's port order. The caller owns the
+// update order, which follows the index's port order. A level that
+// completes the switch set is the last: expanding it can change no entry,
+// so the search stops there and leaves it unsorted. The caller owns the
 // returned tree and must Release it.
 func shortestPathsTo(g *topo.Graph, ll *liveLinks, dstSwitch topo.NodeID, cw *ChannelWeights, mask LinkMask) *SPTree {
 	t := newSPTree(g.NumSwitches())
@@ -115,7 +121,7 @@ func shortestPathsTo(g *topo.Graph, ll *liveLinks, dstSwitch topo.NodeID, cw *Ch
 		}
 		return int(ea.seq - eb.seq)
 	}
-	for lo := 0; lo < len(t.order); {
+	for lo := 0; lo < len(t.order) && len(t.order) < len(t.entries); {
 		hi := len(t.order)
 		for _, cur := range t.order[lo:hi] {
 			e := t.entries[cur]
@@ -143,7 +149,9 @@ func shortestPathsTo(g *topo.Graph, ll *liveLinks, dstSwitch topo.NodeID, cw *Ch
 				seq++
 			}
 		}
-		slices.SortFunc(t.order[hi:], byWeight)
+		if len(t.order) < len(t.entries) {
+			slices.SortFunc(t.order[hi:], byWeight)
+		}
 		lo = hi
 	}
 	return t

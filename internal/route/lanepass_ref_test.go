@@ -11,13 +11,14 @@ import (
 // equivalence tests and FuzzLanePass compare against. refAddPath is
 // CDG.AddPath as it was: it filters a whole path through a switch-channel
 // predicate and runs the Pearce-Kelly insert on every dependency it meets,
-// remembering nothing a lane refused. refLayering is first-fit layering
-// over it, and refAssignLanes the lane pass over that layering.
+// remembering nothing a lane refused, over the reference insert (refCDG).
+// refLayering is first-fit layering over it, and refAssignLanes the lane
+// pass over that layering.
 
 // refAddPath inserts the dependencies between consecutive switch channels
 // of path into g, rolling back the edges it added if one of them would
 // close a cycle. It returns false on cycle.
-func refAddPath(g *CDG, path []topo.ChannelID, isSwitch func(topo.ChannelID) bool) bool {
+func refAddPath(g *refCDG, path []topo.ChannelID, isSwitch func(topo.ChannelID) bool) bool {
 	var fabric []topo.ChannelID
 	for _, c := range path {
 		if isSwitch(c) {
@@ -27,10 +28,10 @@ func refAddPath(g *CDG, path []topo.ChannelID, isSwitch func(topo.ChannelID) boo
 	var added [][2]topo.ChannelID
 	for i := 0; i+1 < len(fabric); i++ {
 		u, v := fabric[i], fabric[i+1]
-		if g.HasEdge(u, v) {
+		if g.hasEdge(u, v) {
 			continue
 		}
-		if !g.AddEdge(u, v) {
+		if !g.addEdge(u, v) {
 			for _, e := range added {
 				g.removeEdge(e[0], e[1])
 			}
@@ -44,13 +45,22 @@ func refAddPath(g *CDG, path []topo.ChannelID, isSwitch func(topo.ChannelID) boo
 // refLayering places each path on the lowest lane whose CDG stays acyclic
 // with it, opening a new lane while fewer than maxVL exist.
 type refLayering struct {
-	lanes    []*CDG
+	lanes    []*refCDG
 	maxVL    int
 	isSwitch func(topo.ChannelID) bool
 }
 
 func newRefLayering(g *topo.Graph, maxVL int) *refLayering {
-	return &refLayering{lanes: []*CDG{NewCDG()}, maxVL: maxVL, isSwitch: SwitchChannelPred(g)}
+	return &refLayering{lanes: []*refCDG{{}}, maxVL: maxVL, isSwitch: SwitchChannelPred(g)}
+}
+
+// orders lists each lane's topological order.
+func (l *refLayering) orders() [][]int32 {
+	ords := make([][]int32, len(l.lanes))
+	for vl, lane := range l.lanes {
+		ords[vl] = lane.ord
+	}
+	return ords
 }
 
 // place returns the lane path joins, or -1 when no lane within maxVL can
@@ -64,7 +74,7 @@ func (l *refLayering) place(path []topo.ChannelID) int {
 	if len(l.lanes) >= l.maxVL {
 		return -1
 	}
-	l.lanes = append(l.lanes, NewCDG())
+	l.lanes = append(l.lanes, &refCDG{})
 	if !refAddPath(l.lanes[len(l.lanes)-1], path, l.isSwitch) {
 		return -1
 	}
@@ -106,15 +116,6 @@ func refAssignLanes(t *Tables, maxVL int, tolerant bool) error {
 		return err
 	}
 	t.NumVL = len(lay.lanes)
-	t.laneRank = lanesOrder(lay.lanes)
+	t.laneRank = lay.orders()
 	return nil
-}
-
-// lanesOrder lists each lane's topological order.
-func lanesOrder(lanes []*CDG) [][]int32 {
-	ords := make([][]int32, len(lanes))
-	for vl, lane := range lanes {
-		ords[vl] = lane.ord
-	}
-	return ords
 }

@@ -21,8 +21,30 @@ const (
 	hopsFailed          // Tables.Path fails from here
 )
 
-// headDown marks the channels of down links in lidTrees.head.
+// headDown marks the channels of down links in channelHeads.
 const headDown = math.MinInt32
+
+// channelHeads maps each channel of g to what it leads to: the switch
+// index it enters, -1-i toward terminal i, or headDown when its link is
+// down. The walks over g's forwarding tables (lidTrees, keyWalk) step
+// through it instead of loading each channel's *topo.Link.
+func channelHeads(g *topo.Graph) []int32 {
+	head := make([]int32, 2*len(g.Links))
+	for c := range head {
+		n := g.ChannelTo(topo.ChannelID(c))
+		switch {
+		case g.Link(topo.ChannelID(c)).Down:
+			head[c] = headDown
+		case g.Nodes[n].Kind == topo.Switch:
+			head[c] = int32(g.SwitchIndex(n))
+		case g.Nodes[n].Kind == topo.Terminal:
+			head[c] = -1 - int32(g.TerminalIndex(n))
+		default:
+			head[c] = headDown
+		}
+	}
+	return head
+}
 
 // lidTrees resolves the forwarding tree toward one destination LID at a
 // time, for Validate and ChannelLoads. A chain fails exactly where
@@ -41,8 +63,7 @@ type lidTrees struct {
 	members []int32
 	start   []int32
 
-	// head[c] is the switch index channel c leads to, -1-i toward terminal
-	// i, or headDown when c's link is down.
+	// head[c] is what channel c leads to (channelHeads).
 	head []int32
 
 	// The LID resolved last, its owner terminal dst and its slot
@@ -67,7 +88,7 @@ func newLIDTrees(t *Tables) *lidTrees {
 		t:     t,
 		swOf:  make([]int32, len(t.BaseLID)),
 		start: make([]int32, nsw+1),
-		head:  make([]int32, 2*len(g.Links)),
+		head:  channelHeads(g),
 		hops:  make([]int8, nsw),
 		up:    make([]int32, nsw),
 		sum:   make([]int, nsw),
@@ -86,19 +107,6 @@ func newLIDTrees(t *Tables) *lidTrees {
 			tr.roots = append(tr.roots, int32(si))
 		}
 		tr.start[si+1] += tr.start[si]
-	}
-	for c := range tr.head {
-		n := g.ChannelTo(topo.ChannelID(c))
-		switch {
-		case g.Link(topo.ChannelID(c)).Down:
-			tr.head[c] = headDown
-		case g.Nodes[n].Kind == topo.Switch:
-			tr.head[c] = int32(g.SwitchIndex(n))
-		case g.Nodes[n].Kind == topo.Terminal:
-			tr.head[c] = -1 - int32(g.TerminalIndex(n))
-		default:
-			tr.head[c] = headDown
-		}
 	}
 	tr.members = make([]int32, tr.attached)
 	fill := make([]int32, nsw)

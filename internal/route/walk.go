@@ -64,6 +64,12 @@ type keyWalk struct {
 	members []topo.NodeID
 	start   []int32
 
+	// head[c] is what channel c leads to (channelHeads), and inj[i] the
+	// injection channel of attached terminal i: the channels Tables.Path
+	// would read off the graph's links.
+	head []int32
+	inj  []topo.ChannelID
+
 	buf []topo.ChannelID // path arena, reused key to key
 	key pathKey
 }
@@ -75,6 +81,8 @@ func newKeyWalk(t *Tables, offsets int, attachedDst bool) *keyWalk {
 		t: t, offsets: offsets, attachedDst: attachedDst,
 		swOf:  make([]int32, len(terms)),
 		start: make([]int32, g.NumSwitches()+1),
+		head:  channelHeads(g),
+		inj:   make([]topo.ChannelID, len(terms)),
 	}
 	for i, tm := range terms {
 		w.swOf[i] = -1
@@ -83,6 +91,12 @@ func newKeyWalk(t *Tables, offsets int, attachedDst bool) *keyWalk {
 			w.swOf[i] = int32(si)
 			w.attached++
 			w.start[si+1]++
+			for _, l := range g.Nodes[tm].Ports {
+				if l != nil && !l.Down {
+					w.inj[i] = l.Channel(tm)
+					break
+				}
+			}
 		}
 	}
 	for si := 1; si < len(w.start); si++ {
@@ -132,16 +146,44 @@ func (w *keyWalk) visitDst(first int, grp []topo.NodeID, di int, visit func(k *p
 	if w.swOf[di] == w.swOf[first] {
 		k.pairs--
 	}
-	src := t.G.Terminals()[first]
 	for off := 0; off < w.offsets; off++ {
 		k.off = off
 		k.lid = t.BaseLID[di] + LID(off)
-		k.path, k.err = t.appendPath(w.buf, src, k.lid)
+		k.path, k.err = w.path(first, di, k.lid)
 		if k.err == nil {
 			w.buf = k.path
 		}
 		visit(k)
 	}
+}
+
+// path is Tables.Path of attached terminal src toward lid, which terminal
+// dst != src owns, walked through the LFTs and the channel heads alone.
+// Where the walk stops short of dst it fails exactly where Path fails (a
+// missing entry, a down link, delivery to another terminal, more than
+// MaxHops switch channels), so it asks Path for the error.
+func (w *keyWalk) path(src, dst int, lid LID) ([]topo.ChannelID, error) {
+	lft := w.t.lft
+	deliver := -1 - int32(dst)
+	path := append(w.buf[:0], w.inj[src])
+	si := w.swOf[src]
+	for hops := 0; hops <= MaxHops; hops++ {
+		c := lft[si][lid]
+		if c == NoChannel {
+			break
+		}
+		path = append(path, c)
+		h := w.head[c]
+		if h >= 0 {
+			si = h
+			continue
+		}
+		if h == deliver {
+			return path, nil
+		}
+		break // a down link, or delivery to another terminal
+	}
+	return w.t.appendPath(path, w.t.G.Terminals()[src], lid)
 }
 
 // keyLanes lists in buf the lanes below n that the source terminals of k
