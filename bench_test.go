@@ -130,6 +130,39 @@ func BenchmarkFig7Capacity(b *testing.B) {
 	b.ReportMetric(100*gain, "%HX-throughput-gain")
 }
 
+// BenchmarkDenseAlltoall times the dense-collective regime hxbench does
+// not reach (ROADMAP item 2): the 112-node 1 MiB alltoall cell of
+// `figures 4 -coll alltoall -sizes 1048576 -trials 1` on the degraded
+// paper Fat-Tree under SSSP routing and clustered placement (seed 1),
+// one trial through exp.RunTrials. The machine is built once, outside the
+// timed loop. The solver's bottleneck rounds per settle, and those that
+// also scanned lone channels, come from the network's work counters and
+// read the same on every host.
+func BenchmarkDenseAlltoall(b *testing.B) {
+	const seed, nodes = 1, 112
+	m, err := exp.BuildMachine(exp.PaperCombos()[1], exp.MachineConfig{Degrade: true, Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var net *flow.Network
+	spec := exp.TrialSpec{
+		Machine: m, Nodes: nodes, Trials: 1, Seed: seed + nodes, Jitter: exp.TrialJitter,
+		Build: func(n int) (*workloads.Instance, error) {
+			return workloads.BuildIMB("alltoall", n, 1<<20)
+		},
+		Attach: func(_ int, msgr fabric.Messenger) { net = msgr.(*fabric.Fabric).Net },
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := exp.RunTrials(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	settles := float64(net.Recomputes)
+	b.ReportMetric(float64(net.Rounds)/settles, "rounds/settle")
+	b.ReportMetric(float64(net.LoneRounds)/settles, "lone-rounds/settle")
+}
+
 // --- routing-engine benches (cost of the subnet-manager side) ---
 
 func benchHX() *topo.HyperX {

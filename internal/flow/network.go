@@ -18,12 +18,16 @@
 // DESIGN.md §7): each settle re-solves only the connected region of the
 // flow/channel contention graph reachable from the channels whose flow
 // membership actually changed, one component at a time, picking each
-// bottleneck by a linear scan over the component's live channels. Because
-// distinct components of that graph share no channels, the restricted
-// re-solve is exactly the global max-min allocation; when the dirty region
-// spans the whole network it degenerates into a full solve. The tests hold
-// it to a from-scratch progressive-filling oracle and a max-min
-// certificate.
+// bottleneck by a linear scan over the component's live shared channels.
+// A channel one flow crosses (lone: a node or terminal channel, most of a
+// component) has its capacity as its share until that flow freezes; a
+// round scans the lone channels only when its smallest shared share does
+// not lie clearly below the network's smallest capacity, the one case in
+// which a lone channel could be or tie the bottleneck. Because distinct
+// components of that graph share no channels, the restricted re-solve is
+// exactly the global max-min allocation; when the dirty region spans the
+// whole network it degenerates into a full solve. The tests hold it to a
+// from-scratch progressive-filling oracle and a max-min certificate.
 package flow
 
 import (
@@ -46,6 +50,9 @@ type FlowID int64
 type Network struct {
 	eng  *sim.Engine
 	caps []float64 // per-channel capacity (bytes/s)
+	// capMin is the smallest of caps (+Inf without channels): the least a
+	// lone channel's share can be (solveComponent).
+	capMin float64
 
 	// tab is the SoA flow table every per-flow field lives in.
 	tab flowTable
@@ -61,6 +68,12 @@ type Network struct {
 
 	// Recomputes counts rate recomputations (for ablation benchmarks).
 	Recomputes uint64
+	// Components, Rounds and LoneRounds count the solver's work in units
+	// no host changes: connected components solved, bottleneck rounds
+	// (one freeze each), and the rounds that also scanned lone channels.
+	Components uint64
+	Rounds     uint64
+	LoneRounds uint64
 	// StaleCancels counts Cancel calls that presented a once-valid handle
 	// whose flow is already gone (generation mismatch on a recycled or
 	// freed slot). Such cancels are ignored — the recycled slot's current
@@ -88,9 +101,9 @@ type Network struct {
 	residual    []float64
 	unfrozenCnt []int32
 	// Scratch reused across solves. regionChans/regionFlows hold the
-	// dirty region segmented into connected components; comps spans both.
-	// liveChans holds the solving component's channels that still carry
-	// unfrozen flows.
+	// dirty region's shared channels and flows, segmented into connected
+	// components; comps spans both. liveChans holds the solving
+	// component's shared channels that still carry unfrozen flows.
 	regionChans []topo.ChannelID
 	regionFlows []int32
 	comps       []component
@@ -112,11 +125,13 @@ func NewNetwork(eng *sim.Engine, g *topo.Graph) *Network {
 	n := &Network{
 		eng:        eng,
 		caps:       make([]float64, 2*len(g.Links)),
+		capMin:     math.Inf(1),
 		dirtyEpoch: 1,
 	}
 	for _, l := range g.Links {
 		n.caps[2*l.ID] = l.Bandwidth
 		n.caps[2*l.ID+1] = l.Bandwidth
+		n.capMin = min(n.capMin, l.Bandwidth)
 	}
 	return n
 }
@@ -130,6 +145,9 @@ func (n *Network) AddNodeChannels(count int, capacity float64) topo.ChannelID {
 	first := topo.ChannelID(len(n.caps))
 	for i := 0; i < count; i++ {
 		n.caps = append(n.caps, capacity)
+	}
+	if count > 0 {
+		n.capMin = min(n.capMin, capacity)
 	}
 	return first
 }

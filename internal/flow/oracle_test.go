@@ -234,3 +234,141 @@ func TestEpsilonTieTakesSmallestChannelID(t *testing.T) {
 		})
 	}
 }
+
+// requireOracleExact holds every live flow of a settled network to
+// maxMinOracle bit for bit, rate and bottleneck, and the allocation to
+// certifyMaxMin.
+func requireOracleExact(t *testing.T, n *Network) {
+	t.Helper()
+	tab := &n.tab
+	var live []int32
+	for _, idx := range tab.liveList {
+		if tab.zeroEv[idx] == 0 {
+			live = append(live, idx)
+		}
+	}
+	paths := make([][]topo.ChannelID, len(live))
+	for i, idx := range live {
+		paths[i] = tab.path(idx)
+	}
+	rates, bott := maxMinOracle(n.caps, paths)
+	for i, idx := range live {
+		if tab.rate[idx] != rates[i] || tab.bott[idx] != bott[i] {
+			t.Errorf("flow %v froze at %v on %d, oracle at %v on %d",
+				tab.path(idx), tab.rate[idx], tab.bott[idx], rates[i], bott[i])
+		}
+	}
+	if err := certifyMaxMin(n); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLoneChannelAtSharedShare pins the boundary between lone and shared
+// channels in the bottleneck search. Flows A and B share channel S, whose
+// fair share is 500; A alone crosses lone channel L, whose share is its
+// capacity. L is the network's smallest capacity and its ID lies below or
+// above S's. Within shareEps of 500, on either side, L ties S and the
+// smaller ID is A's bottleneck: the round's smallest shared share lies
+// within loneMargin of capMin, so it must scan L. Just past the margin,
+// the round may skip L, and does; just inside it, the round scans L and
+// still finds S. Each allocation must equal maxMinOracle's bit for bit.
+// With extra, a third flow in a component of its own crosses a channel of
+// capacity 1, the network's smallest: every round then scans, and the
+// allocation stays the same.
+func TestLoneChannelAtSharedShare(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		scale float64 // L's capacity over S's fair share
+		tied  bool
+		// skips is whether the pair's round skips the lone scan.
+		skips bool
+	}{
+		{"within shareEps above", 1 + 1e-10, true, false},
+		{"within shareEps below", 1 - 1e-10, true, false},
+		{"just past the margin", 1 + 1.5*loneMargin, false, true},
+		{"just inside the margin", 1 + 0.5*loneMargin, false, false},
+	} {
+		for _, loneLow := range []bool{true, false} {
+			for _, extra := range []bool{false, true} {
+				name := fmt.Sprintf("%s/lone ID low %v/extra %v", c.name, loneLow, extra)
+				t.Run(name, func(t *testing.T) {
+					capL := 500 * c.scale
+					var (
+						n    *Network
+						e    = sim.NewEngine()
+						l, s topo.ChannelID
+					)
+					if loneLow {
+						// L is a link channel, S a node channel of twice
+						// the pair's share.
+						g, fwd, _ := lineGraph(capL)
+						n = NewNetwork(e, g)
+						l, s = fwd[0], n.AddNodeChannels(1, 1000)
+					} else {
+						g, fwd, _ := lineGraph(1000)
+						n = NewNetwork(e, g)
+						l, s = n.AddNodeChannels(1, capL), fwd[1]
+					}
+					if extra {
+						z := n.AddNodeChannels(1, 1)
+						n.Start([]topo.ChannelID{z}, 1e9, func(sim.Time) {})
+					}
+					idA := n.Start([]topo.ChannelID{l, s}, 1e9, func(sim.Time) {})
+					n.Start([]topo.ChannelID{s}, 1e9, func(sim.Time) {})
+					e.RunUntil(0)
+					if !n.lone(l) || n.lone(s) || (l < s) != loneLow || sharesEqual(capL, 500) != c.tied {
+						t.Fatalf("setup: L=%d cap %v lone %v, S=%d lone %v, tied %v",
+							l, capL, n.lone(l), s, n.lone(s), sharesEqual(capL, 500))
+					}
+					want := s
+					if c.tied && loneLow {
+						want = l
+					}
+					a, _ := n.lookup(idA)
+					if n.tab.bott[a] != want {
+						t.Errorf("A froze at %v on %d, want channel %d", n.tab.rate[a], n.tab.bott[a], want)
+					}
+					requireOracleExact(t, n)
+					switch {
+					case extra && n.LoneRounds != n.Rounds:
+						t.Errorf("%d of %d rounds scanned lone channels, want all", n.LoneRounds, n.Rounds)
+					case !extra && c.skips != (n.LoneRounds == 0):
+						t.Errorf("%d of %d rounds scanned lone channels, want skipping %v", n.LoneRounds, n.Rounds, c.skips)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestAddNodeChannelsLowersCapMin starts flows A (fwd[0],fwd[1]) and B
+// (fwd[1]) on lineGraph(1000), whose round skips the lone scan, then adds
+// a node channel y of 200 B/s under live traffic and starts C (y,fwd[1]).
+// y is now the network's smallest capacity and C's bottleneck: fwd[1]'s
+// share of 333.3 lies below the old capMin, so a capMin that y did not
+// lower would skip y and freeze C at 333.3. C must freeze at 200 on y,
+// and A and B at 400 on fwd[1], as the oracle does.
+func TestAddNodeChannelsLowersCapMin(t *testing.T) {
+	g, fwd, _ := lineGraph(1000)
+	e := sim.NewEngine()
+	n := NewNetwork(e, g)
+	n.Start([]topo.ChannelID{fwd[0], fwd[1]}, 1e9, func(sim.Time) {})
+	n.Start([]topo.ChannelID{fwd[1]}, 1e9, func(sim.Time) {})
+	e.RunUntil(0)
+	requireOracleExact(t, n)
+	if n.LoneRounds != 0 {
+		t.Fatalf("before y: %d of %d rounds scanned lone channels, want none", n.LoneRounds, n.Rounds)
+	}
+	e.RunUntil(1)
+	y := n.AddNodeChannels(1, 200)
+	if n.capMin != 200 {
+		t.Fatalf("capMin %v after adding a 200 B/s channel, want 200", n.capMin)
+	}
+	idC := n.Start([]topo.ChannelID{y, fwd[1]}, 1e9, func(sim.Time) {})
+	e.RunUntil(1)
+	requireOracleExact(t, n)
+	c, _ := n.lookup(idC)
+	if n.tab.rate[c] != 200 || n.tab.bott[c] != y {
+		t.Errorf("C froze at %v on %d, want 200 on %d", n.tab.rate[c], n.tab.bott[c], y)
+	}
+}

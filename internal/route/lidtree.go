@@ -3,6 +3,7 @@ package route
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"github.com/hpcsim/t2hx/internal/topo"
 )
@@ -46,22 +47,56 @@ func channelHeads(g *topo.Graph) []int32 {
 	return head
 }
 
+// termGroups indexes a graph's terminals by the switch they attach to.
+// swOf[i] is terminal i's switch index, -1 when terminal i is detached;
+// attached counts the others, and members[start[si]:start[si+1]] are
+// switch si's attached terminals, as terminal indexes in terminal order.
+// The walks over g's forwarding tables (lidTrees, keyWalk) both build it
+// here, as they both take channelHeads.
+type termGroups struct {
+	swOf     []int32
+	attached int
+	members  []int32
+	start    []int32
+}
+
+func newTermGroups(g *topo.Graph) termGroups {
+	terms := g.Terminals()
+	nsw := g.NumSwitches()
+	tg := termGroups{swOf: make([]int32, len(terms)), start: make([]int32, nsw+1)}
+	for i, tm := range terms {
+		tg.swOf[i] = -1
+		if sw := g.SwitchOf(tm); sw >= 0 {
+			si := g.SwitchIndex(sw)
+			tg.swOf[i] = int32(si)
+			tg.attached++
+			tg.start[si+1]++
+		}
+	}
+	for si := 1; si <= nsw; si++ {
+		tg.start[si] += tg.start[si-1]
+	}
+	tg.members = make([]int32, tg.attached)
+	fill := slices.Clone(tg.start[:nsw])
+	for i, si := range tg.swOf {
+		if si >= 0 {
+			tg.members[fill[si]] = int32(i)
+			fill[si]++
+		}
+	}
+	return tg
+}
+
 // lidTrees resolves the forwarding tree toward one destination LID at a
 // time, for Validate and ChannelLoads. A chain fails exactly where
 // Tables.appendPath fails: a missing entry, a down link, delivery to
 // another terminal, a loop, or more than MaxHops switch channels.
 type lidTrees struct {
 	t *Tables
-	// swOf[i] is terminal i's switch index, -1 when terminal i is
-	// detached; attached counts the others.
-	swOf     []int32
-	attached int
+	termGroups
 	// roots lists the switches with attached terminals, the keys' source
-	// switches, and members[start[si]:start[si+1]] are switch si's
-	// attached terminals.
-	roots   []int32
-	members []int32
-	start   []int32
+	// switches.
+	roots []int32
 
 	// head[c] is what channel c leads to (channelHeads).
 	head []int32
@@ -85,36 +120,16 @@ func newLIDTrees(t *Tables) *lidTrees {
 	g := t.G
 	nsw := g.NumSwitches()
 	tr := &lidTrees{
-		t:     t,
-		swOf:  make([]int32, len(t.BaseLID)),
-		start: make([]int32, nsw+1),
-		head:  channelHeads(g),
-		hops:  make([]int8, nsw),
-		up:    make([]int32, nsw),
-		sum:   make([]int, nsw),
-	}
-	for i, tm := range g.Terminals() {
-		tr.swOf[i] = -1
-		if sw := g.SwitchOf(tm); sw >= 0 {
-			si := g.SwitchIndex(sw)
-			tr.swOf[i] = int32(si)
-			tr.attached++
-			tr.start[si+1]++
-		}
+		t:          t,
+		termGroups: newTermGroups(g),
+		head:       channelHeads(g),
+		hops:       make([]int8, nsw),
+		up:         make([]int32, nsw),
+		sum:        make([]int, nsw),
 	}
 	for si := 0; si < nsw; si++ {
-		if tr.start[si+1] > 0 {
+		if tr.start[si+1] > tr.start[si] {
 			tr.roots = append(tr.roots, int32(si))
-		}
-		tr.start[si+1] += tr.start[si]
-	}
-	tr.members = make([]int32, tr.attached)
-	fill := make([]int32, nsw)
-	copy(fill, tr.start)
-	for i, si := range tr.swOf {
-		if si >= 0 {
-			tr.members[fill[si]] = int32(i)
-			fill[si]++
 		}
 	}
 	return tr

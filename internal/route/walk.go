@@ -56,13 +56,10 @@ type keyWalk struct {
 	offsets     int
 	attachedDst bool
 
-	// swOf[i] is terminal i's switch index, -1 when terminal i is detached.
-	swOf     []int32
-	attached int
-	// members[start[si]:start[si+1]] are switch si's attached terminals in
-	// terminal order.
-	members []topo.NodeID
-	start   []int32
+	termGroups
+	// srcs[start[si]:start[si+1]] are switch si's attached terminals as
+	// node IDs, the srcs of its keys.
+	srcs []topo.NodeID
 
 	// head[c] is what channel c leads to (channelHeads), and inj[i] the
 	// injection channel of attached terminal i: the channels Tables.Path
@@ -79,35 +76,19 @@ func newKeyWalk(t *Tables, offsets int, attachedDst bool) *keyWalk {
 	terms := g.Terminals()
 	w := &keyWalk{
 		t: t, offsets: offsets, attachedDst: attachedDst,
-		swOf:  make([]int32, len(terms)),
-		start: make([]int32, g.NumSwitches()+1),
-		head:  channelHeads(g),
-		inj:   make([]topo.ChannelID, len(terms)),
+		termGroups: newTermGroups(g),
+		head:       channelHeads(g),
+		inj:        make([]topo.ChannelID, len(terms)),
 	}
-	for i, tm := range terms {
-		w.swOf[i] = -1
-		if sw := g.SwitchOf(tm); sw >= 0 {
-			si := g.SwitchIndex(sw)
-			w.swOf[i] = int32(si)
-			w.attached++
-			w.start[si+1]++
-			for _, l := range g.Nodes[tm].Ports {
-				if l != nil && !l.Down {
-					w.inj[i] = l.Channel(tm)
-					break
-				}
+	w.srcs = make([]topo.NodeID, len(w.members))
+	for k, i := range w.members {
+		tm := terms[i]
+		w.srcs[k] = tm
+		for _, l := range g.Nodes[tm].Ports {
+			if l != nil && !l.Down {
+				w.inj[i] = l.Channel(tm)
+				break
 			}
-		}
-	}
-	for si := 1; si < len(w.start); si++ {
-		w.start[si] += w.start[si-1]
-	}
-	w.members = make([]topo.NodeID, w.attached)
-	fill := slices.Clone(w.start)
-	for i, tm := range terms {
-		if si := w.swOf[i]; si >= 0 {
-			w.members[fill[si]] = tm
-			fill[si]++
 		}
 	}
 	return w
@@ -121,7 +102,7 @@ func (w *keyWalk) each(visit func(k *pathKey)) {
 		if si < 0 {
 			continue
 		}
-		grp := w.members[w.start[si]:w.start[si+1]]
+		grp := w.srcs[w.start[si]:w.start[si+1]]
 		switch src {
 		case grp[0]:
 			for di := range terms {
@@ -130,7 +111,7 @@ func (w *keyWalk) each(visit func(k *pathKey)) {
 				}
 			}
 		case grp[1]:
-			w.visitDst(i, grp, w.t.G.TerminalIndex(grp[0]), visit)
+			w.visitDst(i, grp, int(w.members[w.start[si]]), visit)
 		}
 	}
 }
