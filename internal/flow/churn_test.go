@@ -84,10 +84,13 @@ func churnHX() *topo.HyperX {
 }
 
 // TestFlowChurnAllocFree is the flow table's steady-state allocation
-// contract, the flow-layer twin of sim.TestEngineSteadyStateAllocFree:
-// with about 1,000 long-lived flows resident, cancelling one, starting its
-// replacement on the same path and settling the rates allocates nothing
-// once the arena, free list and solver scratch have warmed up.
+// contract, the flow-layer twin of sim.TestEngineSteadyStateAllocFree.
+// With about 1,000 long-lived flows resident, two ops allocate nothing once
+// the arena, free list, completion queue and solver scratch have warmed
+// up: churn cancels one flow, starts its replacement on the same path and
+// settles the rates; complete starts a 1 kB flow on the next path and
+// steps the engine until that flow completes. Afterwards the completion
+// queue holds exactly one prediction per resident flow.
 func TestFlowChurnAllocFree(t *testing.T) {
 	const nflows = 1000
 	done := func(sim.Time) {}
@@ -109,14 +112,35 @@ func TestFlowChurnAllocFree(t *testing.T) {
 				eng.RunUntil(eng.Now())
 				k = (k + 1) % nflows
 			}
-			for range ids { // warm up: recycle every slot once
-				churn()
+			finished := false
+			finish := func(sim.Time) { finished = true }
+			complete := func() {
+				finished = false
+				net.Start(paths[k], 1e3, finish)
+				for !finished && eng.Step() {
+				}
+				if !finished {
+					t.Fatal("engine drained before the 1 kB flow completed")
+				}
+				k = (k + 1) % nflows
 			}
-			if allocs := testing.AllocsPerRun(500, churn); allocs != 0 {
-				t.Errorf("steady-state flow churn allocates %v allocs/op, want 0", allocs)
+			for _, op := range []struct {
+				name string
+				fn   func()
+			}{{"churn", churn}, {"complete", complete}} {
+				for range ids { // warm up: every path once
+					op.fn()
+				}
+				if allocs := testing.AllocsPerRun(500, op.fn); allocs != 0 {
+					t.Errorf("steady-state flow %s allocates %v allocs/op, want 0", op.name, allocs)
+				}
 			}
+			eng.RunUntil(eng.Now())
 			if got := net.Active(); got != nflows {
 				t.Errorf("%d flows active after churn, want %d", got, nflows)
+			}
+			if got := net.done.Len(); got != nflows {
+				t.Errorf("completion queue holds %d predictions, want %d", got, nflows)
 			}
 		})
 	}

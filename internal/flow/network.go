@@ -31,9 +31,10 @@
 package flow
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/hpcsim/t2hx/internal/sim"
 	"github.com/hpcsim/t2hx/internal/telemetry"
@@ -65,6 +66,10 @@ type Network struct {
 	// slots, so steady-state scheduling churn allocates nothing.
 	settleFn func(*sim.Engine)
 	doneFn   func(*sim.Engine)
+	// done holds each settled positive-size flow's predicted completion,
+	// keyed by flow slot and ordered by (time, start seq); doneEv is
+	// pointed at its head after every settle.
+	done sim.Queue
 
 	// Recomputes counts rate recomputations (for ablation benchmarks).
 	Recomputes uint64
@@ -110,9 +115,6 @@ type Network struct {
 	liveChans   []topo.ChannelID
 	doneScratch []int32
 	cbScratch   []func(at sim.Time)
-	// doneHeap orders predicted completion times; entries invalidate
-	// lazily via tab.doneGen.
-	doneHeap doneHeap
 
 	// cc receives IB-style per-channel counters, fed exactly on every
 	// advance/recompute interval; nil (the default) costs one pointer
@@ -132,6 +134,14 @@ func NewNetwork(eng *sim.Engine, g *topo.Graph) *Network {
 		n.caps[2*l.ID] = l.Bandwidth
 		n.caps[2*l.ID+1] = l.Bandwidth
 		n.capMin = min(n.capMin, l.Bandwidth)
+	}
+	n.settleFn = func(*sim.Engine) {
+		n.settleEv = 0
+		n.settle()
+	}
+	n.doneFn = func(*sim.Engine) {
+		n.doneEv = 0
+		n.completeDue()
 	}
 	return n
 }
@@ -272,11 +282,13 @@ func (n *Network) Cancel(id FlowID) {
 	n.markDirty()
 }
 
-// removeFlow detaches a flow slot from every solver structure and frees
-// it; the caller has already integrated its transferred bytes up to now.
+// removeFlow detaches a flow slot from every solver structure, its
+// completion prediction included, and frees it; the caller has already
+// integrated its transferred bytes up to now.
 func (n *Network) removeFlow(idx int32) {
 	n.removeMembership(idx)
-	n.tab.freeSlot(idx) // bumps gen + doneGen: handles and heap entries die
+	n.done.Remove(idx)
+	n.tab.freeSlot(idx)
 }
 
 // advanceFlow integrates one flow's transferred bytes up to now. Rates
@@ -322,12 +334,6 @@ func (n *Network) advanceAll() {
 func (n *Network) markDirty() {
 	n.dirty = true
 	if n.settleEv == 0 {
-		if n.settleFn == nil {
-			n.settleFn = func(*sim.Engine) {
-				n.settleEv = 0
-				n.settle()
-			}
-		}
 		n.settleEv = n.eng.After(0, n.settleFn)
 	}
 }
@@ -359,7 +365,7 @@ func (n *Network) drained(idx int32) bool {
 // recycles the very slot it is completing.
 func (n *Network) finishFlows(done []int32) {
 	t := &n.tab
-	sort.Slice(done, func(i, j int) bool { return t.seq[done[i]] < t.seq[done[j]] })
+	slices.SortFunc(done, func(a, b int32) int { return cmp.Compare(t.seq[a], t.seq[b]) })
 	cbs := n.cbScratch[:0]
 	for _, idx := range done {
 		if n.cc != nil {
@@ -381,29 +387,6 @@ func (n *Network) finishFlows(done []int32) {
 		cbs[i] = nil // drop the closure so the scratch retains nothing
 	}
 	n.cbScratch = cbs[:0]
-}
-
-// scheduleDoneAt points the completion event at t, rescheduling the
-// queued event in place when possible.
-func (n *Network) scheduleDoneAt(t sim.Time) {
-	if n.doneEv != 0 && n.eng.Reschedule(n.doneEv, t) {
-		return
-	}
-	if n.doneFn == nil {
-		n.doneFn = func(*sim.Engine) {
-			n.doneEv = 0
-			n.completeDue()
-		}
-	}
-	n.doneEv = n.eng.Schedule(t, n.doneFn)
-}
-
-// cancelDoneEv drops the pending completion event, if any.
-func (n *Network) cancelDoneEv() {
-	if n.doneEv != 0 {
-		n.eng.Cancel(n.doneEv)
-		n.doneEv = 0
-	}
 }
 
 // shareEps is the relative tolerance under which two channel fair shares

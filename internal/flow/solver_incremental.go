@@ -1,7 +1,9 @@
 package flow
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"github.com/hpcsim/t2hx/internal/sim"
 	"github.com/hpcsim/t2hx/internal/topo"
@@ -34,11 +36,9 @@ import (
 //     of a component (node and terminal channels), and the solve neither
 //     initializes, scans nor decrements them. Components are small (tens
 //     of channels, a freeze or two), so the scan costs less than building
-//     a heap over them would. Completion scheduling uses doneHeap over
-//     predicted finish times, lazily invalidated by tab.doneGen,
-//     hand-rolled over a value slice: container/heap's interface Push/Pop
-//     boxes every entry, and at 100k-flow churn those boxes were most of
-//     the solver's allocation bill.
+//     a heap over them would. Each re-rated flow's predicted completion
+//     moves in place in the network's done queue (a sim.Queue keyed by
+//     flow slot), so a settle leaves no stale prediction behind.
 //
 // Determinism: bottlenecks freeze in an order fixed by (share, channel
 // ID) with the epsilon tie-break, so the float arithmetic — and therefore
@@ -56,77 +56,6 @@ import (
 type chanSlot struct {
 	idx int32 // flow table slot
 	hop int32 // index into the flow's path for this channel
-}
-
-// doneEntry is a predicted flow completion; stale entries are recognized
-// by gen != tab.doneGen[idx] (freeSlot bumps doneGen, so entries for a
-// slot's previous occupant can never fire against its current one). seq
-// is the flow's start order, the deterministic tie-break for equal times.
-type doneEntry struct {
-	at  sim.Time
-	seq uint64
-	gen uint64
-	idx int32
-}
-
-// doneHeap is a hand-rolled min-heap of doneEntry values ordered by
-// (time, start order).
-type doneHeap []doneEntry
-
-func (h doneHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *doneHeap) push(e doneEntry) {
-	s := append(*h, e)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.less(i, p) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-	*h = s
-}
-
-func (h *doneHeap) pop() doneEntry {
-	s := *h
-	e := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	s.down(0)
-	return e
-}
-
-func (h doneHeap) down(i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(h) && h.less(r, l) {
-			m = r
-		}
-		if !h.less(m, i) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-func (h doneHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
 }
 
 // component is one connected component of the current dirty region: a
@@ -245,16 +174,9 @@ func (n *Network) recomputeIncremental() {
 		n.solveComponent(comp)
 		for _, idx := range flows {
 			n.checkRate(idx)
-			t.doneGen[idx]++
-			n.doneHeap.push(doneEntry{
-				at:  now + sim.Time(t.remaining[idx]/t.rate[idx]),
-				seq: t.seq[idx],
-				gen: t.doneGen[idx],
-				idx: idx,
-			})
+			n.done.Set(idx, now+sim.Time(t.remaining[idx]/t.rate[idx]), t.seq[idx])
 		}
 	}
-	n.maybeCompactDoneHeap()
 }
 
 // discoverComponents runs the dirty-region BFS once per unswept dirty
@@ -321,13 +243,8 @@ func (n *Network) discoverComponents() []component {
 	n.consumeDirty()
 	n.regionChans = regionChans
 	n.regionFlows = regionFlows
-	// Canonical solve order: ascending root. Insertion sort — settles
-	// touch a handful of components and sort.Slice would allocate.
-	for i := 1; i < len(comps); i++ {
-		for j := i; j > 0 && comps[j].root < comps[j-1].root; j-- {
-			comps[j], comps[j-1] = comps[j-1], comps[j]
-		}
-	}
+	// Canonical solve order: ascending root.
+	slices.SortFunc(comps, func(a, b component) int { return cmp.Compare(a.root, b.root) })
 	n.comps = comps
 	return comps
 }
@@ -482,52 +399,47 @@ func (n *Network) freezeChannel(bott topo.ChannelID, share float64) int {
 	return frozen
 }
 
-// scheduleNextDone points the completion event at the earliest live
-// prediction.
+// scheduleNextDone points the completion event at the earliest predicted
+// completion, moving the queued event in place when possible, and drops
+// it when no flow is in flight.
 func (n *Network) scheduleNextDone() {
-	h := &n.doneHeap
-	for len(*h) > 0 && (*h)[0].gen != n.tab.doneGen[(*h)[0].idx] {
-		h.pop()
+	idx, at := n.done.Head()
+	switch {
+	case idx < 0:
+		if n.doneEv != 0 {
+			n.eng.Cancel(n.doneEv)
+			n.doneEv = 0
+		}
+	case n.doneEv == 0 || !n.eng.Reschedule(n.doneEv, at):
+		n.doneEv = n.eng.Schedule(at, n.doneFn)
 	}
-	if len(*h) == 0 {
-		n.cancelDoneEv()
-		return
-	}
-	n.scheduleDoneAt((*h)[0].at)
 }
 
-// completeDue finishes every flow whose live prediction has come due.
-// A popped flow whose remaining bytes have not in fact drained (float
-// drift between the prediction and the integration) is re-queued at a
-// corrected, strictly-future time, guaranteeing progress.
+// completeDue finishes every flow whose prediction has come due. A due
+// flow whose remaining bytes have not in fact drained (float drift between
+// the prediction and the integration) moves to a corrected, strictly
+// future time, guaranteeing progress.
 func (n *Network) completeDue() {
 	now := n.eng.Now()
 	t := &n.tab
 	done := n.doneScratch[:0]
-	h := &n.doneHeap
-	for len(*h) > 0 {
-		top := (*h)[0]
-		if top.gen != t.doneGen[top.idx] {
-			h.pop()
-			continue
-		}
-		if top.at > now {
+	for {
+		idx, at := n.done.Head()
+		if idx < 0 || at > now {
 			break
 		}
-		h.pop()
-		idx := top.idx
+		n.done.Pop()
 		n.advanceFlow(idx, now)
 		if n.drained(idx) {
 			done = append(done, idx)
 			continue
 		}
-		t.doneGen[idx]++
-		at := now + sim.Time(t.remaining[idx]/t.rate[idx])
+		at = now + sim.Time(t.remaining[idx]/t.rate[idx])
 		if at <= now {
 			done = append(done, idx) // residue below time resolution
 			continue
 		}
-		h.push(doneEntry{at: at, seq: t.seq[idx], gen: t.doneGen[idx], idx: idx})
+		n.done.Set(idx, at, t.seq[idx])
 	}
 	n.doneScratch = done[:0]
 	if len(done) == 0 {
@@ -535,21 +447,4 @@ func (n *Network) completeDue() {
 		return
 	}
 	n.finishFlows(done)
-}
-
-// maybeCompactDoneHeap drops accumulated stale entries once they dominate
-// the heap, bounding memory under churn-heavy workloads.
-func (n *Network) maybeCompactDoneHeap() {
-	h := n.doneHeap
-	if len(h) <= 4*n.Active()+64 {
-		return
-	}
-	live := h[:0]
-	for _, e := range h {
-		if e.gen == n.tab.doneGen[e.idx] {
-			live = append(live, e)
-		}
-	}
-	n.doneHeap = live
-	n.doneHeap.init()
 }

@@ -14,9 +14,10 @@ import (
 // This file property-tests the solver on randomized fabric/workload
 // instances. After every engine step that leaves no settle pending, every
 // live rate must match a from-scratch oracle, the allocation must pass the
-// max-min certificate (oracle_test.go), and each channel's ActiveHWM must
-// equal the most flows seen on it; at the end of each run the bytes x hops
-// conservation identity must hold, even when flows are cancelled
+// max-min certificate (oracle_test.go), the completion queue must hold
+// exactly one prediction per in-flight flow, and each channel's ActiveHWM
+// must equal the most flows seen on it; at the end of each run the bytes x
+// hops conservation identity must hold, even when flows are cancelled
 // mid-flight.
 
 // propOp is one scheduled action of a generated workload: a flow start or
@@ -142,7 +143,8 @@ func fabricHops(cc *telemetry.ChannelCounters, path []topo.ChannelID) float64 {
 }
 
 // checkAgainstOracle compares the settled allocation with maxMinOracle
-// (rates to 1e-9 relative, bottlenecks exactly), runs the certificate, and
+// (rates to 1e-9 relative, bottlenecks exactly), runs the certificate,
+// checks that the completion queue holds exactly the in-flight flows, and
 // raises seen[c] to the number of live flows on each fabric channel.
 func checkAgainstOracle(t *testing.T, seed uint64, net *Network, seen []int32) {
 	t.Helper()
@@ -151,7 +153,14 @@ func checkAgainstOracle(t *testing.T, seed uint64, net *Network, seen []int32) {
 	for _, idx := range tab.liveList {
 		if tab.zeroEv[idx] == 0 {
 			live = append(live, idx)
+			if !net.done.Contains(idx) {
+				t.Errorf("seed %d t=%v: flow seq %d has no completion prediction", seed, net.eng.Now(), tab.seq[idx])
+			}
 		}
+	}
+	if got := net.done.Len(); got != net.Active() {
+		t.Errorf("seed %d t=%v: completion queue holds %d predictions for %d flows",
+			seed, net.eng.Now(), got, net.Active())
 	}
 	sort.Slice(live, func(i, j int) bool { return tab.seq[live[i]] < tab.seq[live[j]] })
 	paths := make([][]topo.ChannelID, len(live))

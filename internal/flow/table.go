@@ -57,8 +57,8 @@ type flowTable struct {
 	// seq is the flow's monotonic start sequence. Handles stopped being
 	// monotonic when slots became recyclable, so every ordering the
 	// solver used to derive from FlowID — completion-callback order and
-	// done-heap tie-breaks — orders by seq, which is still exactly "start
-	// order".
+	// the done queue's tie-breaks — orders by seq, which is still exactly
+	// "start order".
 	seq       []uint64
 	remaining []float64 // bytes left to transfer
 	rate      []float64 // current bytes/s (max-min share)
@@ -72,11 +72,6 @@ type flowTable struct {
 	last []sim.Time
 	// mark is the region-BFS epoch stamp (incremental solver).
 	mark []uint64
-	// doneGen invalidates stale completion-heap entries: an entry is live
-	// only while its recorded generation matches. Bumped on re-prediction
-	// and on free, never reset, so entries for a slot's previous occupant
-	// can never fire against its current one.
-	doneGen []uint64
 	// (pathOff, pathLen) is the slot's span of arena/posArena; pathCap is
 	// the span's reusable capacity.
 	pathOff []int32
@@ -125,7 +120,6 @@ func (t *flowTable) alloc() (int32, FlowID) {
 		t.bott = append(t.bott, 0)
 		t.last = append(t.last, 0)
 		t.mark = append(t.mark, 0)
-		t.doneGen = append(t.doneGen, 0)
 		t.pathOff = append(t.pathOff, 0)
 		t.pathLen = append(t.pathLen, 0)
 		t.pathCap = append(t.pathCap, 0)
@@ -142,9 +136,9 @@ func (t *flowTable) alloc() (int32, FlowID) {
 	return idx, handleOf(idx, t.gen[idx])
 }
 
-// freeSlot returns a slot to the free list, bumping its generation (so
-// outstanding handles go stale) and its doneGen (so outstanding
-// completion-heap entries go dead). Callers handle zeroCount themselves.
+// freeSlot returns a slot to the free list, bumping its generation so
+// outstanding handles go stale. Callers handle zeroCount and the slot's
+// solver state themselves.
 func (t *flowTable) freeSlot(idx int32) {
 	t.live[idx] = false
 	t.onDone[idx] = nil
@@ -160,7 +154,6 @@ func (t *flowTable) freeSlot(idx int32) {
 	}
 	t.liveList = t.liveList[:last]
 	t.livePos[idx] = -1
-	t.doneGen[idx]++
 	t.gen[idx]++
 	if t.gen[idx] == 0 {
 		t.gen[idx] = 1 // generation wrap: skip 0 so handles stay nonzero

@@ -12,12 +12,11 @@
 // Event state lives in a dense SoA arena on the flow-table pattern
 // (DESIGN.md §13): parallel slices indexed by the slot half of a
 // generation-tagged EventID handle, with a LIFO free list recycling slots.
-// The pending queue is a hand-rolled value-indexed 4-ary min-heap of slot
-// indices — container/heap's interface Push/Pop boxed a *Event per
-// Schedule, and at AI-scale event churn (hundreds of millions of events
-// per endurance run) those boxes plus their heap rebalancing were most of
-// the event core's allocation and GC bill. Steady-state Schedule/Cancel/
-// Reschedule churn allocates nothing.
+// The pending slots wait in a Queue (queue.go), the indexed 4-ary min-heap
+// that flow.Network also keeps its predicted completions in. Boxing a
+// *Event per Schedule through container/heap was most of the event core's
+// allocation and GC bill at hundreds of millions of events per endurance
+// run; steady-state Schedule/Cancel/Reschedule churn allocates nothing.
 package sim
 
 import (
@@ -74,23 +73,15 @@ type Engine struct {
 	halted bool
 
 	// Event arena (SoA): per-slot parallel slices. A slot is either free
-	// (on evFree, evPos == -1) or queued (evPos is its heap position).
-	// evGen is bumped on every free, never zero, so stale handles are
-	// detected instead of acting on a recycled slot.
-	evAt  []Time
-	evSeq []uint64
+	// (on evFree) or queued in queue under its (time, seq) key. evGen is
+	// bumped on every free, never zero, so stale handles are detected
+	// instead of acting on a recycled slot.
 	evGen []uint32
-	evPos []int32
 	evFn  []func(*Engine)
 	// evFree is the LIFO slot free list: a recurring event (the flow
 	// network's settle) keeps reusing the same hot slot.
 	evFree []int32
-
-	// queue is the 4-ary min-heap of queued slot indices, ordered by
-	// (evAt, evSeq). 4-ary over binary: half the depth, and the wider
-	// node fits two cache lines of int32 children — sift-downs dominate a
-	// pop-heavy workload.
-	queue []int32
+	queue  Queue
 
 	// Processed counts events actually executed; useful for ablation
 	// benchmarks and runaway detection.
@@ -124,19 +115,11 @@ func (e *Engine) Schedule(at Time, fn func(*Engine)) EventID {
 	} else {
 		idx = int32(len(e.evGen))
 		e.evGen = append(e.evGen, 1)
-		e.evAt = append(e.evAt, 0)
-		e.evSeq = append(e.evSeq, 0)
-		e.evPos = append(e.evPos, -1)
 		e.evFn = append(e.evFn, nil)
 	}
-	e.evAt[idx] = at
-	e.evSeq[idx] = e.seq
-	e.seq++
 	e.evFn[idx] = fn
-	pos := len(e.queue)
-	e.queue = append(e.queue, idx)
-	e.evPos[idx] = int32(pos)
-	e.up(pos)
+	e.queue.Set(idx, at, e.seq)
+	e.seq++
 	return eventIDOf(idx, e.evGen[idx])
 }
 
@@ -160,10 +143,8 @@ func (e *Engine) Reschedule(id EventID, at Time) bool {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, e.now))
 	}
-	e.evAt[idx] = at
-	e.evSeq[idx] = e.seq
+	e.queue.Set(idx, at, e.seq)
 	e.seq++
-	e.fix(int(e.evPos[idx]))
 	return true
 }
 
@@ -176,15 +157,7 @@ func (e *Engine) Cancel(id EventID) {
 	if !ok {
 		return
 	}
-	pos := int(e.evPos[idx])
-	last := len(e.queue) - 1
-	if pos != last {
-		e.swap(pos, last)
-	}
-	e.queue = e.queue[:last]
-	if pos != last {
-		e.fix(pos)
-	}
+	e.queue.Remove(idx)
 	e.freeSlot(idx)
 }
 
@@ -195,7 +168,7 @@ func (e *Engine) resolve(id EventID) (int32, bool) {
 	if idx < 0 || int(idx) >= len(e.evGen) {
 		return idx, false
 	}
-	if e.evPos[idx] < 0 || e.evGen[idx] != eventGen(id) {
+	if !e.queue.Contains(idx) || e.evGen[idx] != eventGen(id) {
 		return idx, false
 	}
 	return idx, true
@@ -206,7 +179,6 @@ func (e *Engine) resolve(id EventID) (int32, bool) {
 // retains nothing.
 func (e *Engine) freeSlot(idx int32) {
 	e.evFn[idx] = nil
-	e.evPos[idx] = -1
 	e.evGen[idx]++
 	if e.evGen[idx] == 0 {
 		e.evGen[idx] = 1 // generation wrap: skip 0 so handles stay nonzero
@@ -214,82 +186,16 @@ func (e *Engine) freeSlot(idx int32) {
 	e.evFree = append(e.evFree, idx)
 }
 
-// --- value-indexed 4-ary heap over queue ---
-
-// before is the strict (time, sequence) order between two queued slots.
-func (e *Engine) before(a, b int32) bool {
-	if e.evAt[a] != e.evAt[b] {
-		return e.evAt[a] < e.evAt[b]
-	}
-	return e.evSeq[a] < e.evSeq[b]
-}
-
-// swap exchanges two heap positions, repairing the slots' back-pointers.
-func (e *Engine) swap(i, j int) {
-	q := e.queue
-	q[i], q[j] = q[j], q[i]
-	e.evPos[q[i]] = int32(i)
-	e.evPos[q[j]] = int32(j)
-}
-
-// up sifts position i toward the root; returns the final position.
-func (e *Engine) up(i int) int {
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !e.before(e.queue[i], e.queue[p]) {
-			break
-		}
-		e.swap(i, p)
-		i = p
-	}
-	return i
-}
-
-// down sifts position i toward the leaves; returns the final position.
-func (e *Engine) down(i int) int {
-	n := len(e.queue)
-	for {
-		c := 4*i + 1
-		if c >= n {
-			return i
-		}
-		m := c
-		hi := c + 4
-		if hi > n {
-			hi = n
-		}
-		for j := c + 1; j < hi; j++ {
-			if e.before(e.queue[j], e.queue[m]) {
-				m = j
-			}
-		}
-		if !e.before(e.queue[m], e.queue[i]) {
-			return i
-		}
-		e.swap(i, m)
-		i = m
-	}
-}
-
-// fix restores heap order at position i after its key changed either way.
-func (e *Engine) fix(i int) {
-	if e.up(i) == i {
-		e.down(i)
-	}
-}
-
 // Halt stops Run/RunUntil after the currently executing event returns.
 func (e *Engine) Halt() { e.halted = true }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.queue.Len() }
 
 // PeekTime returns the time of the next event, or Infinity if none.
 func (e *Engine) PeekTime() Time {
-	if len(e.queue) == 0 {
-		return Infinity
-	}
-	return e.evAt[e.queue[0]]
+	_, at := e.queue.Head()
+	return at
 }
 
 // Step executes the single next event, returning false when the queue is
@@ -297,19 +203,10 @@ func (e *Engine) PeekTime() Time {
 // recurring callback that immediately re-Schedules reuses the slot it just
 // vacated (and its own handle is stale by the time it runs, per contract).
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	idx, at := e.queue.Pop()
+	if idx < 0 {
 		return false
 	}
-	idx := e.queue[0]
-	last := len(e.queue) - 1
-	if last > 0 {
-		e.swap(0, last)
-	}
-	e.queue = e.queue[:last]
-	if last > 0 {
-		e.down(0)
-	}
-	at := e.evAt[idx]
 	if at < e.now {
 		panic("sim: event queue time went backwards")
 	}
@@ -321,7 +218,7 @@ func (e *Engine) Step() bool {
 		panic(fmt.Sprintf("sim: exceeded MaxEvents=%d (runaway simulation?)", e.MaxEvents))
 	}
 	if e.OnStep != nil {
-		e.OnStep(e.now, len(e.queue))
+		e.OnStep(e.now, e.queue.Len())
 	}
 	fn(e)
 	return true
@@ -338,10 +235,7 @@ func (e *Engine) Run() {
 // deadline (if the simulation had not already passed it).
 func (e *Engine) RunUntil(deadline Time) {
 	e.halted = false
-	for !e.halted {
-		if len(e.queue) == 0 || e.evAt[e.queue[0]] > deadline {
-			break
-		}
+	for !e.halted && e.queue.Len() > 0 && e.PeekTime() <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
