@@ -24,13 +24,16 @@ race:
 	go test -race ./internal/... ./cmd/...
 
 # fuzz explores solver instances past the property suite's seeds, then
-# mutated routing tables against the pair-walk Validate, then the lane
-# pass's layering against the one that searches every dependency, then
-# FTree on degraded XGFTs against its per-terminal reference. go test
-# alone runs only the committed corpora (internal/{flow,route}/testdata/fuzz);
-# a failing input found here is written there.
+# engine operation sequences (FuzzEngine) against a sorted-slice
+# reference, then mutated routing tables against the pair-walk Validate,
+# then the lane pass's layering against the one that searches every
+# dependency, then FTree on degraded XGFTs against its per-terminal
+# reference. go test alone runs only the committed corpora
+# (internal/{flow,route,sim}/testdata/fuzz); a failing input found here is
+# written there.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzSolverEquivalence$$' -fuzztime 10s ./internal/flow
+	go test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime 10s ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzValidateCertificate$$' -fuzztime 10s ./internal/route
 	go test -run '^$$' -fuzz '^FuzzLanePass$$' -fuzztime 10s ./internal/route
 	go test -run '^$$' -fuzz '^FuzzFTree$$' -fuzztime 10s ./internal/route

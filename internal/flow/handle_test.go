@@ -77,17 +77,18 @@ func TestStaleCancelDetected(t *testing.T) {
 	})
 }
 
-// TestStaleDoneEntriesCannotFire: the incremental solver's completion
-// heap holds predictions for flows that may die and have their slot
-// recycled before the prediction comes due; the recycled occupant must
-// complete on its own schedule, exactly once.
+// TestStaleDoneEntriesCannotFire: the completion queue holds each flow's
+// prediction under its slot, and a flow may die and have its slot recycled
+// before that prediction comes due. Removing the flow must take its
+// prediction with it: the recycled occupant completes on its own
+// schedule, exactly once.
 func TestStaleDoneEntriesCannotFire(t *testing.T) {
 	g, fwd, _ := lineGraph(1000)
 	e := sim.NewEngine()
 	n := NewNetwork(e, g)
 	// A would complete at t=0.1; cancel it at t=0.05 and recycle its slot
-	// into B, which completes at t=0.05+1.0. The heap still holds A's
-	// t=0.1 prediction pointing at the slot.
+	// into B, which completes at t=0.05+1.0. A's t=0.1 prediction named
+	// the same slot.
 	idA := n.Start(fwd, 100, func(sim.Time) { t.Error("cancelled flow fired") })
 	var doneB sim.Time = -1
 	doneBCount := 0
@@ -103,7 +104,7 @@ func TestStaleDoneEntriesCannotFire(t *testing.T) {
 		t.Fatalf("B completed %d times, want exactly 1", doneBCount)
 	}
 	if math.Abs(float64(doneB)-1.05) > 1e-9 {
-		t.Errorf("B done at %v, want 1.05 — a stale heap entry fired the recycled slot", doneB)
+		t.Errorf("B done at %v, want 1.05 — a stale prediction fired the recycled slot", doneB)
 	}
 }
 
