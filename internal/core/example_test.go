@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hpcsim/t2hx/internal/core"
-	"github.com/hpcsim/t2hx/internal/route"
 	"github.com/hpcsim/t2hx/internal/sim"
 	"github.com/hpcsim/t2hx/internal/topo"
 )
@@ -26,8 +25,9 @@ func ExamplePARX() {
 	large := core.LIDChoices(core.Q0, core.Q0, true)[0]
 	ps, _ := tables.Path(src, tables.LIDFor(dst, small))
 	pl, _ := tables.Path(src, tables.LIDFor(dst, large))
-	fmt.Printf("small-message LID%d: %d switch hop(s)\n", small, route.SwitchHops(ps))
-	fmt.Printf("large-message LID%d: %d switch hop(s)\n", large, route.SwitchHops(pl))
+	// A path's channels include injection and delivery.
+	fmt.Printf("small-message LID%d: %d switch hop(s)\n", small, len(ps)-2)
+	fmt.Printf("large-message LID%d: %d switch hop(s)\n", large, len(pl)-2)
 	// Output:
 	// small-message LID1: 1 switch hop(s)
 	// large-message LID0: 2 switch hop(s)

@@ -164,12 +164,6 @@ func quadrantLIDPolicy(hx *topo.HyperX) (route.LIDPolicy, error) {
 	}, nil
 }
 
-// QuadrantOfLID recovers the quadrant from a PARX LID, the way the modified
-// bfo PML does on the real system: q := floor(LID/1000) (footnote 9).
-func QuadrantOfLID(lid route.LID) Quadrant {
-	return Quadrant(int(lid) / QuadrantBlock % 4)
-}
-
 // QuadrantOfTerminal returns the quadrant of a terminal on the HyperX.
 func QuadrantOfTerminal(hx *topo.HyperX, tm topo.NodeID) Quadrant {
 	return QuadrantOf(hx.Coord(tm), hx.Cfg.S)

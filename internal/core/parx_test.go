@@ -88,7 +88,7 @@ func TestPARXMinimalAndDetourPathsCoexist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h := route.SwitchHops(p); h != 1 {
+		if h := len(p) - 2; h != 1 { // less injection and delivery
 			t.Errorf("small LID%d path has %d switch hops, want 1 (minimal)", off, h)
 		}
 	}
@@ -100,7 +100,7 @@ func TestPARXMinimalAndDetourPathsCoexist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if route.SwitchHops(p) > 1 {
+		if len(p)-2 > 1 {
 			detours++
 		}
 	}

@@ -30,12 +30,6 @@ const (
 
 func (q Quadrant) String() string { return fmt.Sprintf("Q%d", uint8(q)) }
 
-// Left reports whether the quadrant lies in the left half (dimension 0).
-func (q Quadrant) Left() bool { return q == Q0 || q == Q1 }
-
-// Top reports whether the quadrant lies in the top half (dimension 1).
-func (q Quadrant) Top() bool { return q == Q0 || q == Q3 }
-
 // QuadrantOf maps 2-D switch coordinates to their quadrant given the
 // lattice shape.
 func QuadrantOf(coord []int, shape []int) Quadrant {

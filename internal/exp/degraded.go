@@ -54,11 +54,6 @@ type DegradedSpec struct {
 	// Detect/SweepLatency forward to the SM model; zero keeps defaults.
 	Detect       sim.Duration
 	SweepLatency sim.Duration
-	// MarginSamples caps the DeadlockMargin sampling per variant; <= 0
-	// selects route.DefaultMarginSamples.
-	MarginSamples int
-	// Placement defaults to linear.
-	Placement place.Strategy
 }
 
 // DegradedResult is one variant's outcome.
@@ -163,19 +158,6 @@ type degradedState struct {
 	baselines [][]sim.Duration // [engine][workload]
 }
 
-func (st *degradedState) combo(engine string) Combo {
-	placement := st.spec.Placement
-	if placement == "" {
-		placement = place.Linear
-	}
-	return Combo{
-		Name:      "hyperx/" + engine,
-		Topology:  "hyperx",
-		Routing:   engine,
-		Placement: placement,
-	}
-}
-
 func (st *degradedState) getMachine(engine string) (*Machine, error) {
 	st.mu.Lock()
 	free := st.machines[engine]
@@ -186,7 +168,8 @@ func (st *degradedState) getMachine(engine string) (*Machine, error) {
 		return m, nil
 	}
 	st.mu.Unlock()
-	return BuildMachine(st.combo(engine), MachineConfig{Small: st.spec.Small, Seed: st.spec.Seed})
+	cmb := Combo{Name: "hyperx/" + engine, Topology: "hyperx", Routing: engine, Placement: place.Linear}
+	return BuildMachine(cmb, MachineConfig{Small: st.spec.Small, Seed: st.spec.Seed})
 }
 
 func (st *degradedState) putMachine(engine string, m *Machine) {
@@ -370,7 +353,7 @@ func (st *degradedState) runCell(ei, wi, ci, vi, maxCount int) (DegradedResult, 
 			res.Unreachable = rep.Unreachable
 			res.DeadlockFree = rep.DeadlockFree
 		}
-		res.Margin = route.DeadlockMargin(tb, spec.MarginSamples)
+		res.Margin = route.DeadlockMargin(tb, route.DefaultMarginSamples)
 	}
 	for _, id := range chain {
 		m.G.Links[id].Down = false

@@ -18,14 +18,13 @@ func degradedTestSpec(engines []string, counts []int, variants int) DegradedSpec
 				return workloads.BuildIMB("alltoall", n, 2048)
 			},
 		}},
-		Counts:        counts,
-		Variants:      variants,
-		Nodes:         8,
-		Small:         true,
-		Seed:          11,
-		Detect:        50 * sim.Microsecond,
-		SweepLatency:  100 * sim.Microsecond,
-		MarginSamples: 256,
+		Counts:       counts,
+		Variants:     variants,
+		Nodes:        8,
+		Small:        true,
+		Seed:         11,
+		Detect:       50 * sim.Microsecond,
+		SweepLatency: 100 * sim.Microsecond,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/hpcsim/t2hx/internal/sim"
 	"github.com/hpcsim/t2hx/internal/workloads"
 )
 
@@ -41,11 +42,19 @@ func TestBuildMachineSmallAllCombos(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.Routing == "parx" && f.PMLName() != "bfo" {
-				t.Error("PARX machine did not enable the bfo PML")
+			// Only the bfo PML, which PARX machines run, adds its
+			// penalty to a send, a loopback one included.
+			want := f.Params.SendOverhead
+			if c.Routing == "parx" {
+				want += f.Params.BFOPenalty
 			}
-			if c.Routing != "parx" && f.PMLName() != "ob1" {
-				t.Error("non-PARX machine should use ob1")
+			want += f.Params.RecvOverhead
+			tm := m.G.Terminals()[0]
+			var at sim.Time
+			f.Send(tm, tm, 0, func(t sim.Time) { at = t })
+			f.Eng.Run()
+			if at != want {
+				t.Errorf("loopback send took %v, want %v (bfo PML iff PARX)", at, want)
 			}
 			ranks, err := m.Place(8, 42)
 			if err != nil {

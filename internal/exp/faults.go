@@ -185,9 +185,11 @@ func RunFaultBatch(r Runner, specs []FaultSpec) ([]*FaultResult, error) {
 // plane (whole-plane failover across a multi-plane machine is exercised
 // separately, via fabric.MultiFabric with a failover policy and
 // faults.PlaneOutage). The plane's graph is mutated during the faulted run
-// and restored before returning, so machines remain reusable. An error from the faulted run (a rank wedged beyond the retry
-// budget) is returned as-is — that outcome is the experiment failing, not
-// an infrastructure problem.
+// and restored before returning, so machines remain reusable.
+//
+// An error from the faulted run (a rank wedged beyond the retry budget) is
+// returned as-is: that outcome is the experiment failing, not an
+// infrastructure problem.
 func RunFaultScenario(spec FaultSpec) (*FaultResult, error) {
 	m := spec.Machine
 	if err := spec.Validate(); err != nil {

@@ -132,10 +132,3 @@ func (c *TableCache) Stats() CacheStats {
 		Evictions: c.evictions.Load(),
 	}
 }
-
-// Len reports the number of cached keys.
-func (c *TableCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}

@@ -99,24 +99,3 @@ func (f *Fabric) noteFlow(p []topo.ChannelID, delta int32) {
 		}
 	}
 }
-
-// MaxChannelOccupancy reports the highest concurrent-flow count seen on any
-// fabric channel: the attached telemetry counters' high-watermark when
-// available, else the adaptive PML's instantaneous selection occupancy.
-func (f *Fabric) MaxChannelOccupancy() int32 {
-	if f.Tel != nil && f.Tel.Chans != nil {
-		if m := f.Tel.Chans.MaxActive(); m > 0 {
-			return m
-		}
-	}
-	if f.lt == nil {
-		return 0
-	}
-	var m int32
-	for _, c := range f.lt.counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}

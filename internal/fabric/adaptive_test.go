@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/hpcsim/t2hx/internal/core"
@@ -24,16 +25,16 @@ func adaptiveFixture(t *testing.T) (*topo.HyperX, *Fabric) {
 	if err := f.EnableAdaptive(hx); err != nil {
 		t.Fatal(err)
 	}
-	// Counters on, so MaxChannelOccupancy reads the telemetry
-	// high-watermark rather than the adaptive picker's private counts.
+	// Counters on, so the test can read the channels' concurrent-flow
+	// high-watermark.
 	f.AttachTelemetry(telemetry.New(hx.Graph, telemetry.Options{Counters: true}))
 	return hx, f
 }
 
 func TestAdaptiveSpreadsConcurrentFlows(t *testing.T) {
 	hx, f := adaptiveFixture(t)
-	if f.PMLName() != "adaptive" {
-		t.Fatalf("PML = %s", f.PMLName())
+	if f.pml != adaptive {
+		t.Fatalf("PML = %d, want adaptive", f.pml)
 	}
 	// 7 concurrent large flows between two adjacent switches: adaptive
 	// selection must not put all of them on the same first channel.
@@ -50,7 +51,7 @@ func TestAdaptiveSpreadsConcurrentFlows(t *testing.T) {
 	// All 7 on one cable would give occupancy 7 on that channel; adaptive
 	// must do better. The flows are pending (nothing decremented yet), so
 	// the instantaneous occupancy equals the high-watermark.
-	if occ := f.MaxChannelOccupancy(); occ >= 7 {
+	if occ := slices.Max(f.Tel.Chans.ActiveHWM); occ == 0 || occ >= 7 {
 		t.Errorf("adaptive routing stacked %d flows on one channel", occ)
 	}
 	f.Eng.Run()

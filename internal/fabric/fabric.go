@@ -165,13 +165,6 @@ func (f *Fabric) AttachTelemetry(c *telemetry.Collector) {
 	c.AttachEngine(f.Eng)
 }
 
-// FlushCounters forces the flow network's lazily-deferred counter
-// integrals up to the current instant — the barrier to invoke before
-// reading the attached collector's counter slices directly at a snapshot
-// boundary (fault teardown, end-of-run, mid-run export). The collector's
-// own accessors flush implicitly.
-func (f *Fabric) FlushCounters() { f.Net.FlushCounters() }
-
 // EnableBFO switches the fabric to the modified bfo PML for PARX tables on
 // the given HyperX. threshold <= 0 selects the paper's 512-byte default.
 func (f *Fabric) EnableBFO(hx *topo.HyperX, threshold int64) error {
@@ -188,18 +181,6 @@ func (f *Fabric) EnableBFO(hx *topo.HyperX, threshold int64) error {
 		f.quadrants[i] = core.QuadrantOfTerminal(hx, tm)
 	}
 	return nil
-}
-
-// PMLName reports the active messaging layer.
-func (f *Fabric) PMLName() string {
-	switch f.pml {
-	case BFO:
-		return "bfo"
-	case adaptive:
-		return "adaptive"
-	default:
-		return "ob1"
-	}
 }
 
 // selectLID picks the destination LID for a message per the active PML.
@@ -258,7 +239,7 @@ func (f *Fabric) PathLatency(p []topo.ChannelID) sim.Duration {
 // Without resilience enabled an unroutable destination panics; with it, the
 // message enters the bounded-retry loop and onDelivered may fire only after
 // the subnet manager repairs the tables (or never, if the retry budget runs
-// out — see Resilience.OnGiveUp).
+// out; GiveUps counts those).
 func (f *Fabric) Send(src, dst topo.NodeID, size int64, onDelivered func(at sim.Time)) {
 	f.Messages++
 	f.Bytes += float64(size)
@@ -275,15 +256,4 @@ func (f *Fabric) Send(src, dst topo.NodeID, size int64, onDelivered func(at sim.
 		return
 	}
 	f.attempt(&pendingSend{src: src, dst: dst, size: size, onDelivered: onDelivered, rec: rec})
-}
-
-// Probe returns the switch-hop count the active PML would use for a message
-// of the given size (diagnostics and tests).
-func (f *Fabric) Probe(src, dst topo.NodeID, size int64) (hops int, lid route.LID, err error) {
-	lid = f.selectLID(src, dst, size)
-	p, err := f.pathTo(src, lid)
-	if err != nil {
-		return 0, lid, err
-	}
-	return route.SwitchHops(p), lid, nil
 }

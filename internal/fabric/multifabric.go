@@ -234,11 +234,3 @@ func (mf *MultiFabric) AttachTelemetry(tm *telemetry.Multi) error {
 	tm.AttachEngine(mf.Eng)
 	return nil
 }
-
-// FlushCounters fans the counter-integration barrier out to every plane's
-// flow network (see Fabric.FlushCounters).
-func (mf *MultiFabric) FlushCounters() {
-	for _, f := range mf.planes {
-		f.FlushCounters()
-	}
-}

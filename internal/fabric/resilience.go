@@ -24,9 +24,6 @@ type Resilience struct {
 	// analogue). Zero selects DefaultMaxRetries; negative disables retries
 	// (every failure is final).
 	MaxRetries int
-	// OnGiveUp is invoked when a message exhausts its retry budget and is
-	// dropped. nil just counts the loss in GiveUps.
-	OnGiveUp func(src, dst topo.NodeID, size int64, err error)
 	// Redispatch, when set, is consulted before a failed message enters
 	// the retry loop. Returning true means another transport (a sibling
 	// plane of a MultiFabric) has taken ownership of the message, so this
@@ -198,9 +195,6 @@ func (f *Fabric) sendFailed(m *pendingSend, err error) {
 	if m.attempts > f.res.MaxRetries {
 		f.GiveUps++
 		f.Tel.MsgGiveUp(m.rec, f.Eng.Now())
-		if f.res.OnGiveUp != nil {
-			f.res.OnGiveUp(m.src, m.dst, m.size, err)
-		}
 		return
 	}
 	f.Retries++

@@ -87,15 +87,13 @@ func TestFailChannelsRetriesAfterSwap(t *testing.T) {
 	}
 }
 
-// Without a table repair the retry budget must run out and the give-up hook
-// must fire exactly once.
+// Without a table repair the retry budget must run out and the message
+// must be given up exactly once.
 func TestResilienceGivesUpAfterBudget(t *testing.T) {
 	hx, f, eng := resilientFabric(t)
-	gaveUp := 0
 	f.EnableResilience(Resilience{
 		RetryBackoff: 5 * sim.Microsecond,
 		MaxRetries:   3,
-		OnGiveUp:     func(topo.NodeID, topo.NodeID, int64, error) { gaveUp++ },
 	})
 	src := hx.Terminals()[0]
 	dst := hx.Terminals()[15]
@@ -114,8 +112,8 @@ func TestResilienceGivesUpAfterBudget(t *testing.T) {
 	if done {
 		t.Error("message delivered over a table that routes through a dead link")
 	}
-	if gaveUp != 1 || f.GiveUps != 1 {
-		t.Errorf("give-ups = %d (hook %d), want 1", f.GiveUps, gaveUp)
+	if f.GiveUps != 1 {
+		t.Errorf("give-ups = %d, want 1", f.GiveUps)
 	}
 	if f.Retries != 3 {
 		t.Errorf("retries = %d, want 3 (the full budget)", f.Retries)

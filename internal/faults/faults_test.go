@@ -132,20 +132,6 @@ func TestPlanLinkFailuresMatchesPaperDegradation(t *testing.T) {
 	}
 }
 
-func TestSwitchOutage(t *testing.T) {
-	s := SwitchOutage(3, 5*sim.Millisecond, 2*sim.Millisecond)
-	want := Schedule{
-		{At: 5 * sim.Millisecond, Kind: SwitchDown, Switch: 3},
-		{At: 7 * sim.Millisecond, Kind: SwitchUp, Switch: 3},
-	}
-	if !reflect.DeepEqual(s, want) {
-		t.Errorf("got %v, want %v", s, want)
-	}
-	if p := SwitchOutage(3, sim.Millisecond, 0); len(p) != 1 {
-		t.Errorf("permanent outage has %d events, want 1", len(p))
-	}
-}
-
 func TestScheduleSorted(t *testing.T) {
 	s := Schedule{
 		{At: 3, Kind: LinkDown, Link: 1},

@@ -41,11 +41,6 @@ type SMConfig struct {
 	// each resolved entry's channel dependency once to the per-lane channel
 	// dependency graphs of the lanes that use it.
 	Revalidate bool
-	// MarginSamples, when positive, additionally scores the rebuilt tables'
-	// deadlock-freedom margin (route.DeadlockMargin with this sample cap)
-	// during revalidation; the value lands in Sweep.Margin and the sweep's
-	// trace span. Zero skips the measurement.
-	MarginSamples int
 }
 
 // Sweep records one SM reaction to fabric changes.
@@ -71,9 +66,9 @@ type Sweep struct {
 	// Unreachable counts (src, dst-LID) pairs the rebuilt tables cannot
 	// serve — nonzero when dead switches strand terminals.
 	Unreachable int
-	// Margin is the rebuilt tables' deadlock-freedom margin (CDG cycle
-	// slack, see route.DeadlockMargin); only measured when
-	// SMConfig.MarginSamples is positive and the rebuild succeeded.
+	// Margin is always 0: the SM does not measure the rebuilt tables'
+	// deadlock-freedom margin (route.DeadlockMargin). The hxbench
+	// fault_resweep digest still hashes the field.
 	Margin float64
 }
 
@@ -121,10 +116,10 @@ type Manager struct {
 	// (sweptRev, startRev] starts its outage window at
 	// changeTimes[sweptRev].
 	changeTimes []sim.Time
-	// downCount refcounts failure causes per link (a link can be down both
-	// individually and via its switch); managed marks links whose Down flag
-	// this manager owns, so static build-time degradation is never
-	// "repaired" by a SwitchUp.
+	// downCount refcounts failure causes per link (overlapping schedules
+	// can fail a link twice); managed marks links whose Down flag this
+	// manager owns, so static build-time degradation is never "repaired"
+	// by a LinkUp.
 	downCount map[topo.LinkID]int
 	managed   map[topo.LinkID]bool
 }
@@ -182,13 +177,15 @@ func (m *Manager) SweepLatencies() []sim.Duration {
 
 // apply executes one fault event against the live graph.
 func (m *Manager) apply(ev Event) {
-	var dead map[topo.LinkID]bool
-	changed := false
-	switch ev.Kind {
-	case LinkDown, SwitchDown:
-		dead, changed = m.downLinks(m.linkTargets(ev))
-	case LinkUp, SwitchUp:
-		changed = m.upLinks(m.linkTargets(ev))
+	if int(ev.Link) < 0 || int(ev.Link) >= len(m.g.Links) {
+		panic(fmt.Sprintf("faults: event references unknown link %d", ev.Link))
+	}
+	l := m.g.Links[ev.Link]
+	var changed bool
+	if ev.Kind == LinkDown {
+		changed = m.down(l)
+	} else {
+		changed = m.up(l)
 	}
 	if !changed {
 		return
@@ -200,12 +197,12 @@ func (m *Manager) apply(ev Event) {
 		m.OnApply(ev)
 	}
 	torn := 0
-	if len(dead) > 0 {
+	if ev.Kind == LinkDown {
 		if m.OnHealth != nil {
 			m.OnHealth(false)
 		}
 		torn = m.f.FailChannels(func(c topo.ChannelID) bool {
-			return dead[m.g.Link(c).ID]
+			return m.g.Link(c) == l
 		})
 		m.TornDown += torn
 	} else {
@@ -223,59 +220,30 @@ func (m *Manager) apply(ev Event) {
 	m.eng.After(m.Cfg.DetectionDelay, func(*sim.Engine) { m.maybeSweep() })
 }
 
-// linkTargets resolves the links an event touches.
-func (m *Manager) linkTargets(ev Event) []*topo.Link {
-	switch ev.Kind {
-	case LinkDown, LinkUp:
-		if int(ev.Link) < 0 || int(ev.Link) >= len(m.g.Links) {
-			panic(fmt.Sprintf("faults: event references unknown link %d", ev.Link))
-		}
-		return []*topo.Link{m.g.Links[ev.Link]}
-	default:
-		node := m.g.Nodes[ev.Switch]
-		if node.Kind != topo.Switch {
-			panic(fmt.Sprintf("faults: switch event targets non-switch node %s", node.Label))
-		}
-		var out []*topo.Link
-		for _, l := range node.Ports {
-			if l != nil {
-				out = append(out, l)
-			}
-		}
-		return out
+// down records one failure cause on l and reports whether it took l down.
+func (m *Manager) down(l *topo.Link) bool {
+	m.downCount[l.ID]++
+	if l.Down {
+		return false
 	}
+	l.Down = true
+	m.managed[l.ID] = true
+	return true
 }
 
-// downLinks fails the given links, returning the set newly taken down.
-func (m *Manager) downLinks(ls []*topo.Link) (map[topo.LinkID]bool, bool) {
-	dead := make(map[topo.LinkID]bool)
-	for _, l := range ls {
-		m.downCount[l.ID]++
-		if !l.Down {
-			l.Down = true
-			m.managed[l.ID] = true
-			dead[l.ID] = true
-		}
+// up clears one failure cause on l and reports whether that brought l back
+// up. Links downed statically at build time are not touched.
+func (m *Manager) up(l *topo.Link) bool {
+	if m.downCount[l.ID] == 0 {
+		return false // never failed at runtime (e.g. statically degraded)
 	}
-	return dead, len(dead) > 0
-}
-
-// upLinks repairs links whose failure causes have all cleared. Links downed
-// statically at build time are not touched.
-func (m *Manager) upLinks(ls []*topo.Link) bool {
-	changed := false
-	for _, l := range ls {
-		if m.downCount[l.ID] == 0 {
-			continue // never failed at runtime (e.g. statically degraded)
-		}
-		m.downCount[l.ID]--
-		if m.downCount[l.ID] == 0 && m.managed[l.ID] {
-			l.Down = false
-			delete(m.managed, l.ID)
-			changed = true
-		}
+	m.downCount[l.ID]--
+	if m.downCount[l.ID] > 0 || !m.managed[l.ID] {
+		return false
 	}
-	return changed
+	l.Down = false
+	delete(m.managed, l.ID)
+	return true
 }
 
 // maybeSweep starts a re-sweep when unswept changes exist and no sweep is
@@ -305,9 +273,6 @@ func (m *Manager) startSweep() {
 			s.Validated = true
 			s.DeadlockFree = rep.DeadlockFree
 			s.Unreachable = rep.Unreachable
-			if m.Cfg.MarginSamples > 0 {
-				s.Margin = route.DeadlockMargin(tables, m.Cfg.MarginSamples)
-			}
 			if !rep.DeadlockFree {
 				err = fmt.Errorf("faults: re-sweep with engine %s produced deadlock-prone tables", tables.Engine)
 			}
@@ -363,9 +328,6 @@ func (m *Manager) finishSweep(s Sweep) {
 		if s.Validated {
 			args["deadlock_free"] = s.DeadlockFree
 			args["unreachable"] = s.Unreachable
-			if m.Cfg.MarginSamples > 0 {
-				args["margin"] = s.Margin
-			}
 		}
 		tel.Span(telemetry.TracePidSM, 1, "sm", name, s.Detected, end, args)
 		if s.Rejected == nil {

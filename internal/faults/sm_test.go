@@ -164,10 +164,11 @@ func TestSMCoalescesFailureBurst(t *testing.T) {
 	}
 }
 
-// A switch dying and coming back: terminals attached to it are stranded
-// while it is down (Unreachable > 0 in the sweep report), and the repair
-// sweep restores full reachability. Statically degraded links must not be
-// resurrected by the SwitchUp.
+// A switch dying and coming back, every one of its links failing and then
+// repaired at once: terminals attached to it are stranded while it is down
+// (Unreachable > 0 in the sweep report), and the repair sweep restores full
+// reachability. A statically degraded link must not be resurrected by its
+// LinkUp.
 func TestSMSwitchOutageAndRepair(t *testing.T) {
 	r := newRig(t)
 
@@ -198,13 +199,22 @@ func TestSMSwitchOutageAndRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Inject(SwitchOutage(victim, 500*sim.Microsecond, 2*sim.Millisecond)); err != nil {
+	var outage Schedule
+	for _, l := range r.hx.Nodes[victim].Ports {
+		if l != nil {
+			outage = append(outage,
+				Event{At: 500 * sim.Microsecond, Kind: LinkDown, Link: l.ID},
+				Event{At: 500*sim.Microsecond + 2*sim.Millisecond, Kind: LinkUp, Link: l.ID})
+		}
+	}
+	if err := m.Inject(outage); err != nil {
 		t.Fatal(err)
 	}
 	runAlltoall(t, r, 32<<10)
 
-	if m.Injected != 2 {
-		t.Fatalf("applied %d events, want down+up", m.Injected)
+	// The static link's down and up change nothing.
+	if want := len(outage) - 2; m.Injected != want {
+		t.Fatalf("applied %d events, want %d", m.Injected, want)
 	}
 	sawStranded := false
 	for _, s := range m.Sweeps {
@@ -222,7 +232,7 @@ func TestSMSwitchOutageAndRepair(t *testing.T) {
 		t.Errorf("final sweep still reports %d unreachable pairs", last.Unreachable)
 	}
 	if !static.Down {
-		t.Error("SwitchUp resurrected a statically degraded link")
+		t.Error("LinkUp resurrected a statically degraded link")
 	}
 	for _, l := range r.hx.Nodes[victim].Ports {
 		if l == nil || l == static {

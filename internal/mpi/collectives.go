@@ -79,11 +79,6 @@ func (b *Builder) Compute(d sim.Duration) {
 	}
 }
 
-// ComputeRank adds a computation phase to one rank.
-func (b *Builder) ComputeRank(r Rank, d sim.Duration) {
-	b.Progs[r].Compute(d)
-}
-
 // Barrier is the dissemination barrier over the world communicator.
 func (b *Builder) Barrier() { b.Group(b.world...).Barrier() }
 
@@ -96,11 +91,6 @@ func (b *Builder) Reduce(root Rank, size int64) { b.Group(b.world...).Reduce(int
 // Allreduce picks recursive doubling for small payloads and the ring for
 // large ones.
 func (b *Builder) Allreduce(size int64) { b.Group(b.world...).Allreduce(size) }
-
-// RecursiveDoublingAllreduce forces the latency-optimal algorithm.
-func (b *Builder) RecursiveDoublingAllreduce(size int64) {
-	b.Group(b.world...).RecursiveDoublingAllreduce(size)
-}
 
 // RingAllreduce forces the bandwidth-optimal ring (Baidu's DeepBench
 // allreduce, Sec. 4.1).
@@ -117,9 +107,6 @@ func (b *Builder) Allgather(size int64) { b.Group(b.world...).Allgather(size) }
 
 // Alltoall exchanges size bytes between every rank pair (pairwise).
 func (b *Builder) Alltoall(size int64) { b.Group(b.world...).Alltoall(size) }
-
-// Alltoallv exchanges sizes[r][peer] bytes pairwise.
-func (b *Builder) Alltoallv(sizes [][]int64) { b.Group(b.world...).Alltoallv(sizes) }
 
 // --- group algorithms ---
 
@@ -347,30 +334,6 @@ func (g Group) Alltoall(size int64) {
 			to := g.real((v + k) % n)
 			from := g.real((v - k + n) % n)
 			g.prog(v).Sendrecv(to, size, tag, from, tag)
-		}
-	}
-}
-
-// Alltoallv exchanges sizes[v][peer] bytes pairwise (virtual-rank
-// indexed).
-func (g Group) Alltoallv(sizes [][]int64) {
-	n := g.N()
-	for k := 1; k < n; k++ {
-		tag := g.b.nextTag()
-		for v := 0; v < n; v++ {
-			to := (v + k) % n
-			from := (v - k + n) % n
-			p := g.prog(v)
-			var hs []int32
-			if sizes[v][to] > 0 {
-				hs = append(hs, p.Isend(g.real(to), sizes[v][to], tag))
-			}
-			if sizes[from][v] > 0 {
-				hs = append(hs, p.Irecv(g.real(from), tag))
-			}
-			if len(hs) > 0 {
-				p.Wait(hs...)
-			}
 		}
 	}
 }

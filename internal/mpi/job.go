@@ -237,11 +237,8 @@ func (j *Job) checkDone() {
 	}
 }
 
-// Done reports whether the job has finished; Result is valid then.
+// Done reports whether the job has finished.
 func (j *Job) Done() bool { return j.done }
-
-// Result returns the finished job's timing.
-func (j *Job) Result() Result { return j.result }
 
 // execSend handles OpISend.
 func (j *Job) execSend(r Rank, op *Op) {

@@ -101,7 +101,8 @@ func TestJobDoneAccessors(t *testing.T) {
 	hx, f := testFabric(t, false)
 	b := NewBuilder(2)
 	b.Compute(1.0)
-	j, err := Launch(f, "acc", hx.Terminals()[:2], b.Progs, Options{}, nil)
+	var res Result
+	j, err := Launch(f, "acc", hx.Terminals()[:2], b.Progs, Options{}, func(r Result) { res = r })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestJobDoneAccessors(t *testing.T) {
 	if !j.Done() {
 		t.Fatal("job not done after run")
 	}
-	if j.Result().Elapsed < 1.0 {
-		t.Errorf("result elapsed = %v", j.Result().Elapsed)
+	if res.Elapsed < 1.0 {
+		t.Errorf("result elapsed = %v", res.Elapsed)
 	}
 }

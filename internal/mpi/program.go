@@ -111,6 +111,3 @@ func (p *Program) Compute(d sim.Duration) {
 	}
 	p.Ops = append(p.Ops, Op{Kind: OpCompute, Dur: d})
 }
-
-// Steps reports the number of ops.
-func (p *Program) Steps() int { return len(p.Ops) }

@@ -37,9 +37,7 @@ type CDG struct {
 	at  []topo.ChannelID
 	// succ[c] / pred[c] list c's dependency neighbours.
 	succ, pred [][]topo.ChannelID
-	// nodes lists the channels present, in insertion order.
-	nodes []topo.ChannelID
-	next  int32
+	next       int32
 
 	// DFS scratch, reused across operations: seen[c] holds the epoch of
 	// the last traversal that visited c.
@@ -96,7 +94,6 @@ func (g *CDG) ensure(c topo.ChannelID) {
 	g.ord[c] = g.next
 	g.next++
 	g.at = append(g.at, c)
-	g.nodes = append(g.nodes, c)
 }
 
 // HasEdge reports whether the dependency u->v is already present.
@@ -110,15 +107,6 @@ func (g *CDG) HasEdge(u, v topo.ChannelID) bool {
 		}
 	}
 	return false
-}
-
-// Edges reports the number of dependency edges.
-func (g *CDG) Edges() int {
-	n := 0
-	for _, c := range g.nodes {
-		n += len(g.succ[c])
-	}
-	return n
 }
 
 // AddEdge inserts the dependency u->v unless it would create a cycle, in
@@ -309,41 +297,6 @@ func removeChan(s []topo.ChannelID, c topo.ChannelID) []topo.ChannelID {
 		}
 	}
 	return s
-}
-
-// Acyclic exhaustively re-verifies acyclicity (used by tests; the
-// incremental structure maintains it by construction).
-func (g *CDG) Acyclic() bool {
-	const (
-		white = int8(0)
-		gray  = int8(1)
-		black = int8(2)
-	)
-	color := make([]int8, len(g.ord))
-	var visit func(c topo.ChannelID) bool
-	visit = func(c topo.ChannelID) bool {
-		color[c] = gray
-		for _, m := range g.succ[c] {
-			switch color[m] {
-			case gray:
-				return false
-			case white:
-				if !visit(m) {
-					return false
-				}
-			}
-		}
-		color[c] = black
-		return true
-	}
-	for _, c := range g.nodes {
-		if color[c] == white {
-			if !visit(c) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // CanReach reports whether v is reachable from u along dependency edges.

@@ -27,6 +27,90 @@ func (t *Tables) WithLaneRanks(ranks [][]int32) *Tables {
 	return c
 }
 
+// MutableClone deep-copies the LFT and SL state into fresh unfrozen tables
+// bound to the same graph. It lets tests corrupt routing state without
+// tripping the freeze guard or poisoning a cached original. The lane
+// certificate is shared, read-only: Validate checks it against the
+// clone's own paths.
+func (t *Tables) MutableClone() *Tables {
+	nt := *t
+	nt.frozen = false
+	nt.lft = make([][]topo.ChannelID, len(t.lft))
+	for i, row := range t.lft {
+		nt.lft[i] = append([]topo.ChannelID(nil), row...)
+	}
+	if t.sl != nil {
+		nt.sl = append([]uint8(nil), t.sl...)
+	}
+	return &nt
+}
+
+// ChannelLoads returns the per-channel path counts for base-LID routing —
+// the static oversubscription map behind Fig. 1's bottleneck analysis —
+// folded up each base LID's forwarding tree.
+func ChannelLoads(t *Tables) []int {
+	load := make([]int, 2*len(t.G.Links))
+	tr := newLIDTrees(t)
+	for di := range t.BaseLID {
+		tr.resolve(di, 0)
+		tr.fold(load)
+	}
+	return load
+}
+
+// Edges reports the number of dependency edges.
+func (g *CDG) Edges() int {
+	n := 0
+	for _, c := range g.at {
+		n += len(g.succ[c])
+	}
+	return n
+}
+
+// Acyclic exhaustively re-verifies acyclicity, which the incremental
+// structure maintains by construction.
+func (g *CDG) Acyclic() bool {
+	const (
+		white = int8(0)
+		gray  = int8(1)
+		black = int8(2)
+	)
+	color := make([]int8, len(g.ord))
+	var visit func(c topo.ChannelID) bool
+	visit = func(c topo.ChannelID) bool {
+		color[c] = gray
+		for _, m := range g.succ[c] {
+			switch color[m] {
+			case gray:
+				return false
+			case white:
+				if !visit(m) {
+					return false
+				}
+			}
+		}
+		color[c] = black
+		return true
+	}
+	for _, c := range g.at {
+		if color[c] == white {
+			if !visit(c) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// SwitchHops returns the number of switch-to-switch hops of a path returned
+// by Path (total channels minus injection and delivery).
+func SwitchHops(path []topo.ChannelID) int {
+	if len(path) < 2 {
+		return 0
+	}
+	return len(path) - 2
+}
+
 // ValidateProof is Validate, also reporting whether the lane certificate
 // alone proved the lanes acyclic, with no CDG built.
 func ValidateProof(t *Tables) (Report, bool, error) { return validate(t) }

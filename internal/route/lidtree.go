@@ -88,7 +88,7 @@ func newTermGroups(g *topo.Graph) termGroups {
 }
 
 // lidTrees resolves the forwarding tree toward one destination LID at a
-// time, for Validate and ChannelLoads. A chain fails exactly where
+// time, for Validate and the tests' ChannelLoads. A chain fails exactly where
 // Tables.appendPath fails: a missing entry, a down link, delivery to
 // another terminal, a loop, or more than MaxHops switch channels.
 type lidTrees struct {

@@ -260,24 +260,6 @@ func (t *Tables) Rebind(g *topo.Graph) *Tables {
 	return &nt
 }
 
-// MutableClone deep-copies the LFT and SL state into fresh unfrozen tables
-// bound to the same graph. Tests use it to corrupt routing state without
-// tripping the freeze guard or poisoning a cached original. The lane
-// certificate is shared, read-only: Validate checks it against the
-// clone's own paths.
-func (t *Tables) MutableClone() *Tables {
-	nt := *t
-	nt.frozen = false
-	nt.lft = make([][]topo.ChannelID, len(t.lft))
-	for i, row := range t.lft {
-		nt.lft[i] = append([]topo.ChannelID(nil), row...)
-	}
-	if t.sl != nil {
-		nt.sl = append([]uint8(nil), t.sl...)
-	}
-	return &nt
-}
-
 // MaxHops bounds LFT walks; anything longer indicates a forwarding loop.
 const MaxHops = 64
 
@@ -334,13 +316,4 @@ func (t *Tables) appendPath(buf []topo.ChannelID, src topo.NodeID, lid LID) ([]t
 		}
 		sw = next
 	}
-}
-
-// SwitchHops returns the number of switch-to-switch hops of a path returned
-// by Path (total channels minus injection and delivery).
-func SwitchHops(path []topo.ChannelID) int {
-	if len(path) < 2 {
-		return 0
-	}
-	return len(path) - 2
 }

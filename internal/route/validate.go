@@ -157,19 +157,6 @@ func validate(t *Tables) (rep Report, certified bool, err error) {
 	return rep, certified, nil
 }
 
-// ChannelLoads returns the per-channel path counts for base-LID routing —
-// the static oversubscription map behind Fig. 1's bottleneck analysis —
-// folded up each base LID's forwarding tree.
-func ChannelLoads(t *Tables) []int {
-	load := make([]int, 2*len(t.G.Links))
-	tr := newLIDTrees(t)
-	for di := range t.BaseLID {
-		tr.resolve(di, 0)
-		tr.fold(load)
-	}
-	return load
-}
-
 // DefaultMarginSamples bounds the candidate dependencies DeadlockMargin
 // inspects per lane; degraded sweeps inspect thousands of variants, so the
 // measure is sampled rather than exhaustive.

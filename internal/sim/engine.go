@@ -68,9 +68,8 @@ func eventGen(id EventID) uint32 { return uint32(uint64(id) >> eventIdxBits) }
 
 // Engine is a discrete-event simulator.
 type Engine struct {
-	now    Time
-	seq    uint64
-	halted bool
+	now Time
+	seq uint64
 
 	// Event arena (SoA): per-slot parallel slices. A slot is either free
 	// (on evFree) or queued in queue under its (time, seq) key. evGen is
@@ -84,10 +83,8 @@ type Engine struct {
 	queue  Queue
 
 	// Processed counts events actually executed; useful for ablation
-	// benchmarks and runaway detection.
+	// benchmarks.
 	Processed uint64
-	// MaxEvents aborts the run (via panic) if exceeded; 0 means no limit.
-	MaxEvents uint64
 	// OnStep, when non-nil, observes every executed event (current time and
 	// queue depth after the pop) — the telemetry layer's engine probe. The
 	// nil check is the only cost when unset.
@@ -186,9 +183,6 @@ func (e *Engine) freeSlot(idx int32) {
 	e.evFree = append(e.evFree, idx)
 }
 
-// Halt stops Run/RunUntil after the currently executing event returns.
-func (e *Engine) Halt() { e.halted = true }
-
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.queue.Len() }
 
@@ -214,9 +208,6 @@ func (e *Engine) Step() bool {
 	fn := e.evFn[idx]
 	e.freeSlot(idx)
 	e.Processed++
-	if e.MaxEvents > 0 && e.Processed > e.MaxEvents {
-		panic(fmt.Sprintf("sim: exceeded MaxEvents=%d (runaway simulation?)", e.MaxEvents))
-	}
 	if e.OnStep != nil {
 		e.OnStep(e.now, e.queue.Len())
 	}
@@ -224,18 +215,16 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or Halt is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
-	e.halted = false
-	for !e.halted && e.Step() {
+	for e.Step() {
 	}
 }
 
 // RunUntil executes events with At <= deadline, then sets the clock to
 // deadline (if the simulation had not already passed it).
 func (e *Engine) RunUntil(deadline Time) {
-	e.halted = false
-	for !e.halted && e.queue.Len() > 0 && e.PeekTime() <= deadline {
+	for e.queue.Len() > 0 && e.PeekTime() <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {

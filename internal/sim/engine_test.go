@@ -160,23 +160,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineHalt(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i), func(en *Engine) {
-			ran++
-			if ran == 3 {
-				en.Halt()
-			}
-		})
-	}
-	e.Run()
-	if ran != 3 {
-		t.Errorf("ran = %d, want 3 after Halt", ran)
-	}
-}
-
 func TestEnginePeekTime(t *testing.T) {
 	e := NewEngine()
 	if e.PeekTime() != Infinity {
@@ -409,15 +392,6 @@ func TestRandLogNormalMedian(t *testing.T) {
 	frac := float64(below) / n
 	if math.Abs(frac-0.5) > 0.02 {
 		t.Errorf("fraction below 1 = %v, want ~0.5", frac)
-	}
-}
-
-func TestRandForkIndependence(t *testing.T) {
-	parent := NewRand(99)
-	f1 := parent.Fork()
-	f2 := parent.Fork()
-	if f1.Uint64() == f2.Uint64() {
-		t.Error("sibling forks produced identical first draws")
 	}
 }
 

@@ -5,7 +5,7 @@ import "math"
 // Rand is a small, fast, seedable PRNG (SplitMix64) used everywhere the
 // simulator needs randomness: placements, link degradation, run-to-run
 // jitter, random bisections. We avoid math/rand so that the stream is
-// identical across Go releases and so sub-streams can be forked cheaply.
+// identical across Go releases.
 type Rand struct {
 	state uint64
 }
@@ -13,13 +13,6 @@ type Rand struct {
 // NewRand returns a generator seeded with seed.
 func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed}
-}
-
-// Fork derives an independent generator from this one; the derived stream is
-// a pure function of the parent's current state, keeping experiments
-// reproducible when sub-components each need their own stream.
-func (r *Rand) Fork() *Rand {
-	return &Rand{state: r.Uint64() ^ 0x9e3779b97f4a7c15}
 }
 
 // Uint64 returns the next 64 random bits.

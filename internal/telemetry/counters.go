@@ -100,35 +100,6 @@ func (cc *ChannelCounters) TotalXmitData() float64 {
 	return sum
 }
 
-// MaxWait returns the largest per-channel wait and the channel holding it
-// (-1 when all zero).
-func (cc *ChannelCounters) MaxWait() (topo.ChannelID, sim.Duration) {
-	cc.Flush()
-	best := topo.ChannelID(-1)
-	var w sim.Duration
-	for c, d := range cc.XmitWait {
-		if d > w {
-			w = d
-			best = topo.ChannelID(c)
-		}
-	}
-	return best, w
-}
-
-// MaxActive returns the highest concurrent-flow watermark over all fabric
-// channels, maintained for every PML (Fabric.MaxChannelOccupancy surfaces
-// it fabric-side, replacing the removed AdaptiveStats accessor).
-func (cc *ChannelCounters) MaxActive() int32 {
-	cc.Flush()
-	var m int32
-	for _, v := range cc.ActiveHWM {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // HotLink is one row of the paper-style counter readout.
 type HotLink struct {
 	Channel topo.ChannelID

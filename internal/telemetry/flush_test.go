@@ -86,7 +86,7 @@ func flushRun(t *testing.T, withFault bool, probes []sim.Duration) (*telemetry.C
 			col.Chans.TotalXmitData()
 			col.Chans.MaxWait()
 			col.Chans.MaxActive()
-			f.FlushCounters()
+			col.Chans.Flush()
 			_ = col.Chans.XmitData[0]
 		})
 	}

@@ -107,10 +107,6 @@ func (h *Hist) ObserveTick(u uint64) {
 // Count reports the number of recorded samples.
 func (h *Hist) Count() uint64 { return h.count }
 
-// Sum reports the exact sample sum (in units; the underlying tick sum is
-// an integer, so it is merge-order independent).
-func (h *Hist) Sum() float64 { return float64(h.sumTicks) / h.Scale }
-
 // Mean reports the exact sample mean, 0 when empty.
 func (h *Hist) Mean() float64 {
 	if h.count == 0 {
@@ -226,20 +222,4 @@ func (h *Hist) Snapshot() HistSnapshot {
 		}
 	}
 	return s
-}
-
-// HistFromSnapshot rebuilds a histogram from exported state, so JSONL
-// "hist" lines from different shards/runs can be re-merged offline.
-func HistFromSnapshot(s HistSnapshot) *Hist {
-	h := NewHist(s.Name, s.Unit, s.Scale)
-	h.count, h.sumTicks, h.minTick, h.maxTick = s.Count, s.SumTicks, s.MinTick, s.MaxTick
-	for k, i := range s.Buckets {
-		if int(i) >= len(h.counts) {
-			grown := make([]uint64, i+1)
-			copy(grown, h.counts)
-			h.counts = grown
-		}
-		h.counts[i] = s.Counts[k]
-	}
-	return h
 }

@@ -182,10 +182,8 @@ func (s *JSONSink) Close() error {
 // measures a stream (tests, ablations, dry runs) at zero serialization
 // cost and, unlike JSONSink, is safe for concurrent use.
 type CountSink struct {
-	mu      sync.Mutex
-	kinds   map[string]uint64
-	flushes int
-	closes  int
+	mu    sync.Mutex
+	kinds map[string]uint64
 }
 
 // NewCountSink returns an empty counting sink.
@@ -199,43 +197,15 @@ func (s *CountSink) Write(l Line) error {
 	return nil
 }
 
-// Flush counts the call.
-func (s *CountSink) Flush() error {
-	s.mu.Lock()
-	s.flushes++
-	s.mu.Unlock()
-	return nil
-}
+// Flush does nothing: the sink keeps no lines.
+func (s *CountSink) Flush() error { return nil }
 
-// Close counts the call.
-func (s *CountSink) Close() error {
-	s.mu.Lock()
-	s.closes++
-	s.mu.Unlock()
-	return nil
-}
+// Close does nothing: the sink holds no writer.
+func (s *CountSink) Close() error { return nil }
 
 // Count reports how many lines of kind were written.
 func (s *CountSink) Count(kind string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.kinds[kind]
-}
-
-// Total reports the total line count over all kinds.
-func (s *CountSink) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n uint64
-	for _, c := range s.kinds {
-		n += c
-	}
-	return n
-}
-
-// Closes reports how many times Close was called (sink lifecycle tests).
-func (s *CountSink) Closes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closes
 }

@@ -162,9 +162,6 @@ func TestCountSink(t *testing.T) {
 	if count.Count("msg") != 5 || count.Count("run") != 1 || count.Total() != 6 {
 		t.Fatalf("counts msg=%d run=%d total=%d", count.Count("msg"), count.Count("run"), count.Total())
 	}
-	if count.Closes() != 1 {
-		t.Fatalf("%d closes", count.Closes())
-	}
 }
 
 // drive pushes synthetic message lifecycles through a collector with at
@@ -189,7 +186,7 @@ func drive(c *Collector, msgs, window int) {
 // TestCollectorStreamingIsO1 is the collector's memory guarantee: an
 // arbitrarily long run keeps only the open-slot table in memory.
 func TestCollectorStreamingIsO1(t *testing.T) {
-	count := NewCountSink()
+	count := NewClosingSink()
 	c := New(nil, Options{Messages: true})
 	c.SetSink(count)
 	const msgs, window = 10000, 4
@@ -210,8 +207,8 @@ func TestCollectorStreamingIsO1(t *testing.T) {
 	if count.Count("run") != 1 || count.Count("hist") == 0 {
 		t.Fatalf("footer lines: run=%d hist=%d", count.Count("run"), count.Count("hist"))
 	}
-	if count.Closes() != 1 {
-		t.Fatalf("%d closes", count.Closes())
+	if count.Closes != 1 {
+		t.Fatalf("%d closes", count.Closes)
 	}
 }
 

@@ -86,7 +86,7 @@ func TestStreamingFaultTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := telemetry.NewCountSink()
+	count := telemetry.NewClosingSink()
 	col := telemetry.New(m.G, telemetry.All())
 	col.SetSink(count)
 	res, err := exp.RunFaultScenario(exp.FaultSpec{
@@ -119,8 +119,8 @@ func TestStreamingFaultTeardown(t *testing.T) {
 	if err := col.FinishStream(); err != nil {
 		t.Fatal(err)
 	}
-	if count.Closes() != 1 {
-		t.Fatalf("sink closed %d times", count.Closes())
+	if count.Closes != 1 {
+		t.Fatalf("sink closed %d times", count.Closes)
 	}
 	if count.Count("run") != 1 || count.Count("hist") == 0 || count.Count("chan") == 0 {
 		t.Fatalf("footer lines run=%d hist=%d chan=%d",

@@ -35,9 +35,6 @@ type Options struct {
 	Trace bool
 }
 
-// All enables every recording surface.
-func All() Options { return Options{Counters: true, Messages: true, Trace: true} }
-
 // Collector accumulates one run's observability data. It is not
 // concurrency-safe: the simulation is single-threaded by construction.
 type Collector struct {

@@ -7,16 +7,6 @@ package topo
 // stay on cheap passive copper (the brown intra-rack cables of Fig. 2c),
 // and half-bisection designs cut the cable count further.
 
-// CableClass distinguishes cheap passive copper from active optics.
-type CableClass uint8
-
-const (
-	// Copper is a passive DAC: short reach, cheap.
-	Copper CableClass = iota
-	// AOC is an active optical cable: long reach, the dominant cost.
-	AOC
-)
-
 // CostModel prices network components; values are relative units
 // (defaults roughly follow QDR-era street prices: an AOC cost several
 // times a DAC, and an edge switch about thirty DACs).

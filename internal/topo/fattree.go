@@ -212,9 +212,6 @@ func NewKaryNTree(k, n int, bandwidth float64, latency sim.Duration) *FatTree {
 // Level reports a node's tree level: 0 for terminals, 1..h for switches.
 func (ft *FatTree) Level(n NodeID) int { return ft.level[n] }
 
-// XCoord returns (x_{i+1..h}) for a level-i node: the subtree digits.
-func (ft *FatTree) XCoord(n NodeID) []int { return ft.xcoord[n] }
-
 // TermIndex returns the linear index of a terminal.
 func (ft *FatTree) TermIndex(t NodeID) int { return ft.termIndex[t] }
 
@@ -227,9 +224,6 @@ func (ft *FatTree) UpLink(n NodeID, y int) *Link {
 	}
 	return ups[y]
 }
-
-// NumParents reports the number of up-links of node n.
-func (ft *FatTree) NumParents(n NodeID) int { return len(ft.upPorts[n]) }
 
 // DownLink returns the link from switch n to its child with x-digit x, or
 // nil. The link may be Down.

@@ -10,7 +10,7 @@ import (
 func countOps(progs []*mpi.Program) int {
 	n := 0
 	for _, p := range progs {
-		n += p.Steps()
+		n += len(p.Ops)
 	}
 	return n
 }
